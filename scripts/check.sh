@@ -184,28 +184,27 @@ fi
 echo "== slo smoke (acsr_slo trace + --check vs slo.json)"
 slo_trace="$(mktemp --suffix=.json)"
 trap 'rm -f "$prof_trace" "$slo_trace"' EXIT
-# A faulted multi-tenant run crosses serve -> engine -> storage: the
-# trace must carry slo:* tracks (request spans) alongside the profiler's
-# own, and the span export must stay schema-valid under ACSR_FAULTS.
+# A faulted multi-tenant run crosses serve -> engine -> storage: the trace
+# must carry slo:* request tracks and the timeline span sink's h2d/compute/
+# ssd<N> tracks next to the profiler's own, schema-valid under ACSR_FAULTS.
 ACSR_FAULTS="io_transient@read#2*2" ACSR_TRACE="$slo_trace" \
   "$build/tools/acsr_slo" --quiet --engine ooc-csr --tenants 4 \
   --trace "$slo_trace"
 python3 - "$slo_trace" <<'PY'
-import json, sys
+import json, re, sys
 doc = json.load(open(sys.argv[1]))
 events = doc["traceEvents"]
 assert events, "empty traceEvents"
 slo_tracks = set()
 for ev in events:
     assert {"name", "ph", "pid", "tid"} <= ev.keys(), ev
-    # Host span tracks are named by thread_name metadata; the slo plane's
-    # mirrored spans live on "slo:*" tracks (docs/SLO.md).
+    # Tracks are named by thread_name metadata (docs/SLO.md).
     if ev["ph"] == "M" and ev["name"] == "thread_name":
         track = ev.get("args", {}).get("name", "")
         if track.startswith("slo:"):
             slo_tracks.add(track)
-assert any(t.startswith("slo:req:") for t in slo_tracks), slo_tracks
-assert "slo:serve" in slo_tracks, slo_tracks
+for want in (r"slo:req:.+", "slo:serve", "slo:h2d", "slo:compute", r"slo:ssd\d+"):
+    assert any(re.fullmatch(want, t) for t in slo_tracks), (want, slo_tracks)
 print(f"   slo trace ok: {len(events)} events, {len(slo_tracks)} slo tracks")
 PY
 # The committed slo.json is the SLO gate: a breach exits 4. Warn-only

@@ -170,33 +170,6 @@ void model_resilient_backoff(ChargeGraph& g) {
   g.charge(drive, "io:0");
 }
 
-// slo/trace.hpp: every execution span mirrors exactly one timeline
-// enqueue — the work is charged once, on its owning stream, and the span
-// plane only *observes* the completion (a span is a view of the
-// timeline, never a second cost model). Modeled as an "slo" observer
-// stream that waits on each work's completion record and charges
-// nothing; a tracer that re-charged observed work would reproduce the
-// double-charge defect below and fail the audit.
-void model_slo_span_parity(ChargeGraph& g) {
-  const auto h2d = g.stream("h2d");
-  const auto compute = g.stream("compute");
-  const auto slo = g.stream("slo");
-  for (int i = 0; i < 2; ++i) {
-    const std::string si = std::to_string(i);
-    g.declare_work("h2d:" + si, "slab upload " + si);
-    g.charge(h2d, "h2d:" + si);
-    g.record(h2d, "up:" + si);
-    g.wait(compute, "up:" + si);
-    g.declare_work("spmv:" + si, "slab SpMV " + si);
-    g.charge(compute, "spmv:" + si);
-    g.record(compute, "comp:" + si);
-    // The tracer observes both completions (Tracer::add copies the
-    // enqueue's interval); it never charges the streams.
-    g.wait(slo, "up:" + si);
-    g.wait(slo, "comp:" + si);
-  }
-}
-
 // ---------------------------------------------------------------------
 // Seeded defect corpus: the broken shapes the auditor must flag.
 // ---------------------------------------------------------------------
@@ -279,7 +252,6 @@ const std::vector<std::string>& charge_plane_names() {
   static const std::vector<std::string> names = {
       "ooc-double-buffer", "storage-inflight",  "multi-gpu-merge",
       "memo-replay",       "spmm-batch",        "resilient-backoff",
-      "slo-span-parity",
   };
   return names;
 }
@@ -298,8 +270,6 @@ std::vector<AuditFinding> audit_charge_plane(const std::string& plane) {
     model_spmm_batch(g);
   else if (plane == "resilient-backoff")
     model_resilient_backoff(g);
-  else if (plane == "slo-span-parity")
-    model_slo_span_parity(g);
   else
     ACSR_REQUIRE(false, "audit: unknown charge plane '" << plane << "'");
   return g.audit("plane:" + plane);

@@ -35,8 +35,8 @@ std::vector<AuditFinding> audit_engine_charges(const std::string& engine,
 ///   memo-replay          capture/replay launch-sequence charge parity
 ///   spmm-batch           column-tiled batched SpMM launch charging
 ///   resilient-backoff    retry ladder's backoff overhead charges
-///   slo-span-parity      tracing spans observe timeline work, never
-///                        charge it a second time (docs/SLO.md)
+/// (Tracing spans need no plane: the timeline itself reports them, so
+/// they cannot charge work a second time — docs/SLO.md.)
 const std::vector<std::string>& charge_plane_names();
 std::vector<AuditFinding> audit_charge_plane(const std::string& plane);
 

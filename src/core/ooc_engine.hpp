@@ -73,12 +73,12 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   /// End-to-end streamed makespan of the last simulate().
   double last_makespan() const { return last_makespan_; }
   /// Every private-timeline entry this engine has enqueued while the slo
-  /// plane was enabled, rebased to absolute trace time (the anchor each
-  /// simulate ran under) — including entries from attempts a fault
-  /// aborted, whose timelines the resilient driver discards but whose
-  /// spans were already recorded. This is the ground truth the
-  /// charge-parity test compares per-stream span charges against
-  /// (tests/test_slo.cpp, docs/SLO.md). Accrues only while tracing.
+  /// plane was enabled, rebased to absolute trace time (each timeline's
+  /// origin) — including entries from attempts a fault aborted, whose
+  /// timelines the resilient driver discards but whose spans were already
+  /// recorded. This is the ground truth the charge-parity test compares
+  /// per-stream span charges against (tests/test_slo.cpp, docs/SLO.md).
+  /// Accrues only while tracing.
   const std::vector<vgpu::StreamTimeline::LogEntry>& trace_timeline_log()
       const {
     return trace_log_;
@@ -134,25 +134,19 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     last_makespan_ = 0.0;
     if (slabs_.empty()) return 0.0;
 
-    // The private timeline starts at 0 every simulate; the tracer anchor
-    // maps that 0 to absolute trace time so consecutive simulates (the
-    // columns of a batch, the sweeps of a solve) concatenate instead of
-    // overlapping. The tier ctor captures the same anchor for its drive
-    // streams; we advance it only after synchronize().
+    // A private timeline per simulate; its named streams are the span
+    // source for this run's upload/compute/drive work (docs/SLO.md).
     const bool traced = slo::slo_enabled();
-    const double base = traced ? slo::Tracer::instance().anchor() : 0.0;
-
     vgpu::StreamTimeline tl;
     storage::StorageTier tier(tl, opt_.tier);
-    const auto h2d = tl.create_stream();
-    const auto compute = tl.create_stream();
+    const auto h2d = tl.create_stream("h2d");
+    const auto compute = tl.create_stream("compute");
 
     const std::size_t n = slabs_.size();
     std::vector<double> read_done(n, 0.0), comp_done(n, 0.0);
     std::vector<Stage> staged(n);
     std::deque<SlabDev> live;
     double stall_s = 0.0;
-    double compute_busy = 0.0;
     vgpu::KernelRun agg{};
     std::uint64_t launches = 0;
 
@@ -174,43 +168,21 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
 
       // Bin metadata is preprocessing state, not tier data: prefetch its
       // upload ahead of the slab's arrival.
-      if (bufs.meta_bytes > 0) {
-        // Span mirrors read the start off the stream cursor before the
-        // enqueue: the span interval is then bit-identical to the log
-        // entry's (exact charge parity, tests/test_slo.cpp).
-        const double pf_start = tl.now(h2d);
-        const double pf_done =
-            tl.enqueue(h2d, charge_transfer(bufs.meta_bytes),
-                       "prefetch:bins:slab" + std::to_string(i));
-        if (traced) [[unlikely]]
-          slo::Tracer::instance().add(
-              slo::SpanKind::kUpload, "prefetch:bins:slab" + std::to_string(i),
-              "h2d", base + pf_start, base + pf_done);
-      }
+      if (bufs.meta_bytes > 0)
+        tl.enqueue(h2d, charge_transfer(bufs.meta_bytes),
+                   "prefetch:bins:slab" + std::to_string(i));
       tl.wait(h2d, vgpu::StreamTimeline::Event{read_done[i]});
-      const double up_start = tl.now(h2d);
       const double up_done =
           tl.enqueue(h2d, charge_transfer(slabs_[i].bytes),
                      "h2d:slab" + std::to_string(i));
-      if (traced) [[unlikely]]
-        slo::Tracer::instance().add(slo::SpanKind::kUpload,
-                                    "h2d:slab" + std::to_string(i), "h2d",
-                                    base + up_start, base + up_done);
       staged[i] = Stage{};  // staging freed once on the device
 
       const double before = tl.now(compute);
       if (up_done > before) stall_s += up_done - before;
       tl.wait(compute, vgpu::StreamTimeline::Event{up_done});
       const double kernel_s = run_slab(i, bufs, x_dev, agg, launches);
-      const double c_start = tl.now(compute);
       comp_done[i] = tl.enqueue(compute, kernel_s,
                                 "spmv:slab" + std::to_string(i));
-      if (traced) [[unlikely]]
-        slo::Tracer::instance().add(slo::SpanKind::kCompute,
-                                    "spmv:slab" + std::to_string(i),
-                                    "compute", base + c_start,
-                                    base + comp_done[i]);
-      compute_busy += kernel_s;
 
       const auto& yh = bufs.y.host();
       std::copy(yh.begin(), yh.end(),
@@ -222,21 +194,19 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     } catch (...) {
       // A fault aborts this attempt and the resilient driver retries on a
       // fresh timeline — but the aborted work's spans are already in the
-      // tracer. Advance the anchor past it (so the retry's spans follow
-      // instead of overlapping) and retain its log for charge parity.
-      if (traced) [[unlikely]] retain_trace(tl, base);
+      // tracer, so its log is retained for charge parity too.
+      if (traced) [[unlikely]] retain_trace(tl);
       throw;
     }
     const double busy = tl.busy_seconds();
     last_makespan_ = tl.synchronize();
-    if (traced) [[unlikely]] retain_trace(tl, base);
+    if (traced) [[unlikely]] retain_trace(tl);
 
     last_io_ = tier.stats();
     last_io_.stall_s = stall_s;
     // Work minus span: > 0 iff any two streams were ever busy at the
     // same instant — the prefetch/compute overlap the tier exists for.
     last_io_.overlap_s = std::max(0.0, busy - last_makespan_);
-    (void)compute_busy;
 
     agg.name = "ooc-csr";
     this->report_.last_run = agg;
@@ -376,16 +346,12 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     return d;
   }
 
-  /// Move the anchor past this timeline's work and append its log,
-  /// rebased to absolute trace time (see trace_timeline_log()).
-  void retain_trace(const vgpu::StreamTimeline& tl, double base) {
-    double end = 0.0;
+  /// Append this timeline's log, rebased to absolute trace time (see
+  /// trace_timeline_log()).
+  void retain_trace(const vgpu::StreamTimeline& tl) {
+    const double o = tl.origin();
     for (const vgpu::StreamTimeline::LogEntry& e : tl.log())
-      end = std::max(end, e.end_s);
-    slo::Tracer::instance().advance_anchor(base + end);
-    for (const vgpu::StreamTimeline::LogEntry& e : tl.log())
-      trace_log_.push_back({e.stream, base + e.start_s, base + e.end_s,
-                            e.tag});
+      trace_log_.push_back({e.stream, o + e.start_s, o + e.end_s, e.tag});
   }
 
   /// Charge one H2D transfer to the device/report; returns its duration

@@ -42,7 +42,6 @@
 
 #include "core/factory.hpp"
 #include "prof/prof.hpp"
-#include "slo/trace.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/timeline.hpp"
 
@@ -96,7 +95,9 @@ class ResilientEngine final : public spmv::SpmvEngine<T> {
     ACSR_REQUIRE(!devices_.empty(), "ResilientEngine needs >= 1 device");
     if (opt_.fallback_chain.empty())
       opt_.fallback_chain = default_fallback_chain(preferred);
-    stream_ = timeline_.create_stream();
+    // Named "recovery": its retry backoff enqueues are execution spans
+    // and the profiler's retry attribution (docs/SLO.md).
+    stream_ = timeline_.create_stream("recovery");
     rebuild("initial build");
   }
 
@@ -197,15 +198,6 @@ class ResilientEngine final : public spmv::SpmvEngine<T> {
         penalty_s += backoff;
         timeline_.enqueue(stream_, backoff,
                           "recovery:retry backoff " + where_of(e));
-        if (prof::profiler_enabled()) [[unlikely]]
-          prof::Profiler::instance().add_retry_backoff(backoff, where_of(e));
-        // The recovery timeline has no absolute clock, so the span plane
-        // charges the backoff duration onto the open execution span's
-        // cursor (docs/SLO.md) — same seconds, trace-time placement.
-        if (slo::slo_enabled()) [[unlikely]]
-          slo::Tracer::instance().charge(
-              slo::SpanKind::kRetryBackoff,
-              "recovery:retry backoff " + where_of(e), "recovery", backoff);
         ++retries_;
         backoff *= opt_.retry.backoff_growth;
       } catch (const vgpu::DataCorruption& e) {
@@ -331,12 +323,6 @@ class ResilientEngine final : public spmv::SpmvEngine<T> {
         if (retries_left-- == 0) throw;
         note("fault:transient " + where_of(e));
         timeline_.enqueue(stream_, backoff, "recovery:retry backoff (build)");
-        if (prof::profiler_enabled()) [[unlikely]]
-          prof::Profiler::instance().add_retry_backoff(backoff, "(build)");
-        if (slo::slo_enabled()) [[unlikely]]
-          slo::Tracer::instance().charge(slo::SpanKind::kRetryBackoff,
-                                         "recovery:retry backoff (build)",
-                                         "recovery", backoff);
         ++retries_;
         backoff *= opt_.retry.backoff_growth;
       } catch (const vgpu::DataCorruption& e) {

@@ -8,7 +8,7 @@ namespace {
 
 double safe_div(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
-// One passthrough metric per Counters field. scripts/lint.sh rule 4 greps
+// One passthrough metric per Counters field. acsr_audit --lint rule 4 greps
 // this file for every field name parsed out of src/vgpu/counters.hpp, so
 // adding a counter without adding a row here fails the lint gate.
 #define ACSR_COUNTER_METRIC(field, what)                                  \
@@ -132,7 +132,7 @@ std::vector<CounterMetric> build_counter_metrics() {
   return r;
 }
 
-// One passthrough metric per TenantAgg field (scripts/lint.sh rule 4
+// One passthrough metric per TenantAgg field (acsr_audit --lint rule 4
 // parses the struct and greps this file, exactly as for Counters).
 #define ACSR_TENANT_METRIC(field, unit, what)                          \
   TenantMetricDef {                                                    \
@@ -168,7 +168,7 @@ std::vector<TenantMetricDef> build_tenant_registry() {
 
 #undef ACSR_TENANT_METRIC
 
-// One passthrough metric per IoAgg field (scripts/lint.sh rule 4 parses
+// One passthrough metric per IoAgg field (acsr_audit --lint rule 4 parses
 // the struct and greps this file, exactly as for Counters and TenantAgg).
 #define ACSR_IO_METRIC(field, unit, what)                            \
   IoMetricDef {                                                      \

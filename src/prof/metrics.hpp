@@ -5,7 +5,7 @@
 //
 // Two invariants the rest of the repo leans on:
 //   * every Counters field has a passthrough metric here (counter_metrics();
-//     scripts/lint.sh rule 4 greps this file so a new counter cannot ship
+//     acsr_audit --lint rule 4 greps this file so a new counter cannot ship
 //     unobservable), and
 //   * metrics marked non-deterministic (host wall-clock attribution) are
 //     excluded from `acsr_prof --diff` regression comparisons — only model
@@ -111,7 +111,7 @@ const std::vector<MetricDef>& metric_registry();
 const MetricDef* find_metric(const std::string& name);
 
 /// The Counters-field -> passthrough-metric map. Completeness (one entry
-/// per field of vgpu::Counters) is enforced by scripts/lint.sh rule 4 and
+/// per field of vgpu::Counters) is enforced by acsr_audit --lint rule 4 and
 /// by the registry test.
 struct CounterMetric {
   const char* field;
@@ -123,7 +123,7 @@ const std::vector<CounterMetric>& counter_metrics();
 
 /// Per-tenant billing record kept by serve::BatchScheduler: simulated cost
 /// attribution of the batched SpMM launches plus queueing behaviour. Same
-/// completeness contract as vgpu::Counters: scripts/lint.sh rule 4 parses
+/// completeness contract as vgpu::Counters: acsr_audit --lint rule 4 parses
 /// the fields of this struct and requires a passthrough metric per field
 /// in metrics.cpp, so a new billing column cannot ship unobservable.
 struct TenantAgg {
@@ -156,7 +156,7 @@ const TenantMetricDef* find_tenant_metric(const std::string& name);
 /// Storage-plane accounting kept by storage::StorageTier and folded in by
 /// core::OocCsrEngine: every drive read, retry, checksum failure and the
 /// overlap the streaming executor achieved. Same completeness contract as
-/// vgpu::Counters / TenantAgg: scripts/lint.sh rule 4 parses the fields of
+/// vgpu::Counters / TenantAgg: acsr_audit --lint rule 4 parses the fields of
 /// this struct and requires a passthrough metric per field in metrics.cpp,
 /// so a new storage counter cannot ship unobservable.
 struct IoAgg {

@@ -24,6 +24,7 @@ bool profiler_enabled_from_env() {
 void set_profiler_enabled(bool on) {
   detail::g_profiler_enabled = on;
   Profiler::instance().enabled_ = on;
+  if (detail::g_on_toggle != nullptr) detail::g_on_toggle();
 }
 
 std::uint64_t host_now_ns() {

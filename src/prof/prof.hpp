@@ -21,13 +21,14 @@
 // the kProfiled mode of tests/test_metering_invariance.cpp.
 //
 // Timeline model: the profiler keeps one global *simulated* clock. Each
-// Device::launch advances it by the launch's modelled duration;
-// ResilientEngine recovery backoff advances it by the backoff it charged
-// to its StreamTimeline; apps mirror their analytic per-iteration charges
-// through phase(). Concurrent-group launches (ACSR's per-bin grids) thus
-// appear serialised, in issue order — the trace is an attribution view of
-// the model, not a second timing model. docs/OBSERVABILITY.md documents
-// the full schema.
+// Device::launch advances it by the launch's modelled duration; each
+// retry backoff enqueued on ResilientEngine's "recovery" StreamTimeline
+// stream advances it by that enqueue's width, reported through the one
+// timeline span sink (src/slo/trace.cpp); apps mirror their analytic
+// per-iteration charges through phase(). Concurrent-group launches
+// (ACSR's per-bin grids) thus appear serialised, in issue order — the
+// trace is an attribution view of the model, not a second timing model.
+// docs/OBSERVABILITY.md documents the full schema.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,9 @@ bool profiler_enabled_from_env();
 // Mirror of Profiler's enabled flag, initialised before main() so the hot
 // path reads one global bool (same pattern as sanitizer_enabled()).
 inline bool g_profiler_enabled = profiler_enabled_from_env();
+// Called after every set_profiler_enabled: the slo plane, which owns the
+// timeline span sink, re-derives it from both planes' flags.
+inline void (*g_on_toggle)() = nullptr;
 }  // namespace detail
 
 /// The one branch every profiling hook sits behind.
@@ -136,9 +140,10 @@ class Profiler {
   void add_completed_span(std::string track, std::string name,
                           double start_s, double end_s);
 
-  /// Recovery backoff charged by ResilientEngine: advances the clock,
-  /// records a span on the "recovery" track, and accumulates the total
-  /// that test_faults.cpp reconciles against the engine's StreamTimeline.
+  /// A retry backoff enqueued on the "recovery" timeline stream (the span
+  /// sink reports it): advances the clock, records a span on the
+  /// "recovery" track, and accumulates the total that test_faults.cpp
+  /// reconciles against the engine's StreamTimeline.
   void add_retry_backoff(double seconds, const std::string& what);
 
   // --- queries --------------------------------------------------------------

@@ -12,7 +12,7 @@
 // Billing: a width-k batch's simulated seconds are split evenly over its
 // k requests (each column costs the same device work), and each request's
 // share is charged to its tenant's prof::TenantAgg — the registry that
-// acsr_prof --tenants renders and scripts/lint.sh rule 4 keeps complete.
+// acsr_prof --tenants renders and acsr_audit --lint rule 4 keeps complete.
 #pragma once
 
 #include <algorithm>

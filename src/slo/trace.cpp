@@ -1,6 +1,8 @@
 #include "slo/trace.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "prof/prof.hpp"
@@ -17,6 +19,34 @@ bool slo_enabled_from_env() {
   return t != nullptr && t[0] != '\0';
 }
 }  // namespace detail
+
+namespace {
+
+constexpr const char* kRecovery = "recovery";
+constexpr std::string_view kRecoveryBackoff = "recovery:retry backoff ";
+
+/// The tracer is the span sink while either plane reading timeline spans
+/// is on; null otherwise (docs/SLO.md).
+void sync_span_sink() {
+  vgpu::set_span_sink(slo_enabled() || prof::profiler_enabled()
+                          ? &Tracer::instance()
+                          : nullptr);
+}
+
+// Runs after both cached flags (defined above it in this TU): installs the
+// sink for the env decision and re-derives it on every profiler toggle.
+const bool g_span_sink_synced = [] {
+  prof::detail::g_on_toggle = &sync_span_sink;
+  sync_span_sink();
+  return true;
+}();
+
+}  // namespace
+
+void set_slo_enabled(bool on) {
+  detail::g_slo_enabled = on;
+  sync_span_sink();
+}
 
 const char* span_kind_name(SpanKind k) {
   switch (k) {
@@ -57,74 +87,82 @@ void Tracer::finish(Span s) {
 
 std::uint64_t Tracer::open(SpanKind kind, std::string name,
                            std::string track, double start_s) {
-  OpenSpan o;
-  o.span.id = next_id_++;
-  o.span.parent = current();
-  o.span.kind = kind;
-  o.span.name = std::move(name);
-  o.span.track = std::move(track);
-  o.span.start_s = start_s;
-  o.anchor = start_s;
+  Span o;
+  o.id = next_id_++;
+  o.parent = current();
+  o.kind = kind;
+  o.name = std::move(name);
+  o.track = std::move(track);
+  o.start_s = start_s;
   open_.push_back(std::move(o));
-  return open_.back().span.id;
+  return open_.back().id;
 }
 
 void Tracer::close(double end_s) {
   ACSR_CHECK_MSG(!open_.empty(), "slo: close with no open span");
-  Span s = std::move(open_.back().span);
+  Span s = std::move(open_.back());
   open_.pop_back();
   s.end_s = end_s;
+  cursors_.erase(s.id);
   finish(std::move(s));
 }
 
 std::uint64_t Tracer::current() const {
-  return open_.empty() ? 0 : open_.back().span.id;
+  return open_.empty() ? 0 : open_.back().id;
 }
 
 void Tracer::annotate_open(const std::string& key,
                            const std::string& value) {
   if (open_.empty()) return;
-  open_.back().span.name += " [" + key + "=" + value + "]";
+  open_.back().name += " [" + key + "=" + value + "]";
 }
 
-std::uint64_t Tracer::add(SpanKind kind, std::string name,
-                          std::string track, double start_s, double end_s) {
+double Tracer::origin() const {
+  const auto it = cursors_.find(current());
+  return it == cursors_.end() ? parent_start() : it->second.frontier;
+}
+
+void Tracer::on_enqueue(const std::string& track, const std::string& tag,
+                        double start_s, double end_s) {
   Span s;
+  if (track == kRecovery) {
+    // Only backoff on the long-lived recovery timeline is execution time
+    // (not its fault marks or solver checkpoints). That timeline has no
+    // trace-time origin, so each backoff is appended at the parent's own
+    // recovery cursor instead, which never moves origin().
+    if (tag.rfind(kRecoveryBackoff, 0) != 0) return;
+    const double d = end_s - start_s;
+    if (prof::profiler_enabled()) [[unlikely]]
+      prof::Profiler::instance().add_retry_backoff(
+          d, tag.substr(kRecoveryBackoff.size()));
+    if (!slo_enabled()) return;
+    double& cursor = parent_cursors().recovery;
+    s.kind = SpanKind::kRetryBackoff;
+    s.start_s = cursor;
+    cursor += d;
+    s.end_s = cursor;
+  } else {
+    if (!slo_enabled()) return;
+    s.kind = track == "h2d"                   ? SpanKind::kUpload
+             : track == "compute"             ? SpanKind::kCompute
+             : tag.rfind("backoff:", 0) == 0 ? SpanKind::kRetryBackoff
+                                              : SpanKind::kIo;
+    s.start_s = start_s;
+    s.end_s = end_s;
+    double& frontier = parent_cursors().frontier;
+    frontier = std::max(frontier, end_s);
+  }
   s.id = next_id_++;
   s.parent = current();
-  s.kind = kind;
-  s.name = std::move(name);
-  s.track = std::move(track);
-  s.start_s = start_s;
-  s.end_s = end_s;
-  const std::uint64_t id = s.id;
+  s.name = tag;
+  s.track = track;
   finish(std::move(s));
-  return id;
 }
 
-std::uint64_t Tracer::charge(SpanKind kind, std::string name,
-                             std::string track, double duration_s) {
-  ACSR_CHECK(duration_s >= 0.0);
-  const std::uint64_t parent = current();
-  const auto key = std::make_pair(parent, track);
-  auto it = cursors_.find(key);
-  if (it == cursors_.end()) {
-    const double base = open_.empty() ? 0.0 : open_.back().span.start_s;
-    it = cursors_.emplace(key, base).first;
-  }
-  const double start = it->second;
-  it->second = start + duration_s;
-  return add(kind, std::move(name), std::move(track), start,
-             start + duration_s);
-}
-
-double Tracer::anchor() const {
-  return open_.empty() ? root_anchor_ : open_.back().anchor;
-}
-
-void Tracer::advance_anchor(double end_s) {
-  double& a = open_.empty() ? root_anchor_ : open_.back().anchor;
-  if (end_s > a) a = end_s;
+Tracer::Cursors& Tracer::parent_cursors() {
+  return cursors_
+      .try_emplace(current(), Cursors{parent_start(), parent_start()})
+      .first->second;
 }
 
 void Tracer::record_request(const TraceContext& ctx, double launch_s,
@@ -180,7 +218,6 @@ double Tracer::track_charge(const std::string& track) const {
 void Tracer::clear() {
   next_id_ = 1;
   open_.clear();
-  root_anchor_ = 0.0;
   spans_.clear();
   cursors_.clear();
   hists_ = {};

@@ -11,19 +11,20 @@
 // carried by the Tracer's open-span stack — the in-process analogue of a
 // distributed trace context).
 //
-// Charge parity: every span that mirrors a StreamTimeline enqueue copies
-// that enqueue's duration exactly once, so per-track span charges equal
-// per-stream timeline charges — pinned by tests/test_slo.cpp and audited
-// by the "slo-span-parity" charge plane of acsr_audit. Spans are a VIEW
-// of the timeline, never a second cost model.
+// The timeline is the span source: the Tracer is the process-wide
+// vgpu::SpanSink, so every enqueue on a named StreamTimeline stream
+// becomes exactly one execution span with the enqueue's own interval.
+// Per-track span charges equal per-stream timeline charges by
+// construction (pinned by tests/test_slo.cpp). Spans are a VIEW of the
+// timeline, never a second cost model.
 //
 // Activation (the cached-bool discipline of ACSR_PROF/ACSR_MEMO):
 //   ACSR_SLO=1           collect spans + SLO histograms
 //   ACSR_TRACE=out.json  implies ACSR_SLO; spans are mirrored onto
 //                        "slo:*" tracks of the prof Chrome trace
 // With both unset every hook is one never-taken branch on a namespace-
-// scope bool; metering stays bit-identical (the kTraced mode of
-// tests/test_metering_invariance.cpp).
+// scope bool and the span sink is null; metering stays bit-identical
+// (the kTraced mode of tests/test_metering_invariance.cpp).
 #pragma once
 
 #include <array>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "slo/histogram.hpp"
+#include "vgpu/timeline.hpp"
 
 namespace acsr::slo {
 
@@ -46,14 +48,14 @@ inline bool g_slo_enabled = slo_enabled_from_env();
 
 /// The one branch every tracing/SLO hook sits behind.
 inline bool slo_enabled() { return detail::g_slo_enabled; }
-/// Programmatic switch (tests, tools, benches).
-inline void set_slo_enabled(bool on) { detail::g_slo_enabled = on; }
+/// Programmatic switch (tests, tools, benches); re-derives the span sink.
+void set_slo_enabled(bool on);
 
 /// Span taxonomy (docs/SLO.md). Latency spans (kRequest/kQueueWait/
 /// kServe) describe one request's lifecycle; execution spans (the rest)
-/// mirror timeline work exactly once per enqueue, under the batch that
-/// ran it — a batch serves k requests, but its device work must appear
-/// once, not k times.
+/// are timeline enqueues, one per enqueue, under the batch that ran it —
+/// a batch serves k requests, but its device work must appear once, not
+/// k times.
 enum class SpanKind {
   kRequest,       ///< admission to result, one per request (root)
   kQueueWait,     ///< admission to batch launch
@@ -88,7 +90,11 @@ struct Span {
   double duration() const { return end_s - start_s; }
 };
 
-class Tracer {
+/// The span sink (vgpu::SpanSink): installed while ACSR_SLO or ACSR_PROF
+/// is on. Track and tag map to a SpanKind ("h2d" -> kUpload, "compute" ->
+/// kCompute, drive "backoff:*" and "recovery" backoff -> kRetryBackoff,
+/// other drive work -> kIo); the profiler learns of recovery backoff here.
+class Tracer final : public vgpu::SpanSink {
  public:
   static Tracer& instance();
 
@@ -105,25 +111,14 @@ class Tracer {
   /// plane marks capture/replay this way). No-op when nothing is open.
   void annotate_open(const std::string& key, const std::string& value);
 
-  /// Record a completed child span at absolute times under the innermost
-  /// open span.
-  std::uint64_t add(SpanKind kind, std::string name, std::string track,
-                    double start_s, double end_s);
-  /// Cursor-append: a child of known duration placed at the parent's
-  /// per-track cursor (first charge starts at the parent's start). Used
-  /// by planes that know durations but keep no absolute clock of their
-  /// own (ResilientEngine's retry backoff).
-  std::uint64_t charge(SpanKind kind, std::string name, std::string track,
-                       double duration_s);
-
-  /// Time-base bridge for planes running a private StreamTimeline whose
-  /// zero is "now" (OocCsrEngine creates one per simulate): anchor()
-  /// returns the absolute time their timeline zero maps to under the
-  /// current parent; advance_anchor() moves it past the work they added,
-  /// so consecutive private timelines under one batch concatenate
-  /// instead of overlapping.
-  double anchor() const;
-  void advance_anchor(double end_s);
+  // --- vgpu::SpanSink ------------------------------------------------------
+  /// Where the current parent's timeline work ends: its start, pushed
+  /// past every span a timeline has placed under it, so consecutive
+  /// private timelines (the columns of a batch, the sweeps of a solve, a
+  /// retry after an aborted attempt) concatenate instead of overlapping.
+  double origin() const override;
+  void on_enqueue(const std::string& track, const std::string& tag,
+                  double start_s, double end_s) override;
 
   // --- latency spans -------------------------------------------------------
   /// Record one request's completed tree: a kRequest root spanning
@@ -151,20 +146,25 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  struct OpenSpan {
-    Span span;
-    double anchor = 0.0;  ///< next free time for private-timeline children
+  /// Per-parent placement state (parent 0 = root): where its timeline
+  /// work ends (origin()) and where its next recovery backoff starts.
+  /// Both begin at the parent's start; entries go when the parent closes.
+  struct Cursors {
+    double frontier = 0.0;
+    double recovery = 0.0;
   };
-
+  double parent_start() const {
+    return open_.empty() ? 0.0 : open_.back().start_s;
+  }
+  Cursors& parent_cursors();
   /// Finish a span: histogram its duration, mirror it onto the prof
   /// trace when the profiler is on, store it.
   void finish(Span s);
 
   std::uint64_t next_id_ = 1;
-  std::vector<OpenSpan> open_;
-  double root_anchor_ = 0.0;
+  std::vector<Span> open_;
   std::vector<Span> spans_;
-  std::map<std::pair<std::uint64_t, std::string>, double> cursors_;
+  std::map<std::uint64_t, Cursors> cursors_;
   std::array<LatencyHistogram, kNumSpanKinds> hists_{};
 };
 

@@ -28,7 +28,9 @@
 // streams) and parks its completion; when the window is full the oldest
 // request completes first, modelling a producer blocking on a full
 // queue. poll()/drain() fire completion callbacks. All accounting lands
-// in a prof::IoAgg (io.* metrics, scripts/lint.sh rule 4 parity).
+// in a prof::IoAgg (io.* metrics, acsr_audit --lint rule 4 parity).
+// Each drive stream is named after its drive, so its reads, hangs and
+// backoff are execution spans on that drive's track (docs/SLO.md).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,6 @@
 
 #include "common/check.hpp"
 #include "prof/metrics.hpp"
-#include "slo/trace.hpp"
 #include "storage/drive.hpp"
 #include "storage/mapper.hpp"
 #include "vgpu/fault.hpp"
@@ -57,7 +58,7 @@ struct Segment {
 };
 
 /// Build a Segment over element ranges of typed host vectors. This is the
-/// one audited place (scripts/lint.sh rule 2) where a host vector decays
+/// one audited place (acsr_audit --lint rule 2) where a host vector decays
 /// to raw bytes: the storage data plane moves bytes, not elements, and
 /// every caller goes through this helper so the decay stays centralized.
 /// A zero count yields an empty Segment the caller should drop.
@@ -108,13 +109,7 @@ class StorageTier {
                  "storage tier needs an in-flight window >= 1");
     ACSR_REQUIRE(cfg_.max_retries >= 0, "max_retries must be >= 0");
     for (int d = 0; d < cfg_.num_drives; ++d)
-      streams_.push_back(tl_.create_stream());
-    // The caller's timeline is private (time 0 = "now"), so io spans need
-    // the tracer's anchor to land at absolute trace time. Captured once:
-    // the owning executor advances the anchor only after its run, so every
-    // read this tier services shares the same base (docs/SLO.md).
-    if (slo::slo_enabled()) [[unlikely]]
-      slo_base_ = slo::Tracer::instance().anchor();
+      streams_.push_back(tl_.create_stream(drive_name(d)));
   }
 
   const TierConfig& config() const { return cfg_; }
@@ -203,17 +198,8 @@ class StorageTier {
     const double b = cfg_.backoff_s * static_cast<double>(1LL << attempt);
     stats_.retries += 1;
     stats_.penalty_s += b;
-    // Span mirror: the start is read off the stream cursor before the
-    // enqueue, so the span interval is bit-identical to the log entry's
-    // (charge parity is exact, not approximate).
-    const double b_start = tl_.now(streams_[static_cast<std::size_t>(drive)]);
-    const double done = tl_.enqueue(streams_[static_cast<std::size_t>(drive)],
-                                    b, "backoff:" + what);
-    if (slo::slo_enabled()) [[unlikely]]
-      slo::Tracer::instance().add(slo::SpanKind::kRetryBackoff,
-                                  "backoff:" + what, drive_name(drive),
-                                  slo_base_ + b_start, slo_base_ + done);
-    return done;
+    return tl_.enqueue(streams_[static_cast<std::size_t>(drive)], b,
+                       "backoff:" + what);
   }
 
   /// The retry loop: per attempt, consult the fault plane, charge drive
@@ -237,17 +223,10 @@ class StorageTier {
       double done = 0.0;
       for (const Extent& e : extents) {
         const double s = cfg_.drive.service_seconds(e.bytes) * f.slow;
-        const double e_start =
-            tl_.now(streams_[static_cast<std::size_t>(e.drive)]);
         const double e_done =
             tl_.enqueue(streams_[static_cast<std::size_t>(e.drive)], s,
                         "read:" + r.what);
         done = std::max(done, e_done);
-        if (slo::slo_enabled()) [[unlikely]]
-          slo::Tracer::instance().add(slo::SpanKind::kIo, "read:" + r.what,
-                                      drive_name(e.drive),
-                                      slo_base_ + e_start,
-                                      slo_base_ + e_done);
         stats_.read_s += s;
         stats_.read_bytes += e.bytes;
       }
@@ -264,16 +243,8 @@ class StorageTier {
       if (f.action == vgpu::ReadFault::Action::kTimeout) {
         // The hang itself is simulated time on the serving drive.
         stats_.penalty_s += f.timeout_s;
-        const double t_start =
-            tl_.now(streams_[static_cast<std::size_t>(first_drive)]);
-        const double t_done =
-            tl_.enqueue(streams_[static_cast<std::size_t>(first_drive)],
-                        f.timeout_s, "timeout:" + r.what);
-        if (slo::slo_enabled()) [[unlikely]]
-          slo::Tracer::instance().add(slo::SpanKind::kIo, "timeout:" + r.what,
-                                      drive_name(first_drive),
-                                      slo_base_ + t_start,
-                                      slo_base_ + t_done);
+        tl_.enqueue(streams_[static_cast<std::size_t>(first_drive)],
+                    f.timeout_s, "timeout:" + r.what);
         if (last_try)
           throw vgpu::IoTimeout(drive_name(first_drive), r.what,
                                 f.detail + " (retry budget exhausted)");
@@ -316,7 +287,6 @@ class StorageTier {
   std::vector<vgpu::StreamTimeline::StreamId> streams_;
   std::deque<Pending> inflight_;
   prof::IoAgg stats_;
-  double slo_base_ = 0.0;  ///< tracer anchor mapping tl_ time 0 to trace time
 };
 
 }  // namespace acsr::storage

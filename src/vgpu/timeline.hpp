@@ -2,6 +2,12 @@
 // driver uses: work items (kernels, transfers) enqueue on streams and run
 // in issue order per stream; events let one stream wait on another; the
 // multi-GPU driver joins per-device streams through it.
+//
+// A timeline is also the one source of execution spans (docs/SLO.md): a
+// stream created with a track name reports every enqueue, placed on the
+// trace clock, to the process-wide SpanSink. The sink is null unless a
+// tracing plane is on (ACSR_SLO / ACSR_PROF), so an untraced enqueue pays
+// one never-taken branch and vgpu never depends on the planes above it.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +18,26 @@
 
 namespace acsr::vgpu {
 
+/// Receives every enqueue on a named stream (src/slo/trace.cpp).
+class SpanSink {
+ public:
+  /// Trace time a timeline built now maps its zero to.
+  virtual double origin() const = 0;
+  /// One enqueue of `tag` on stream `track`, in trace time.
+  virtual void on_enqueue(const std::string& track, const std::string& tag,
+                          double start_s, double end_s) = 0;
+
+ protected:
+  ~SpanSink() = default;
+};
+
+namespace detail {
+inline SpanSink* g_span_sink = nullptr;
+}  // namespace detail
+
+inline SpanSink* span_sink() { return detail::g_span_sink; }
+inline void set_span_sink(SpanSink* sink) { detail::g_span_sink = sink; }
+
 class StreamTimeline {
  public:
   using StreamId = int;
@@ -21,10 +47,16 @@ class StreamTimeline {
     double at_s = 0.0;
   };
 
-  StreamId create_stream() {
+  /// `track` names the stream's span track ("h2d", "compute", a drive,
+  /// "recovery"); an unnamed stream records no spans.
+  StreamId create_stream(std::string track = {}) {
     cursors_.push_back(0.0);
+    tracks_.push_back(std::move(track));
     return static_cast<StreamId>(cursors_.size() - 1);
   }
+
+  /// Trace time this timeline's zero maps to (read once, at construction).
+  double origin() const { return origin_; }
 
   std::size_t num_streams() const { return cursors_.size(); }
 
@@ -36,6 +68,11 @@ class StreamTimeline {
     auto& cur = cursor(s);
     const double start = cur;
     cur += duration_s;
+    if (SpanSink* sink = span_sink()) [[unlikely]] {
+      const std::string& track = tracks_[static_cast<std::size_t>(s)];
+      if (!track.empty())
+        sink->on_enqueue(track, tag, origin_ + start, origin_ + cur);
+    }
     log_.push_back({s, start, cur, std::move(tag)});
     return cur;
   }
@@ -85,7 +122,9 @@ class StreamTimeline {
     return cursors_[static_cast<std::size_t>(s)];
   }
 
+  double origin_ = span_sink() != nullptr ? span_sink()->origin() : 0.0;
   std::vector<double> cursors_;
+  std::vector<std::string> tracks_;
   std::vector<LogEntry> log_;
 };
 

@@ -124,7 +124,7 @@ TEST_F(Prof, EnabledProfilerCapturesLaunchesAndAdvancesClock) {
 // --- contract 2: registry completeness and formulas ------------------------
 
 TEST_F(Prof, EveryCountersFieldHasAPassthroughMetric) {
-  // The field list mirrors src/vgpu/counters.hpp; scripts/lint.sh rule 4
+  // The field list mirrors src/vgpu/counters.hpp; acsr_audit --lint rule 4
   // greps the same correspondence so the two cannot drift apart silently.
   const char* const kFields[] = {
       "blocks",        "warps",          "issue_cycles",

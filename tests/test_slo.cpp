@@ -1,10 +1,10 @@
 // The request-tracing + SLO plane (src/slo/, docs/SLO.md): fixed-bucket
 // histogram determinism, the RequestQueue's contractual FIFO tie-break
 // and typed overload payload, span-tree well-formedness over the serving
-// stack, the charge-parity acceptance property (per-track span charges
-// bitwise equal to the StreamTimeline's per-stream charges, under
-// injected io + transient faults), burn-rate breach edge-triggering, and
-// the objectives-document parser behind `acsr_slo --check`.
+// stack, the named-stream enqueue as the one span source and its charge
+// parity (per-track span charges bitwise equal to per-stream timeline
+// charges, under injected io + transient faults), burn-rate breach
+// edge-triggering, and the objectives parser behind `acsr_slo --check`.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -522,6 +522,66 @@ TEST_F(Slo, FaultedSpanChargesEqualTimelineChargesBitwise) {
   for (const auto& e : engine.timeline().log())
     noted |= e.tag.find("slo:breach") != std::string::npos;
   EXPECT_TRUE(noted);
+}
+
+// --- the timeline is the span source ----------------------------------------
+
+TEST_F(Slo, NamedStreamEnqueueIsTheOnlySpanSource) {
+  acsr::slo::set_slo_enabled(true);
+  Tracer& tracer = Tracer::instance();
+  const std::uint64_t batch =
+      tracer.open(SpanKind::kBatch, "batch0/w1", "serve", 0.25);
+
+  acsr::vgpu::StreamTimeline tl;
+  EXPECT_EQ(tl.origin(), 0.25);  // a fresh parent's timeline starts with it
+  const auto unnamed = tl.create_stream();
+  tl.enqueue(unnamed, 1e-3, "untracked");
+  struct Want {
+    std::string track, tag;
+    SpanKind kind;
+  };
+  const std::vector<Want> wants = {
+      {"h2d", "h2d:slab0", SpanKind::kUpload},
+      {"compute", "spmv:slab0", SpanKind::kCompute},
+      {"ssd0", "read:slab0", SpanKind::kIo},
+      {"ssd0", "backoff:slab0", SpanKind::kRetryBackoff},
+  };
+  std::map<std::string, acsr::vgpu::StreamTimeline::StreamId> streams;
+  for (const Want& w : wants) {
+    if (streams.count(w.track) == 0)
+      streams[w.track] = tl.create_stream(w.track);
+    tl.enqueue(streams[w.track], 3e-4, w.tag);
+  }
+  tracer.close(1.0);
+
+  // Exactly one child per named enqueue, carrying the enqueue's interval
+  // bit for bit; the unnamed stream's enqueue recorded nothing.
+  std::vector<const Span*> children;
+  for (const Span& s : tracer.spans())
+    if (s.parent == batch) children.push_back(&s);
+  ASSERT_EQ(children.size(), wants.size());
+  const auto& log = tl.log();
+  ASSERT_EQ(log.size(), wants.size() + 1);
+  for (std::size_t i = 0; i < wants.size(); ++i) {
+    const Span& s = *children[i];
+    const acsr::vgpu::StreamTimeline::LogEntry& e = log[i + 1];
+    EXPECT_EQ(s.kind, wants[i].kind) << wants[i].tag;
+    EXPECT_EQ(s.track, wants[i].track);
+    EXPECT_EQ(s.name, wants[i].tag);
+    EXPECT_EQ(s.start_s, tl.origin() + e.start_s) << wants[i].tag;
+    EXPECT_EQ(s.end_s, tl.origin() + e.end_s) << wants[i].tag;
+  }
+
+  // With the plane off the sink is gone (unless the profiler holds it)
+  // and a named enqueue records no span.
+  acsr::slo::set_slo_enabled(false);
+  if (!acsr::prof::profiler_enabled()) {
+    EXPECT_EQ(acsr::vgpu::span_sink(), nullptr);
+  }
+  const std::size_t before = tracer.spans().size();
+  acsr::vgpu::StreamTimeline off;
+  off.enqueue(off.create_stream("compute"), 1e-3, "spmv:slab0");
+  EXPECT_EQ(tracer.spans().size(), before);
 }
 
 // --- determinism across runs and executor planes ---------------------------
