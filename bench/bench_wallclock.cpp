@@ -192,10 +192,12 @@ void BM_OocExecutor(benchmark::State& state, int divisor) {
                           static_cast<std::int64_t>(a.nnz()));
   const acsr::prof::IoAgg& io = engine.io_stats();
   state.counters["slabs"] = static_cast<double>(engine.num_slabs());
+  using acsr::prof::find_metric;
+  using acsr::prof::IoAgg;
   state.counters["read_amp"] =
-      acsr::prof::find_io_metric("io.read_amplification")->compute(io);
+      find_metric<IoAgg>("io.read_amplification")->compute(io);
   state.counters["overlap_eff"] =
-      acsr::prof::find_io_metric("io.overlap_efficiency")->compute(io);
+      find_metric<IoAgg>("io.overlap_efficiency")->compute(io);
   state.counters["sim_makespan_ms"] = engine.last_makespan() * 1e3;
 }
 

@@ -5,13 +5,13 @@
 // print the per-tenant bill.
 //
 //   ./examples/rwr_batch [--scale-log2=12] [--users=32] [--device=titan]
-#include <cstdio>
 #include <iostream>
 
 #include "apps/rwr_batch.hpp"
 #include "common/cli.hpp"
 #include "core/acsr_engine.hpp"
 #include "graph/rmat.hpp"
+#include "prof/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace acsr;
@@ -54,15 +54,6 @@ int main(int argc, char** argv) {
             << sched.batches() << " batches (avg width "
             << sched.batch_width_avg() << "), simulated makespan "
             << sched.clock_s() * 1e3 << " ms\n";
-  std::printf("%-8s", "tenant");
-  for (const auto& m : prof::tenant_metric_registry())
-    std::printf("  %20s", m.name);
-  std::printf("\n");
-  for (const auto& [name, agg] : sched.tenants()) {
-    std::printf("%-8s", name.c_str());
-    for (const auto& m : prof::tenant_metric_registry())
-      std::printf("  %20.6g", m.compute(agg));
-    std::printf("\n");
-  }
+  prof::print_metric_table(sched.tenants(), 20);
   return 0;
 }

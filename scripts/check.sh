@@ -98,13 +98,20 @@ fi
 
 # The memo plane (docs/PERF.md) must hold the metering contract whether the
 # process starts with the cache enabled or disabled: the invariance matrix
-# and the memo unit tests run under both values of ACSR_MEMO.
+# and the memo unit tests run under both values of ACSR_MEMO. The memo
+# tests also run with the slo plane and the profiler switched on from the
+# environment: the slo span annotation must not count cache hits or
+# misses, and the tests must not depend on the process's profiler state.
 echo "== memo plane (metering invariance + memo tests, ACSR_MEMO=0 and 1)"
 for memo in 0 1; do
   echo "   ACSR_MEMO=$memo"
   ACSR_MEMO=$memo "$build/tests/test_metering_invariance" \
     --gtest_brief=1
   ACSR_MEMO=$memo "$build/tests/test_memo" --gtest_brief=1
+done
+for plane in ACSR_SLO ACSR_PROF; do
+  echo "   $plane=1"
+  env "$plane=1" "$build/tests/test_memo" --gtest_brief=1
 done
 
 # The batched SpMM + serving plane (docs/SERVING.md): exactness across all

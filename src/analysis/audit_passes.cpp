@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "vgpu/counters.hpp"
 
 namespace acsr::analysis {
 namespace {
@@ -25,19 +26,6 @@ bool is_string(const SourceFile& f, int p) {
 
 std::string at(const SourceFile& f, int p) {
   return f.path + ":" + std::to_string(f.ct(p).line);
-}
-
-/// grep-style `needle\b`: substring with a word boundary after it.
-bool contains_word(const std::string& hay, const std::string& needle) {
-  for (std::size_t pos = hay.find(needle); pos != std::string::npos;
-       pos = hay.find(needle, pos + 1)) {
-    const std::size_t end = pos + needle.size();
-    if (end == hay.size()) return true;
-    const char c = hay[end];
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_'))
-      return true;
-  }
-  return false;
 }
 
 /// All comment annotations `acsr-audit:<tag>(<arg>)` across the set.
@@ -285,7 +273,7 @@ GateResult audit_gates(const SourceSet& set) {
 }
 
 // ---------------------------------------------------------------------
-// Absorbed lint rules (scripts/lint.sh 1-4), token-level.
+// Absorbed lint rules (scripts/lint.sh 1-3), token-level.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -296,65 +284,11 @@ const SourceFile* find_file(const SourceSet& set, const std::string& path) {
   return nullptr;
 }
 
-/// Fields declared `std::uint64_t f = 0;` anywhere in the file — the
-/// token-level mirror of lint.sh's sed over counters.hpp.
-std::vector<std::string> u64_fields(const SourceFile& f) {
-  std::vector<std::string> out;
-  for (int p = 0; p + 5 < f.n_code(); ++p)
-    if (is_ident(f, p, "std") && is_punct(f, p + 1, "::") &&
-        is_ident(f, p + 2, "uint64_t") && is_ident(f, p + 3) &&
-        is_punct(f, p + 4, "=") && is_punct(f, p + 6, ";"))
-      out.push_back(f.ct(p + 3).text);
-  return out;
-}
-
-/// Fields `std::uint64_t f = ...;` / `double f = ...;` inside
-/// `struct <name> { ... }`.
-std::vector<std::string> struct_fields(const SourceFile& f,
-                                       const std::string& name) {
-  std::vector<std::string> out;
-  for (int p = 0; p + 2 < f.n_code(); ++p) {
-    if (!is_ident(f, p, "struct") || !is_ident(f, p + 1, name.c_str()) ||
-        !is_punct(f, p + 2, "{"))
-      continue;
-    int depth = 1;
-    for (int q = p + 3; q < f.n_code() && depth > 0; ++q) {
-      if (is_punct(f, q, "{")) ++depth;
-      if (is_punct(f, q, "}")) --depth;
-      if (depth != 1) continue;
-      if (is_ident(f, q, "std") && is_punct(f, q + 1, "::") &&
-          is_ident(f, q + 2, "uint64_t") && is_ident(f, q + 3) &&
-          is_punct(f, q + 4, "="))
-        out.push_back(f.ct(q + 3).text);
-      else if (is_ident(f, q, "double") && is_ident(f, q + 1) &&
-               is_punct(f, q + 2, "="))
-        out.push_back(f.ct(q + 1).text);
-    }
-    break;
-  }
-  return out;
-}
-
 int count_ident(const SourceFile& f, const std::string& name) {
   int n = 0;
   for (int p = 0; p < f.n_code(); ++p)
     if (is_ident(f, p, name.c_str())) ++n;
   return n;
-}
-
-/// Passthrough registration: `MACRO(field, ...)` or a string literal
-/// containing `prefix.field` (word-bounded), in `reg`.
-bool has_passthrough(const SourceFile& reg, const std::string& macro,
-                     const std::string& prefix, const std::string& field) {
-  for (int p = 0; p + 2 < reg.n_code(); ++p)
-    if (is_ident(reg, p, macro.c_str()) && is_punct(reg, p + 1, "(") &&
-        is_ident(reg, p + 2, field.c_str()))
-      return true;
-  const std::string needle = prefix + "." + field;
-  for (int p = 0; p < reg.n_code(); ++p)
-    if (is_string(reg, p) && contains_word(reg.ct(p).text, needle))
-      return true;
-  return false;
 }
 
 }  // namespace
@@ -390,60 +324,26 @@ std::vector<AuditFinding> audit_lint(const SourceSet& set) {
                        "(memory.hpp / warp.hpp / storage/tier.hpp)");
   }
 
-  // Rules 3-4 need the concrete metering/metrics files; a synthetic set
-  // without them (the defect corpus) audits rules 1-2 only.
-  const SourceFile* counters = find_file(set, "src/vgpu/counters.hpp");
-  const SourceFile* metrics_cpp = find_file(set, "src/prof/metrics.cpp");
-  const SourceFile* metrics_hpp = find_file(set, "src/prof/metrics.hpp");
-
-  if (counters != nullptr) {
-    const std::vector<std::string> fields = u64_fields(*counters);
-    if (fields.empty())
-      lint("src/vgpu/counters.hpp", "could not parse any Counters fields");
-    const SourceFile* metered[] = {find_file(set, "src/vgpu/warp.hpp"),
-                                   find_file(set, "src/vgpu/device.cpp"),
-                                   find_file(set, "src/vgpu/kernel.cpp")};
-    for (const std::string& fld : fields) {
-      // Declared once + merged in operator+= = at least two code uses.
-      if (count_ident(*counters, fld) < 2)
-        lint("Counters::" + fld,
-             "declared but not merged in counters.hpp (operator+= missing "
-             "it?)");
+  // Rule 3: every Counters field is metered in the executor. The field
+  // names come from the compiled-in list (vgpu/counters.hpp), which also
+  // generates operator+= and the counters.* metrics, so only metering is
+  // left to check. A synthetic set without the metering files (the defect
+  // corpus) audits rules 1-2 only.
+  const SourceFile* metered[] = {find_file(set, "src/vgpu/warp.hpp"),
+                                 find_file(set, "src/vgpu/device.cpp"),
+                                 find_file(set, "src/vgpu/kernel.cpp")};
+#define ACSR_FIELD_NAME(type, name, unit, what) #name,
+  const char* const fields[] = {ACSR_COUNTERS_FIELDS(ACSR_FIELD_NAME)};
+#undef ACSR_FIELD_NAME
+  if (metered[0] != nullptr || metered[1] != nullptr ||
+      metered[2] != nullptr) {
+    for (const char* fld : fields) {
       int uses = 0;
       for (const SourceFile* mf : metered)
         if (mf != nullptr) uses += count_ident(*mf, fld);
       if (uses < 1)
-        lint("Counters::" + fld,
+        lint(std::string("Counters::") + fld,
              "never metered (warp.hpp / device.cpp / kernel.cpp)");
-      if (metrics_cpp != nullptr &&
-          !has_passthrough(*metrics_cpp, "ACSR_COUNTER_METRIC", "counters",
-                           fld))
-        lint("Counters::" + fld,
-             "no 'counters." + fld +
-                 "' passthrough metric registered in src/prof/metrics.cpp");
-    }
-  }
-
-  if (metrics_hpp != nullptr && metrics_cpp != nullptr) {
-    const struct {
-      const char* agg;
-      const char* macro;
-      const char* prefix;
-    } mirrors[] = {{"TenantAgg", "ACSR_TENANT_METRIC", "tenant"},
-                   {"IoAgg", "ACSR_IO_METRIC", "io"},
-                   {"SloAgg", "ACSR_SLO_METRIC", "slo"}};
-    for (const auto& m : mirrors) {
-      const std::vector<std::string> fields = struct_fields(*metrics_hpp,
-                                                            m.agg);
-      if (fields.empty())
-        lint(std::string("src/prof/metrics.hpp"),
-             std::string("could not parse any ") + m.agg + " fields");
-      for (const std::string& fld : fields)
-        if (!has_passthrough(*metrics_cpp, m.macro, m.prefix, fld))
-          lint(std::string(m.agg) + "::" + fld,
-               std::string("no '") + m.prefix + "." + fld +
-                   "' passthrough metric registered in "
-                   "src/prof/metrics.cpp");
     }
   }
 

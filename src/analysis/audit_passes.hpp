@@ -12,7 +12,7 @@
 //              one, or a Meyers-singleton constructor) and steady-state
 //              reads are a cached branch. `acsr-audit:cold-gate(VAR)`
 //              declares a deliberate per-call read on a setup-only path.
-//   lint       scripts/lint.sh rules 1-4, token-level (no comment/string
+//   lint       scripts/lint.sh rules 1-3, token-level (no comment/string
 //              false positives).
 #pragma once
 

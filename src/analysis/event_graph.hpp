@@ -51,7 +51,7 @@ enum class AuditKind {
   // pass 3: gate discipline
   kHotGetenv,  ///< ACSR_* getenv outside a static-cached initializer
   // absorbed lint rules
-  kLint,  ///< scripts/lint.sh rules 1-4, now token-level
+  kLint,  ///< scripts/lint.sh rules 1-3, now token-level
 };
 
 const char* audit_kind_name(AuditKind k);

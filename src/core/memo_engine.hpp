@@ -83,8 +83,8 @@ class MemoEngine final : public spmv::SpmvEngine<T> {
   void annotate_span(const std::string& subkey) const {
     if (slo::slo_enabled()) [[unlikely]] {
       if (!vgpu::memo::memo_enabled()) return;
-      const bool hit = vgpu::memo::MemoCache::instance().find(
-                           memo_.tag() + subkey) != nullptr;
+      const bool hit =
+          vgpu::memo::MemoCache::instance().contains(memo_.tag() + subkey);
       slo::Tracer::instance().annotate_open("memo",
                                             hit ? "replay" : "capture");
     }

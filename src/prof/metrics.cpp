@@ -1,6 +1,6 @@
 #include "prof/metrics.hpp"
 
-#include <algorithm>
+#include <cstddef>
 
 namespace acsr::prof {
 
@@ -8,19 +8,43 @@ namespace {
 
 double safe_div(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
-// One passthrough metric per Counters field. acsr_audit --lint rule 4 greps
-// this file for every field name parsed out of src/vgpu/counters.hpp, so
-// adding a counter without adding a row here fails the lint gate.
-#define ACSR_COUNTER_METRIC(field, what)                                  \
-  MetricDef {                                                             \
-    "counters." #field, "count", "sum of Counters::" #field " (" what ")", \
-        true, [](const KernelAgg& a) {                                    \
-          return static_cast<double>(a.counters.field);                   \
-        }                                                                 \
-  }
+/// One row of an aggregate's X-macro field list with a typed getter.
+template <class Agg>
+struct Field {
+  const char* name;
+  const char* unit;
+  const char* what;
+  double (*get)(const Agg&);
+};
 
-std::vector<MetricDef> build_registry() {
-  std::vector<MetricDef> r = {
+// A captureless generic lambda converts to the getter of whichever
+// aggregate the table is declared over.
+#define ACSR_FIELD_ROW(type, name, unit, what) \
+  {#name, unit, what,                          \
+   [](const auto& a) { return static_cast<double>(a.name); }},
+#define ACSR_COUNTER_ROW(type, name, unit, what) \
+  {#name, unit, what,                            \
+   [](const KernelAgg& a) { return static_cast<double>(a.counters.name); }},
+
+/// One passthrough metric per field: "<prefix>.<field>", formula
+/// "<formula_prefix><field> (<what>)".
+template <class Agg, std::size_t N>
+std::vector<Metric<Agg>> passthroughs(const Field<Agg> (&fields)[N],
+                                      const std::string& prefix,
+                                      const std::string& formula_prefix) {
+  std::vector<Metric<Agg>> r;
+  for (const Field<Agg>& f : fields)
+    r.push_back({prefix + "." + f.name, f.unit,
+                 formula_prefix + f.name + " (" + f.what + ")", true, f.get});
+  return r;
+}
+
+template <class Agg>
+std::vector<Metric<Agg>> build();
+
+template <>
+std::vector<Metric<KernelAgg>> build() {
+  std::vector<Metric<KernelAgg>> r = {
       {"launches", "count", "host-side kernel launches aggregated", true,
        [](const KernelAgg& a) { return static_cast<double>(a.launches); }},
       {"model_ms", "ms", "1e3 * sum of KernelRun::duration_s", true,
@@ -99,212 +123,90 @@ std::vector<MetricDef> build_registry() {
          return safe_div(static_cast<double>(a.host_ns) / 1e3,
                          static_cast<double>(a.launches));
        }},
-      ACSR_COUNTER_METRIC(blocks, "thread blocks executed"),
-      ACSR_COUNTER_METRIC(warps, "warps executed"),
-      ACSR_COUNTER_METRIC(issue_cycles, "warp-instructions issued"),
-      ACSR_COUNTER_METRIC(sp_flops, "single-precision lane flops"),
-      ACSR_COUNTER_METRIC(dp_flops, "double-precision lane flops"),
-      ACSR_COUNTER_METRIC(gmem_requests, "global load/store instructions"),
-      ACSR_COUNTER_METRIC(gmem_transactions, "32 B global sectors moved"),
-      ACSR_COUNTER_METRIC(gmem_bytes, "global sector bytes moved"),
-      ACSR_COUNTER_METRIC(tex_requests, "texture read instructions"),
-      ACSR_COUNTER_METRIC(tex_transactions, "32 B texture segments moved"),
-      ACSR_COUNTER_METRIC(tex_bytes, "texture segment bytes moved"),
-      ACSR_COUNTER_METRIC(shuffle_ops, "warp shuffle instructions"),
-      ACSR_COUNTER_METRIC(smem_accesses, "shared-memory accesses"),
-      ACSR_COUNTER_METRIC(atomic_ops, "atomic lane operations"),
-      ACSR_COUNTER_METRIC(atomic_conflicts, "same-address atomic replays"),
-      ACSR_COUNTER_METRIC(child_launches, "device-side child launches"),
-      ACSR_COUNTER_METRIC(child_blocks, "blocks run by child grids"),
   };
+  const Field<KernelAgg> counters[] = {ACSR_COUNTERS_FIELDS(ACSR_COUNTER_ROW)};
+  const auto pass = passthroughs(counters, "counters", "sum of Counters::");
+  r.insert(r.end(), pass.begin(), pass.end());
   return r;
 }
 
-#undef ACSR_COUNTER_METRIC
-
-std::vector<CounterMetric> build_counter_metrics() {
-  std::vector<CounterMetric> r;
-  for (const MetricDef& m : metric_registry()) {
-    const std::string name = m.name;
-    if (name.rfind("counters.", 0) == 0)
-      r.push_back({m.name + sizeof("counters.") - 1, m.name});
-  }
-  return r;
-}
-
-// One passthrough metric per TenantAgg field (acsr_audit --lint rule 4
-// parses the struct and greps this file, exactly as for Counters).
-#define ACSR_TENANT_METRIC(field, unit, what)                          \
-  TenantMetricDef {                                                    \
-    "tenant." #field, unit, "TenantAgg::" #field " (" what ")",        \
-        [](const TenantAgg& a) { return static_cast<double>(a.field); } \
-  }
-
-std::vector<TenantMetricDef> build_tenant_registry() {
-  return {
-      ACSR_TENANT_METRIC(requests, "count", "SpMVs served"),
-      ACSR_TENANT_METRIC(batches, "count",
-                         "batches carrying >= 1 of the tenant's requests"),
-      ACSR_TENANT_METRIC(batch_width_sum, "count",
-                         "carrying batch width, summed per request"),
-      ACSR_TENANT_METRIC(cost_s, "s", "billed share of simulated batch time"),
-      ACSR_TENANT_METRIC(queue_wait_s, "s",
-                         "simulated enqueue-to-launch wait, summed"),
-      {"tenant.batch_width_avg", "ratio", "batch_width_sum / requests",
+template <>
+std::vector<Metric<TenantAgg>> build() {
+  const Field<TenantAgg> fields[] = {ACSR_TENANT_AGG_FIELDS(ACSR_FIELD_ROW)};
+  std::vector<Metric<TenantAgg>> r =
+      passthroughs(fields, "tenant", "TenantAgg::");
+  r.insert(r.end(), {
+      {"tenant.batch_width_avg", "ratio", "batch_width_sum / requests", true,
        [](const TenantAgg& a) {
          return safe_div(static_cast<double>(a.batch_width_sum),
                          static_cast<double>(a.requests));
        }},
-      {"tenant.queue_wait_avg_s", "s", "queue_wait_s / requests",
+      {"tenant.queue_wait_avg_s", "s", "queue_wait_s / requests", true,
        [](const TenantAgg& a) {
          return safe_div(a.queue_wait_s, static_cast<double>(a.requests));
        }},
-      {"tenant.cost_per_request_s", "s", "cost_s / requests",
+      {"tenant.cost_per_request_s", "s", "cost_s / requests", true,
        [](const TenantAgg& a) {
          return safe_div(a.cost_s, static_cast<double>(a.requests));
        }},
-  };
+  });
+  return r;
 }
 
-#undef ACSR_TENANT_METRIC
-
-// One passthrough metric per IoAgg field (acsr_audit --lint rule 4 parses
-// the struct and greps this file, exactly as for Counters and TenantAgg).
-#define ACSR_IO_METRIC(field, unit, what)                            \
-  IoMetricDef {                                                      \
-    "io." #field, unit, "IoAgg::" #field " (" what ")",              \
-        [](const IoAgg& a) { return static_cast<double>(a.field); } \
-  }
-
-std::vector<IoMetricDef> build_io_registry() {
-  return {
-      ACSR_IO_METRIC(reads, "count", "chunk read requests completed"),
-      ACSR_IO_METRIC(read_bytes, "bytes", "bytes delivered from the drives"),
-      ACSR_IO_METRIC(demand_bytes, "bytes",
-                     "bytes the streaming executor asked for"),
-      ACSR_IO_METRIC(retries, "count",
-                     "re-issued reads (transient / timeout / checksum)"),
-      ACSR_IO_METRIC(checksum_failures, "count",
-                     "chunks that arrived with a checksum mismatch"),
-      ACSR_IO_METRIC(queue_peak, "count",
-                     "max in-flight requests observed on the tier"),
-      ACSR_IO_METRIC(read_s, "s", "drive service time, summed"),
-      ACSR_IO_METRIC(penalty_s, "s",
-                     "retry backoff + timeout hangs charged to the clock"),
-      ACSR_IO_METRIC(stall_s, "s", "compute idle waiting on a slab upload"),
-      ACSR_IO_METRIC(overlap_s, "s", "io time hidden behind compute"),
+template <>
+std::vector<Metric<IoAgg>> build() {
+  const Field<IoAgg> fields[] = {ACSR_IO_AGG_FIELDS(ACSR_FIELD_ROW)};
+  std::vector<Metric<IoAgg>> r = passthroughs(fields, "io", "IoAgg::");
+  r.insert(r.end(), {
       {"io.read_amplification", "ratio", "read_bytes / demand_bytes "
-       "(stripe rounding + re-reads over useful bytes)",
+       "(stripe rounding + re-reads over useful bytes)", true,
        [](const IoAgg& a) {
          return safe_div(static_cast<double>(a.read_bytes),
                          static_cast<double>(a.demand_bytes));
        }},
       {"io.overlap_efficiency", "ratio",
        "overlap_s / (read_s + penalty_s); the fraction of io time hidden "
-       "behind compute — > 0 proves slab upload ran concurrently",
+       "behind compute — > 0 proves slab upload ran concurrently", true,
        [](const IoAgg& a) {
          return safe_div(a.overlap_s, a.read_s + a.penalty_s);
        }},
-      {"io.retry_rate", "ratio", "retries / reads",
+      {"io.retry_rate", "ratio", "retries / reads", true,
        [](const IoAgg& a) {
          return safe_div(static_cast<double>(a.retries),
                          static_cast<double>(a.reads));
        }},
-  };
+  });
+  return r;
 }
 
-#undef ACSR_IO_METRIC
-
-// One passthrough metric per SloAgg field (lint rule 4 in acsr_audit
-// parses the struct and greps this file, exactly as for the other
-// aggregates).
-#define ACSR_SLO_METRIC(field, unit, what)                            \
-  SloMetricDef {                                                      \
-    "slo." #field, unit, "SloAgg::" #field " (" what ")",             \
-        [](const SloAgg& a) { return static_cast<double>(a.field); }  \
-  }
-
-std::vector<SloMetricDef> build_slo_registry() {
-  return {
-      ACSR_SLO_METRIC(requests, "count", "requests observed"),
-      ACSR_SLO_METRIC(violations, "count",
-                      "requests over the latency target"),
-      ACSR_SLO_METRIC(breaches, "count",
-                      "edge-triggered burn-threshold crossings"),
-      ACSR_SLO_METRIC(burn_rate, "ratio",
-                      "window violation fraction / error budget"),
-      ACSR_SLO_METRIC(latency_p50_s, "s",
-                      "deterministic p50 of admission..completion"),
-      ACSR_SLO_METRIC(latency_p95_s, "s",
-                      "deterministic p95 of admission..completion"),
-      ACSR_SLO_METRIC(latency_p99_s, "s",
-                      "deterministic p99 of admission..completion"),
-      ACSR_SLO_METRIC(latency_max_s, "s", "exact maximum latency observed"),
-      ACSR_SLO_METRIC(queue_wait_p50_s, "s",
-                      "deterministic p50 of admission..launch"),
-      ACSR_SLO_METRIC(queue_wait_p95_s, "s",
-                      "deterministic p95 of admission..launch"),
-      ACSR_SLO_METRIC(queue_wait_max_s, "s",
-                      "exact maximum queue wait observed"),
-      {"slo.violation_rate", "ratio", "violations / requests",
+template <>
+std::vector<Metric<SloAgg>> build() {
+  const Field<SloAgg> fields[] = {ACSR_SLO_AGG_FIELDS(ACSR_FIELD_ROW)};
+  std::vector<Metric<SloAgg>> r = passthroughs(fields, "slo", "SloAgg::");
+  r.insert(r.end(), {
+      {"slo.violation_rate", "ratio", "violations / requests", true,
        [](const SloAgg& a) {
          return safe_div(static_cast<double>(a.violations),
                          static_cast<double>(a.requests));
        }},
-  };
+  });
+  return r;
 }
 
-#undef ACSR_SLO_METRIC
+#undef ACSR_COUNTER_ROW
+#undef ACSR_FIELD_ROW
 
 }  // namespace
 
-const std::vector<MetricDef>& metric_registry() {
-  static const std::vector<MetricDef> r = build_registry();
+template <class Agg>
+const std::vector<Metric<Agg>>& metrics() {
+  static const std::vector<Metric<Agg>> r = build<Agg>();
   return r;
 }
 
-const MetricDef* find_metric(const std::string& name) {
-  for (const MetricDef& m : metric_registry())
-    if (name == m.name) return &m;
-  return nullptr;
-}
-
-const std::vector<CounterMetric>& counter_metrics() {
-  static const std::vector<CounterMetric> r = build_counter_metrics();
-  return r;
-}
-
-const std::vector<TenantMetricDef>& tenant_metric_registry() {
-  static const std::vector<TenantMetricDef> r = build_tenant_registry();
-  return r;
-}
-
-const TenantMetricDef* find_tenant_metric(const std::string& name) {
-  for (const TenantMetricDef& m : tenant_metric_registry())
-    if (name == m.name) return &m;
-  return nullptr;
-}
-
-const std::vector<IoMetricDef>& io_metric_registry() {
-  static const std::vector<IoMetricDef> r = build_io_registry();
-  return r;
-}
-
-const IoMetricDef* find_io_metric(const std::string& name) {
-  for (const IoMetricDef& m : io_metric_registry())
-    if (name == m.name) return &m;
-  return nullptr;
-}
-
-const std::vector<SloMetricDef>& slo_metric_registry() {
-  static const std::vector<SloMetricDef> r = build_slo_registry();
-  return r;
-}
-
-const SloMetricDef* find_slo_metric(const std::string& name) {
-  for (const SloMetricDef& m : slo_metric_registry())
-    if (name == m.name) return &m;
-  return nullptr;
-}
+template const std::vector<Metric<KernelAgg>>& metrics<KernelAgg>();
+template const std::vector<Metric<TenantAgg>>& metrics<TenantAgg>();
+template const std::vector<Metric<IoAgg>>& metrics<IoAgg>();
+template const std::vector<Metric<SloAgg>>& metrics<SloAgg>();
 
 }  // namespace acsr::prof

@@ -4,9 +4,10 @@
 // coalescing efficiency, divergence, roofline attribution, DP overhead.
 //
 // Two invariants the rest of the repo leans on:
-//   * every Counters field has a passthrough metric here (counter_metrics();
-//     acsr_audit --lint rule 4 greps this file so a new counter cannot ship
-//     unobservable), and
+//   * every field of every aggregate (Counters, TenantAgg, IoAgg, SloAgg)
+//     has a passthrough metric, by construction: the field lists are
+//     X-macros (common/fields.hpp) that generate both the members and the
+//     passthroughs, so a new field cannot ship unobservable, and
 //   * metrics marked non-deterministic (host wall-clock attribution) are
 //     excluded from `acsr_prof --diff` regression comparisons — only model
 //     quantities, which are bit-reproducible, gate drift.
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "prof/prof.hpp"
 
 namespace acsr::prof {
@@ -94,139 +96,111 @@ struct KernelAgg {
   }
 };
 
-struct MetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;  // human-readable definition (docs/OBSERVABILITY.md)
+/// A named, documented metric over one aggregate. KernelAgg carries the
+/// kernel metrics (acsr_prof --out); TenantAgg, IoAgg and SloAgg carry
+/// the serving, storage and SLO planes' metrics.
+template <class Agg>
+struct Metric {
+  std::string name;
+  std::string unit;
+  std::string formula;  // human-readable definition (docs/OBSERVABILITY.md)
   /// False for host wall-clock attribution: real, but machine-dependent,
   /// so --diff skips it.
   bool deterministic;
-  double (*compute)(const KernelAgg&);
+  double (*compute)(const Agg&);
 };
 
-/// Every registered metric, derived first, counter passthroughs after.
-const std::vector<MetricDef>& metric_registry();
+/// Every registered metric of Agg, in registry order: for KernelAgg the
+/// derived metrics first, then one counters.<field> passthrough per
+/// Counters field; for the plane aggregates one <prefix>.<field>
+/// passthrough per field, then the derived ratios.
+template <class Agg>
+const std::vector<Metric<Agg>>& metrics();
 
 /// nullptr when unknown.
-const MetricDef* find_metric(const std::string& name);
-
-/// The Counters-field -> passthrough-metric map. Completeness (one entry
-/// per field of vgpu::Counters) is enforced by acsr_audit --lint rule 4 and
-/// by the registry test.
-struct CounterMetric {
-  const char* field;
-  const char* metric;
-};
-const std::vector<CounterMetric>& counter_metrics();
+template <class Agg>
+const Metric<Agg>* find_metric(const std::string& name) {
+  for (const Metric<Agg>& m : metrics<Agg>())
+    if (m.name == name) return &m;
+  return nullptr;
+}
 
 // --- multi-tenant serving aggregates ---------------------------------------
 
-/// Per-tenant billing record kept by serve::BatchScheduler: simulated cost
-/// attribution of the batched SpMM launches plus queueing behaviour. Same
-/// completeness contract as vgpu::Counters: acsr_audit --lint rule 4 parses
-/// the fields of this struct and requires a passthrough metric per field
-/// in metrics.cpp, so a new billing column cannot ship unobservable.
+// Per-tenant billing record kept by serve::BatchScheduler: simulated cost
+// attribution of the batched SpMM launches plus queueing behaviour. One
+// tenant.<field> metric per field; acsr_prof --tenants prints a column
+// per metric.
+#define ACSR_TENANT_AGG_FIELDS(X)                                        \
+  X(std::uint64_t, requests, "count", "SpMVs served")                    \
+  X(std::uint64_t, batches, "count",                                     \
+    "batches carrying >= 1 of the tenant's requests")                    \
+  X(std::uint64_t, batch_width_sum, "count",                             \
+    "carrying batch width, summed per request")                          \
+  X(double, cost_s, "s", "billed share of simulated batch time")         \
+  X(double, queue_wait_s, "s", "simulated enqueue-to-launch wait, summed")
+
 struct TenantAgg {
-  std::uint64_t requests = 0;        ///< SpMVs served for this tenant
-  std::uint64_t batches = 0;         ///< batches carrying >= 1 of its requests
-  std::uint64_t batch_width_sum = 0; ///< width of the carrying batch, per request
-  double cost_s = 0.0;               ///< billed share of simulated batch time
-  double queue_wait_s = 0.0;         ///< simulated enqueue-to-launch wait, summed
+  ACSR_TENANT_AGG_FIELDS(ACSR_FIELD_MEMBER)
 };
-
-/// A named, documented serving metric over one tenant's aggregate (the
-/// serve-plane mirror of MetricDef; acsr_prof --tenants prints one column
-/// per entry). All serve metrics are model quantities, hence deterministic.
-struct TenantMetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;
-  double (*compute)(const TenantAgg&);
-};
-
-/// Every registered tenant metric: field passthroughs plus the derived
-/// ratios (batch_width_avg, queue_wait_avg_s, cost_per_request_s).
-const std::vector<TenantMetricDef>& tenant_metric_registry();
-
-/// nullptr when unknown.
-const TenantMetricDef* find_tenant_metric(const std::string& name);
 
 // --- out-of-core storage aggregates ----------------------------------------
 
-/// Storage-plane accounting kept by storage::StorageTier and folded in by
-/// core::OocCsrEngine: every drive read, retry, checksum failure and the
-/// overlap the streaming executor achieved. Same completeness contract as
-/// vgpu::Counters / TenantAgg: acsr_audit --lint rule 4 parses the fields of
-/// this struct and requires a passthrough metric per field in metrics.cpp,
-/// so a new storage counter cannot ship unobservable.
+// Storage-plane accounting kept by storage::StorageTier and folded in by
+// core::OocCsrEngine: every drive read, retry, checksum failure and the
+// overlap the streaming executor achieved. One io.<field> metric per
+// field; acsr_prof --ooc prints a row per metric.
+#define ACSR_IO_AGG_FIELDS(X)                                                \
+  X(std::uint64_t, reads, "count", "chunk read requests completed")          \
+  X(std::uint64_t, read_bytes, "bytes", "bytes delivered from the drives")   \
+  X(std::uint64_t, demand_bytes, "bytes",                                    \
+    "bytes the streaming executor asked for")                                \
+  X(std::uint64_t, retries, "count",                                         \
+    "re-issued reads (transient / timeout / checksum)")                      \
+  X(std::uint64_t, checksum_failures, "count",                               \
+    "chunks that arrived with a checksum mismatch")                          \
+  X(std::uint64_t, queue_peak, "count",                                      \
+    "max in-flight requests observed on the tier")                           \
+  X(double, read_s, "s", "drive service time, summed")                       \
+  X(double, penalty_s, "s",                                                  \
+    "retry backoff + timeout hangs charged to the clock")                    \
+  X(double, stall_s, "s", "compute idle waiting on a slab upload")           \
+  X(double, overlap_s, "s", "io time hidden behind compute")
+
 struct IoAgg {
-  std::uint64_t reads = 0;             ///< chunk read requests completed
-  std::uint64_t read_bytes = 0;        ///< bytes delivered from the drives
-  std::uint64_t demand_bytes = 0;      ///< bytes the executor asked for
-  std::uint64_t retries = 0;           ///< re-issued reads (transient/timeout/checksum)
-  std::uint64_t checksum_failures = 0; ///< chunks that arrived corrupt
-  std::uint64_t queue_peak = 0;        ///< max in-flight requests observed
-  double read_s = 0.0;                 ///< drive service time, summed
-  double penalty_s = 0.0;              ///< retry backoff + timeout hangs charged
-  double stall_s = 0.0;                ///< compute idle waiting on a slab upload
-  double overlap_s = 0.0;              ///< io time hidden behind compute
+  ACSR_IO_AGG_FIELDS(ACSR_FIELD_MEMBER)
 };
 
-/// A named, documented storage metric over one run's IoAgg (the io-plane
-/// mirror of TenantMetricDef; acsr_prof --ooc prints one row per entry).
-/// All io metrics are model quantities, hence deterministic.
-struct IoMetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;
-  double (*compute)(const IoAgg&);
-};
-
-/// Every registered io metric: field passthroughs plus the derived ratios
-/// (read_amplification, overlap_efficiency, retry_rate).
-const std::vector<IoMetricDef>& io_metric_registry();
-
-/// nullptr when unknown.
-const IoMetricDef* find_io_metric(const std::string& name);
+/// Shorthand for find_metric<IoAgg>.
+inline const Metric<IoAgg>* find_io_metric(const std::string& name) {
+  return find_metric<IoAgg>(name);
+}
 
 // --- per-tenant SLO aggregates ----------------------------------------------
 
-/// Deterministic SLO summary of one tenant (or the "*" all-tenants view),
-/// filled by slo::SloMonitor::snapshot from its fixed-bucket histograms
-/// and sliding-window burn evaluation (docs/SLO.md). Same completeness
-/// contract as vgpu::Counters / TenantAgg / IoAgg: lint rule 4 (acsr_audit)
-/// parses the fields of this struct and requires a passthrough metric per
-/// field in metrics.cpp, so a new SLO column cannot ship unobservable.
+// Deterministic SLO summary of one tenant (or the "*" all-tenants view),
+// filled by slo::SloMonitor::snapshot from its fixed-bucket histograms
+// and sliding-window burn evaluation (docs/SLO.md). One slo.<field>
+// metric per field; acsr_slo --tenants prints a column per metric.
+#define ACSR_SLO_AGG_FIELDS(X)                                               \
+  X(std::uint64_t, requests, "count", "requests observed")                   \
+  X(std::uint64_t, violations, "count", "requests over the latency target")  \
+  X(std::uint64_t, breaches, "count",                                        \
+    "edge-triggered burn-threshold crossings")                               \
+  X(double, burn_rate, "ratio", "window violation fraction / error budget")  \
+  X(double, latency_p50_s, "s",                                              \
+    "deterministic p50 of admission..completion")                            \
+  X(double, latency_p95_s, "s",                                              \
+    "deterministic p95 of admission..completion")                            \
+  X(double, latency_p99_s, "s",                                              \
+    "deterministic p99 of admission..completion")                            \
+  X(double, latency_max_s, "s", "exact maximum latency observed")            \
+  X(double, queue_wait_p50_s, "s", "deterministic p50 of admission..launch") \
+  X(double, queue_wait_p95_s, "s", "deterministic p95 of admission..launch") \
+  X(double, queue_wait_max_s, "s", "exact maximum queue wait observed")
+
 struct SloAgg {
-  std::uint64_t requests = 0;    ///< requests observed
-  std::uint64_t violations = 0;  ///< requests over the latency target
-  std::uint64_t breaches = 0;    ///< edge-triggered burn-threshold crossings
-  double burn_rate = 0.0;        ///< window violation fraction / error budget
-  double latency_p50_s = 0.0;    ///< admission..completion percentiles
-  double latency_p95_s = 0.0;
-  double latency_p99_s = 0.0;
-  double latency_max_s = 0.0;    ///< exact maximum observed
-  double queue_wait_p50_s = 0.0; ///< admission..launch percentiles
-  double queue_wait_p95_s = 0.0;
-  double queue_wait_max_s = 0.0;
+  ACSR_SLO_AGG_FIELDS(ACSR_FIELD_MEMBER)
 };
-
-/// A named, documented SLO metric over one tenant's aggregate (the
-/// slo-plane mirror of TenantMetricDef; acsr_slo --tenants prints one
-/// column per entry). All slo metrics are model quantities over
-/// fixed-bucket histograms, hence deterministic.
-struct SloMetricDef {
-  const char* name;
-  const char* unit;
-  const char* formula;
-  double (*compute)(const SloAgg&);
-};
-
-/// Every registered slo metric: field passthroughs plus the derived
-/// violation_rate.
-const std::vector<SloMetricDef>& slo_metric_registry();
-
-/// nullptr when unknown.
-const SloMetricDef* find_slo_metric(const std::string& name);
 
 }  // namespace acsr::prof

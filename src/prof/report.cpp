@@ -32,7 +32,7 @@ Grouped group(const std::vector<LaunchSample>& launches) {
 
 json::Object metrics_of(const KernelAgg& agg) {
   json::Object o;
-  for (const MetricDef& m : metric_registry())
+  for (const Metric<KernelAgg>& m : metrics<KernelAgg>())
     o.emplace(m.name, m.compute(agg));
   return o;
 }
@@ -182,7 +182,7 @@ std::vector<Drift> diff_metrics(const json::Value& current,
   for (const auto& [name, csec] : ce->as_object()) {
     const json::Value* bsec = be->find(name);
     if (bsec == nullptr) continue;
-    for (const MetricDef& m : metric_registry()) {
+    for (const Metric<KernelAgg>& m : metrics<KernelAgg>()) {
       if (!m.deterministic) continue;
       const json::Value* cv = total_of(csec, m.name);
       const json::Value* bv = total_of(*bsec, m.name);

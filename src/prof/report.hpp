@@ -1,9 +1,11 @@
 // Exporters over the profiler's samples: the metrics JSON document (the
 // `acsr_prof --out` / bench `--metrics_out` format, and the committed
-// PROF_baseline.json), the nvprof-style text summary, and the --diff
-// regression comparison. docs/OBSERVABILITY.md documents the doc schema.
+// PROF_baseline.json), the nvprof-style text summary, the --diff
+// regression comparison and the per-tenant metric table.
+// docs/OBSERVABILITY.md documents the doc schema.
 #pragma once
 
+#include <cstdio>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -46,5 +48,23 @@ struct Drift {
 std::vector<Drift> diff_metrics(const json::Value& current,
                                 const json::Value& baseline,
                                 double threshold);
+
+/// Per-tenant metric table on stdout: one row per (tenant, aggregate) in
+/// `rows`, one `width`-wide column per registered metric of the aggregate
+/// (acsr_prof --tenants, acsr_slo --tenants, examples/rwr_batch).
+template <class Rows>
+void print_metric_table(const Rows& rows, int width) {
+  using Agg = typename Rows::value_type::second_type;
+  std::printf("%-8s", "tenant");
+  for (const Metric<Agg>& m : metrics<Agg>())
+    std::printf("  %*s", width, m.name.c_str());
+  std::printf("\n");
+  for (const auto& [tenant, agg] : rows) {
+    std::printf("%-8s", tenant.c_str());
+    for (const Metric<Agg>& m : metrics<Agg>())
+      std::printf("  %*.6g", width, m.compute(agg));
+    std::printf("\n");
+  }
+}
 
 }  // namespace acsr::prof

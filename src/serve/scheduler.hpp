@@ -12,7 +12,8 @@
 // Billing: a width-k batch's simulated seconds are split evenly over its
 // k requests (each column costs the same device work), and each request's
 // share is charged to its tenant's prof::TenantAgg — the registry that
-// acsr_prof --tenants renders and acsr_audit --lint rule 4 keeps complete.
+// acsr_prof --tenants renders, complete by construction (each field is
+// declared once and generates its tenant.* metric).
 #pragma once
 
 #include <algorithm>
@@ -167,7 +168,7 @@ class BatchScheduler {
                                static_cast<double>(batches_);
   }
   /// Per-tenant billing, keyed by tenant name (render through
-  /// prof::tenant_metric_registry()).
+  /// prof::print_metric_table).
   const std::map<std::string, prof::TenantAgg>& tenants() const {
     return tenants_;
   }

@@ -28,7 +28,7 @@
 // streams) and parks its completion; when the window is full the oldest
 // request completes first, modelling a producer blocking on a full
 // queue. poll()/drain() fire completion callbacks. All accounting lands
-// in a prof::IoAgg (io.* metrics, acsr_audit --lint rule 4 parity).
+// in a prof::IoAgg (io.* metrics, complete by construction).
 // Each drive stream is named after its drive, so its reads, hangs and
 // backoff are execution spans on that drive's track (docs/SLO.md).
 #pragma once

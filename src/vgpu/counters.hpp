@@ -4,57 +4,44 @@
 
 #include <cstdint>
 
+#include "common/fields.hpp"
+
 namespace acsr::vgpu {
 
+// The one list of Counters fields (common/fields.hpp): members,
+// operator+= and the counters.* passthrough metrics come from it.
+#define ACSR_COUNTERS_FIELDS(X)                                              \
+  /* Geometry. */                                                            \
+  X(std::uint64_t, blocks, "count", "thread blocks executed")                \
+  X(std::uint64_t, warps, "count", "warps executed")                         \
+  /* Issue pipeline: one unit = one warp-instruction issued. */              \
+  X(std::uint64_t, issue_cycles, "count", "warp-instructions issued")        \
+  /* Arithmetic throughput, counted per active lane. */                      \
+  X(std::uint64_t, sp_flops, "count", "single-precision lane flops")         \
+  X(std::uint64_t, dp_flops, "count", "double-precision lane flops")         \
+  /* Global-memory (L2/DRAM) path: 32-byte L2 sectors. */                    \
+  X(std::uint64_t, gmem_requests, "count", "global load/store instructions") \
+  X(std::uint64_t, gmem_transactions, "count", "32 B global sectors moved")  \
+  X(std::uint64_t, gmem_bytes, "count", "global sector bytes moved")         \
+  /* Texture read path (used for the x vector, as in the paper). */          \
+  X(std::uint64_t, tex_requests, "count", "texture read instructions")       \
+  X(std::uint64_t, tex_transactions, "count", "32 B texture segments moved") \
+  X(std::uint64_t, tex_bytes, "count", "texture segment bytes moved")        \
+  X(std::uint64_t, shuffle_ops, "count", "warp shuffle instructions")        \
+  X(std::uint64_t, smem_accesses, "count", "shared-memory accesses")         \
+  X(std::uint64_t, atomic_ops, "count", "atomic lane operations")            \
+  X(std::uint64_t, atomic_conflicts, "count", "same-address atomic replays") \
+  /* Dynamic parallelism. */                                                 \
+  X(std::uint64_t, child_launches, "count", "device-side child launches")    \
+  X(std::uint64_t, child_blocks, "count", "blocks run by child grids")
+
 struct Counters {
-  // Geometry.
-  std::uint64_t blocks = 0;
-  std::uint64_t warps = 0;
-
-  // Issue pipeline: one unit = one warp-instruction issued.
-  std::uint64_t issue_cycles = 0;
-
-  // Arithmetic throughput, counted per active lane.
-  std::uint64_t sp_flops = 0;
-  std::uint64_t dp_flops = 0;
-
-  // Global-memory (L2/DRAM) path: 32-byte L2 sectors.
-  std::uint64_t gmem_requests = 0;      // warp-level load/store instructions
-  std::uint64_t gmem_transactions = 0;  // distinct 32 B sectors touched
-  std::uint64_t gmem_bytes = 0;         // transactions * 32
-
-  // Texture read path (used for the x vector, as in the paper).
-  std::uint64_t tex_requests = 0;
-  std::uint64_t tex_transactions = 0;  // distinct 32 B segments touched
-  std::uint64_t tex_bytes = 0;
-
-  std::uint64_t shuffle_ops = 0;
-  std::uint64_t smem_accesses = 0;
-  std::uint64_t atomic_ops = 0;
-  std::uint64_t atomic_conflicts = 0;  // lanes hitting the same address
-
-  // Dynamic parallelism.
-  std::uint64_t child_launches = 0;
-  std::uint64_t child_blocks = 0;
+  ACSR_COUNTERS_FIELDS(ACSR_FIELD_MEMBER)
 
   Counters& operator+=(const Counters& o) {
-    blocks += o.blocks;
-    warps += o.warps;
-    issue_cycles += o.issue_cycles;
-    sp_flops += o.sp_flops;
-    dp_flops += o.dp_flops;
-    gmem_requests += o.gmem_requests;
-    gmem_transactions += o.gmem_transactions;
-    gmem_bytes += o.gmem_bytes;
-    tex_requests += o.tex_requests;
-    tex_transactions += o.tex_transactions;
-    tex_bytes += o.tex_bytes;
-    shuffle_ops += o.shuffle_ops;
-    smem_accesses += o.smem_accesses;
-    atomic_ops += o.atomic_ops;
-    atomic_conflicts += o.atomic_conflicts;
-    child_launches += o.child_launches;
-    child_blocks += o.child_blocks;
+#define ACSR_COUNTERS_ADD(type, name, unit, what) name += o.name;
+    ACSR_COUNTERS_FIELDS(ACSR_COUNTERS_ADD)
+#undef ACSR_COUNTERS_ADD
     return *this;
   }
 };

@@ -97,6 +97,8 @@ class MemoCache {
 
   /// nullptr on miss. Counts a hit or a miss.
   MemoEntry* find(const std::string& key);
+  /// Whether `key` is cached, without counting a hit or a miss.
+  bool contains(const std::string& key) const { return map_.count(key) != 0; }
   /// Insert-or-overwrite; returns the stored entry.
   MemoEntry& put(const std::string& key, MemoEntry entry);
   /// Drop every entry whose key starts with `prefix` (owner teardown /

@@ -15,6 +15,7 @@
 #include "analysis/source_model.hpp"
 #include "common/json.hpp"
 #include "core/engine_registry.hpp"
+#include "vgpu/counters.hpp"
 #include "vgpu/device_spec.hpp"
 
 #ifndef ACSR_SOURCE_DIR
@@ -173,6 +174,30 @@ TEST(SourceModel, DataEscapeInCodeIsFlaggedOutsideTheSpanLayer) {
   const analysis::SourceSet ok = {
       analysis::lex_source("src/vgpu/memory.hpp", body)};
   EXPECT_TRUE(analysis::audit_lint(ok).empty());
+}
+
+TEST(SourceModel, UnmeteredCounterIsFlagged) {
+  // Rule 3 takes the Counters field names from the compiled-in list, so a
+  // counter the executor never meters is flagged even though counters.hpp
+  // itself is not in the set.
+#define ACSR_FIELD_NAME(type, name, unit, what) #name,
+  const std::vector<std::string> fields = {
+      ACSR_COUNTERS_FIELDS(ACSR_FIELD_NAME)};
+#undef ACSR_FIELD_NAME
+  const std::string dropped = "child_blocks";
+  std::string body = "#pragma once\ninline void meter(Counters& c) {\n";
+  for (const std::string& f : fields)
+    if (f != dropped) body += "  ++c." + f + ";\n";
+  body += "}\n// c." + dropped + " in a comment does not count\n";
+  const analysis::SourceSet set = {
+      analysis::lex_source("src/vgpu/warp.hpp", body),
+      analysis::lex_source("src/vgpu/device.cpp", "int device;\n"),
+      analysis::lex_source("src/vgpu/kernel.cpp", "int kernel;\n")};
+  const auto fs = analysis::audit_lint(set);
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].kind, AuditKind::kLint);
+  EXPECT_EQ(fs[0].subject, "Counters::" + dropped);
+  EXPECT_NE(fs[0].detail.find("never metered"), std::string::npos);
 }
 
 TEST(SourceModel, ScopeModelFindsFunctionsAndStaticLocals) {

@@ -24,6 +24,8 @@
 #include "core/resilient.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/powerlaw.hpp"
+#include "prof/prof.hpp"
+#include "slo/trace.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
@@ -40,12 +42,25 @@ using acsr::vgpu::DeviceSpec;
 using acsr::vgpu::FaultInjector;
 using acsr::vgpu::KernelRun;
 using acsr::vgpu::memo::MemoCache;
+using acsr::vgpu::memo::MemoStats;
 using acsr::vgpu::memo::Memoizer;
 using acsr::vgpu::memo::spec_fingerprint;
+
+/// RAII: the profiler owns kernel execution when on, so the memo plane
+/// bypasses itself under it by design (memo::plane_bypassed). Memo tests
+/// run with the profiler off and restore the process's setting on exit.
+struct ProfilerOff {
+  ProfilerOff() { acsr::prof::set_profiler_enabled(false); }
+  ~ProfilerOff() { acsr::prof::set_profiler_enabled(was_on); }
+  ProfilerOff(const ProfilerOff&) = delete;
+  ProfilerOff& operator=(const ProfilerOff&) = delete;
+  const bool was_on = acsr::prof::profiler_enabled();
+};
 
 /// RAII: enable the memo plane with a clean cache, restore a clean
 /// disabled state on exit (tests must not leak global mode).
 struct MemoGuard {
+  ProfilerOff profiler_off;
   MemoGuard() {
     MemoCache::instance().clear();
     MemoCache::instance().reset_stats();
@@ -279,6 +294,7 @@ TEST(MemoEngine, RepeatSimulateReplaysBitIdentical) {
 }
 
 TEST(MemoEngine, DisabledPlaneTouchesNoCache) {
+  ProfilerOff profiler_off;
   MemoCache::instance().clear();
   MemoCache::instance().reset_stats();
   acsr::vgpu::memo::set_memo_enabled(false);
@@ -293,6 +309,36 @@ TEST(MemoEngine, DisabledPlaneTouchesNoCache) {
   const auto& st = MemoCache::instance().stats();
   EXPECT_EQ(st.hits + st.misses + st.bypasses, 0u);
   EXPECT_EQ(MemoCache::instance().size(), 0u);
+}
+
+TEST(MemoEngine, SloAnnotationCountsNoHitOrMiss) {
+  // With the slo plane on, MemoEngine tags each execution span capture vs
+  // replay. That probe must not count: cache stats after one capture and
+  // one replay are the same with the plane on and off.
+  const Csr<double> a = powerlaw(200, 5.0, 61);
+  const auto x = random_x(static_cast<std::size_t>(a.cols), 13);
+  const auto run = [&](bool slo_on) {
+    const bool slo_was = acsr::slo::slo_enabled();
+    acsr::slo::set_slo_enabled(slo_on);
+    MemoGuard guard;
+    Device dev(DeviceSpec::gtx_titan());
+    auto engine = make_engine<double>("acsr", dev, a);
+    std::vector<double> y;
+    engine->simulate(x, y);  // capture
+    engine->simulate(x, y);  // replay
+    const MemoStats st = MemoCache::instance().stats();
+    acsr::slo::set_slo_enabled(slo_was);
+    acsr::slo::Tracer::instance().clear();
+    return st;
+  };
+  const MemoStats off = run(false);
+  const MemoStats on = run(true);
+  EXPECT_EQ(off.misses, 1u);
+  EXPECT_EQ(off.hits, 1u);
+  EXPECT_EQ(on.misses, off.misses);
+  EXPECT_EQ(on.hits, off.hits);
+  EXPECT_EQ(on.bypasses, off.bypasses);
+  EXPECT_EQ(on.invalidations, off.invalidations);
 }
 
 // ---------------------------------------------------------------------------

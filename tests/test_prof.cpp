@@ -4,9 +4,9 @@
 //   1. Off by default, and *recording nothing* when off — the only cost is
 //      the cached-bool/null-pointer gate (metering parity itself is pinned
 //      by test_metering_invariance.cpp's profiled mode).
-//   2. The metric registry fully covers vgpu::Counters (one passthrough
-//      metric per field, each reading the right field) and the derived
-//      metric formulas hold on hand-built aggregates.
+//   2. Every metric registry (Counters, TenantAgg, IoAgg, SloAgg) has one
+//      passthrough metric per field, each reading the right field, and the
+//      derived metric formulas hold on hand-built aggregates.
 //   3. Lane tallies are executor-path invariant: the affine fast path and
 //      the reference loop report bit-identical occupancy inputs.
 //   4. The Chrome trace export is schema-valid: required keys on every
@@ -21,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/pagerank.hpp"
@@ -123,73 +124,59 @@ TEST_F(Prof, EnabledProfilerCapturesLaunchesAndAdvancesClock) {
 
 // --- contract 2: registry completeness and formulas ------------------------
 
-TEST_F(Prof, EveryCountersFieldHasAPassthroughMetric) {
-  // The field list mirrors src/vgpu/counters.hpp; acsr_audit --lint rule 4
-  // greps the same correspondence so the two cannot drift apart silently.
-  const char* const kFields[] = {
-      "blocks",        "warps",          "issue_cycles",
-      "sp_flops",      "dp_flops",       "gmem_requests",
-      "gmem_transactions", "gmem_bytes", "tex_requests",
-      "tex_transactions",  "tex_bytes",  "shuffle_ops",
-      "smem_accesses", "atomic_ops",     "atomic_conflicts",
-      "child_launches", "child_blocks",
+// The frozen Counters layout: 17 u64 fields, compared bytewise elsewhere.
+static_assert(sizeof(acsr::vgpu::Counters) == 17 * sizeof(std::uint64_t));
+static_assert(std::has_unique_object_representations_v<acsr::vgpu::Counters>);
+
+/// Per-registry view for the typed test: the passthrough prefix, and a
+/// fill() that writes a distinct value into every field through the
+/// aggregate's X-macro list and returns field -> value written.
+template <class Agg>
+struct Registry;
+
+#define ACSR_FILL_FIELD(type, name, unit, what) \
+  fields.name = static_cast<type>(++v);        \
+  want[#name] = static_cast<double>(fields.name);
+#define ACSR_REGISTRY(Agg, prefix, FIELDS, part)            \
+  template <>                                              \
+  struct Registry<Agg> {                                   \
+    static constexpr const char* kPrefix = prefix;         \
+    static std::map<std::string, double> fill(Agg& agg) {  \
+      std::map<std::string, double> want;                  \
+      double v = 1000.0;                                   \
+      auto& fields = part;                                 \
+      FIELDS(ACSR_FILL_FIELD)                              \
+      return want;                                         \
+    }                                                      \
   };
-  const auto& cm = acsr::prof::counter_metrics();
-  ASSERT_EQ(cm.size(), std::size(kFields));
-  std::set<std::string> have;
-  for (const auto& c : cm) {
-    have.insert(c.field);
-    const acsr::prof::MetricDef* m = acsr::prof::find_metric(c.metric);
-    ASSERT_NE(m, nullptr) << c.metric;
-    EXPECT_TRUE(m->deterministic) << c.metric;
-    EXPECT_EQ(std::string(c.metric), "counters." + std::string(c.field));
-  }
-  for (const char* f : kFields)
-    EXPECT_TRUE(have.count(f)) << "no passthrough metric for field " << f;
+ACSR_REGISTRY(KernelAgg, "counters", ACSR_COUNTERS_FIELDS, agg.counters)
+ACSR_REGISTRY(acsr::prof::TenantAgg, "tenant", ACSR_TENANT_AGG_FIELDS, agg)
+ACSR_REGISTRY(acsr::prof::IoAgg, "io", ACSR_IO_AGG_FIELDS, agg)
+ACSR_REGISTRY(acsr::prof::SloAgg, "slo", ACSR_SLO_AGG_FIELDS, agg)
+#undef ACSR_REGISTRY
+#undef ACSR_FILL_FIELD
 
-  // Registry names are unique.
-  std::set<std::string> names;
-  for (const auto& m : acsr::prof::metric_registry())
-    EXPECT_TRUE(names.insert(m.name).second) << "duplicate " << m.name;
-}
+template <class Agg>
+class MetricRegistry : public ::testing::Test {};
+using RegistryAggs = ::testing::Types<KernelAgg, acsr::prof::TenantAgg,
+                                      acsr::prof::IoAgg, acsr::prof::SloAgg>;
+TYPED_TEST_SUITE(MetricRegistry, RegistryAggs);
 
-TEST_F(Prof, PassthroughMetricsReadTheRightField) {
-  // Give each field a distinct value and check each passthrough returns
-  // exactly its own field's value.
-  KernelAgg agg;
-  auto& c = agg.counters;
-  std::uint64_t v = 1000;
-  std::map<std::string, std::uint64_t> want;
-  for (std::uint64_t* f : {&c.blocks, &c.warps, &c.issue_cycles, &c.sp_flops,
-                           &c.dp_flops, &c.gmem_requests,
-                           &c.gmem_transactions, &c.gmem_bytes,
-                           &c.tex_requests, &c.tex_transactions, &c.tex_bytes,
-                           &c.shuffle_ops, &c.smem_accesses, &c.atomic_ops,
-                           &c.atomic_conflicts, &c.child_launches,
-                           &c.child_blocks})
-    *f = ++v;
-  want["counters.blocks"] = c.blocks;
-  want["counters.warps"] = c.warps;
-  want["counters.issue_cycles"] = c.issue_cycles;
-  want["counters.sp_flops"] = c.sp_flops;
-  want["counters.dp_flops"] = c.dp_flops;
-  want["counters.gmem_requests"] = c.gmem_requests;
-  want["counters.gmem_transactions"] = c.gmem_transactions;
-  want["counters.gmem_bytes"] = c.gmem_bytes;
-  want["counters.tex_requests"] = c.tex_requests;
-  want["counters.tex_transactions"] = c.tex_transactions;
-  want["counters.tex_bytes"] = c.tex_bytes;
-  want["counters.shuffle_ops"] = c.shuffle_ops;
-  want["counters.smem_accesses"] = c.smem_accesses;
-  want["counters.atomic_ops"] = c.atomic_ops;
-  want["counters.atomic_conflicts"] = c.atomic_conflicts;
-  want["counters.child_launches"] = c.child_launches;
-  want["counters.child_blocks"] = c.child_blocks;
-  for (const auto& [name, expect] : want) {
-    const acsr::prof::MetricDef* m = acsr::prof::find_metric(name);
+TYPED_TEST(MetricRegistry, EveryFieldHasAPassthroughReadingItsOwnField) {
+  using Agg = TypeParam;
+  Agg agg{};
+  const std::map<std::string, double> want = Registry<Agg>::fill(agg);
+  ASSERT_FALSE(want.empty());
+  for (const auto& [field, value] : want) {
+    const std::string name = std::string(Registry<Agg>::kPrefix) + "." + field;
+    const acsr::prof::Metric<Agg>* m = acsr::prof::find_metric<Agg>(name);
     ASSERT_NE(m, nullptr) << name;
-    EXPECT_EQ(m->compute(agg), static_cast<double>(expect)) << name;
+    EXPECT_TRUE(m->deterministic) << name;
+    EXPECT_EQ(m->compute(agg), value) << name;
   }
+  std::set<std::string> names;
+  for (const auto& m : acsr::prof::metrics<Agg>())
+    EXPECT_TRUE(names.insert(m.name).second) << "duplicate " << m.name;
 }
 
 TEST_F(Prof, DerivedMetricFormulas) {
@@ -416,7 +403,7 @@ TEST_F(Prof, MetricsDocAndSummaryCoverRecordedEngines) {
     const Value* total = section.find("total");
     ASSERT_NE(total, nullptr) << ctx;
     // Every registered metric appears with a numeric value.
-    for (const auto& m : acsr::prof::metric_registry()) {
+    for (const auto& m : acsr::prof::metrics<KernelAgg>()) {
       const Value* v = total->find(m.name);
       ASSERT_NE(v, nullptr) << ctx << "/" << m.name;
       EXPECT_TRUE(v->is_number() || v->is_null()) << ctx << "/" << m.name;

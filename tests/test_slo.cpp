@@ -490,10 +490,10 @@ TEST_F(Slo, FaultedSpanChargesEqualTimelineChargesBitwise) {
     span_charge[s.track] += s.duration();
     span_entries[s.track] += 1;
   }
-  // Charge parity, bitwise: every mirrored span copied its enqueue's
+  // Charge parity, bitwise: every span is reported by its timeline's
+  // named-stream enqueue, the only span source, with the enqueue's
   // interval exactly, in the same order — the sums are identical doubles,
-  // not merely close (docs/SLO.md; the slo-span-parity audit plane states
-  // the same contract abstractly).
+  // not merely close (docs/SLO.md).
   EXPECT_EQ(span_entries.size(), log_entries.size());
   for (const auto& [track, charge] : log_charge) {
     EXPECT_EQ(span_entries[track], log_entries[track]) << "track " << track;

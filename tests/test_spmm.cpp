@@ -404,7 +404,7 @@ TEST(Scheduler, BillsTenantsEvenSharesOfBatchTime) {
   // Conservation: the whole makespan is billed to someone.
   EXPECT_NEAR(billed, sched.clock_s(), 1e-12 + 1e-9 * sched.clock_s());
   // Every registered tenant metric evaluates finitely.
-  for (const auto& m : acsr::prof::tenant_metric_registry())
+  for (const auto& m : acsr::prof::metrics<acsr::prof::TenantAgg>())
     for (const auto& [name, agg] : tenants)
       EXPECT_TRUE(std::isfinite(m.compute(agg))) << m.name << "/" << name;
 }

@@ -314,14 +314,14 @@ TEST_F(Storage, DerivedIoMetricsComputeFromAgg) {
   tier.read_chunk("slab0", 0, whole(src, dst));
   const acsr::prof::IoAgg& s = tier.stats();
   bool saw_amp = false;
-  for (const auto& m : acsr::prof::io_metric_registry()) {
+  for (const auto& m : acsr::prof::metrics<acsr::prof::IoAgg>()) {
     const double v = m.compute(s);
-    if (std::string(m.name) == "io.read_amplification") {
+    if (m.name == "io.read_amplification") {
       saw_amp = true;
       // 8000 B demanded, 2 stripes (8192 B) served.
       EXPECT_NEAR(v, 8192.0 / 8000.0, 1e-12);
     }
-    if (std::string(m.name) == "io.retry_rate") {
+    if (m.name == "io.retry_rate") {
       EXPECT_DOUBLE_EQ(v, 0.0);
     }
   }

@@ -9,7 +9,7 @@
 //     [--engine=NAME --device=KEY]
 //   acsr_audit --taxonomy          fault-taxonomy pass only
 //   acsr_audit --gates             gate-discipline pass only
-//   acsr_audit --lint              absorbed scripts/lint.sh rules 1-4
+//   acsr_audit --lint              absorbed scripts/lint.sh rules 1-3
 //   acsr_audit --defects           seeded defect corpora only
 //   acsr_audit --report=json       machine-readable report on stdout
 //   acsr_audit --root=PATH         repo root (default: build-time source
@@ -147,7 +147,7 @@ void sweep_lint(const Options& opt, AuditReport& rep) {
   const auto set = acsr::analysis::load_source_tree(opt.root);
   const auto fs = acsr::analysis::audit_lint(set);
   if (!opt.json)
-    std::cout << "\nlint rules 1-4 over " << set.size() << " files: "
+    std::cout << "\nlint rules 1-3 over " << set.size() << " files: "
               << (fs.empty() ? "ok" : std::to_string(fs.size()) + " finding(s)")
               << "\n";
   rep.findings.insert(rep.findings.end(), fs.begin(), fs.end());

@@ -80,16 +80,7 @@ void render_tenants(const std::string& engine_name,
             << sched.served_requests() << " requests, " << sched.batches()
             << " batches, avg width " << sched.batch_width_avg()
             << ", makespan " << sched.clock_s() * 1e3 << " ms) ====\n";
-  std::printf("%-8s", "tenant");
-  for (const auto& m : acsr::prof::tenant_metric_registry())
-    std::printf("  %24s", m.name);
-  std::printf("\n");
-  for (const auto& [name, agg] : sched.tenants()) {
-    std::printf("%-8s", name.c_str());
-    for (const auto& m : acsr::prof::tenant_metric_registry())
-      std::printf("  %24.6g", m.compute(agg));
-    std::printf("\n");
-  }
+  acsr::prof::print_metric_table(sched.tenants(), 24);
 }
 
 /// The --ooc table: one streamed SpMV through the out-of-core tier, one
@@ -109,9 +100,9 @@ void render_ooc(const acsr::vgpu::DeviceSpec& spec,
             << engine.num_slabs() << " slabs, budget "
             << engine.budget_bytes() << " B, makespan "
             << engine.last_makespan() * 1e3 << " ms) ====\n";
-  for (const auto& m : acsr::prof::io_metric_registry())
-    std::printf("  %-26s %14.6g  %-8s %s\n", m.name, m.compute(io), m.unit,
-                m.formula);
+  for (const auto& m : acsr::prof::metrics<acsr::prof::IoAgg>())
+    std::printf("  %-26s %14.6g  %-8s %s\n", m.name.c_str(), m.compute(io),
+                m.unit.c_str(), m.formula.c_str());
 }
 
 bool load_json(const std::string& path, Value* out) {

@@ -29,14 +29,15 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/rwr_batch.hpp"
 #include "common/check.hpp"
 #include "core/resilient.hpp"
 #include "graph/corpus.hpp"
-#include "prof/metrics.hpp"
 #include "prof/prof.hpp"
+#include "prof/report.hpp"
 #include "serve/scheduler.hpp"
 #include "slo/slo.hpp"
 #include "slo/trace.hpp"
@@ -102,22 +103,14 @@ void render_spans(const std::vector<acsr::slo::Span>& spans) {
 }
 
 /// The per-tenant SLO table: one row per tenant plus the "*" aggregate,
-/// one column per registered slo.* metric (lint rule 4 parity).
+/// one column per registered slo.* metric.
 void render_slo(const acsr::slo::SloMonitor& mon) {
-  std::vector<std::string> rows = mon.tenant_names();
-  rows.push_back("*");
+  std::vector<std::pair<std::string, acsr::prof::SloAgg>> rows;
+  for (const std::string& t : mon.tenant_names())
+    rows.emplace_back(t, mon.snapshot(t));
+  rows.emplace_back("*", mon.snapshot("*"));
   std::printf("\n==== tenant SLO plane ====\n");
-  std::printf("%-8s", "tenant");
-  for (const auto& m : acsr::prof::slo_metric_registry())
-    std::printf("  %20s", m.name);
-  std::printf("\n");
-  for (const std::string& t : rows) {
-    const acsr::prof::SloAgg agg = mon.snapshot(t);
-    std::printf("%-8s", t.c_str());
-    for (const auto& m : acsr::prof::slo_metric_registry())
-      std::printf("  %20.6g", m.compute(agg));
-    std::printf("\n");
-  }
+  acsr::prof::print_metric_table(rows, 20);
 }
 
 }  // namespace
