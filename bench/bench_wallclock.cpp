@@ -39,6 +39,7 @@
 #include "prof/metrics.hpp"
 #include "prof/report.hpp"
 #include "serve/scheduler.hpp"
+#include "storage/tier.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/memo.hpp"
 
@@ -199,6 +200,38 @@ void BM_OocExecutor(benchmark::State& state, int divisor) {
   state.counters["overlap_eff"] =
       find_metric<IoAgg>("io.overlap_efficiency")->compute(io);
   state.counters["sim_makespan_ms"] = engine.last_makespan() * 1e3;
+}
+
+/// Storage-plane host cost in isolation (docs/OOC.md): one fault-free
+/// ~6 MB three-segment chunk read per iteration — the shape of one
+/// out-of-core slab (row_off, col_idx, vals). Each read checksums the
+/// source, copies, and verifies the delivered bytes, so bytes/s here is
+/// the tier's own data-plane throughput.
+void BM_StorageTierReadChunk(benchmark::State& state) {
+  using acsr::storage::make_segment;
+  const std::size_t rows = 100000, nnz = 450000;
+  const std::vector<long long> off_src(rows + 1, 7);
+  const std::vector<int> col_src(nnz, 3);
+  const std::vector<double> val_src(nnz, 0.5);
+  std::vector<long long> off_dst(off_src.size());
+  std::vector<int> col_dst(col_src.size());
+  std::vector<double> val_dst(val_src.size());
+  const std::vector<acsr::storage::Segment> segs = {
+      make_segment(off_src, 0, off_dst, off_src.size()),
+      make_segment(col_src, 0, col_dst, col_src.size()),
+      make_segment(val_src, 0, val_dst, val_src.size())};
+  std::size_t bytes = 0;
+  for (const auto& s : segs) bytes += s.bytes;
+  acsr::vgpu::StreamTimeline tl;
+  acsr::storage::StorageTier tier(tl, acsr::storage::TierConfig{});
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tier.read_chunk("slab", offset, segs));
+    offset += bytes;
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["chunk_mb"] = static_cast<double>(bytes) / 1e6;
 }
 
 /// Raw warp-gather micro: unit-stride (coalesced, the affine fast path's
@@ -413,6 +446,9 @@ void register_benches() {
         [divisor](benchmark::State& st) { BM_OocExecutor(st, divisor); })
         ->Unit(benchmark::kMillisecond);
   }
+  benchmark::RegisterBenchmark("storage_tier/read_chunk",
+                               BM_StorageTierReadChunk)
+      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("warp_gather/affine", BM_WarpGatherAffine)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("warp_gather/scatter", BM_WarpGatherScatter)

@@ -10,12 +10,15 @@
 // plane stays exact while the time plane pays drive service, stripe
 // rounding, queueing, and fault penalties.
 //
-// Robustness is first-class. Every chunk is checksummed (FNV-1a) over
-// its source bytes before service and verified over the *delivered*
-// bytes on arrival; the ACSR_FAULTS `read` site can fail a request
-// (io_transient), hang it (io_timeout), corrupt the delivered bytes
-// (io_checksum — caught by the arrival checksum), or degrade a drive
-// (io_degrade). Failed or corrupt reads are re-issued up to
+// Robustness is first-class. Every chunk is checksummed (chunk_checksum:
+// FNV-style word steps in four lanes) over its source bytes before
+// service and verified over the *delivered* bytes on arrival. Each step
+// is a bijection of the hash state, so any corruption confined to one
+// 8-byte word (or one tail byte) of a segment — every single-bit flip
+// included — always changes the checksum. The ACSR_FAULTS `read` site
+// can fail a request (io_transient), hang it (io_timeout), corrupt the
+// delivered bytes (io_checksum — caught by the arrival checksum), or
+// degrade a drive (io_degrade). Failed or corrupt reads are re-issued up to
 // `max_retries` times with exponential backoff charged to the simulated
 // clock; exhausting the budget escapes as the matching typed error
 // (IoTransientError / IoTimeout / ChunkChecksumMismatch from
@@ -33,6 +36,7 @@
 // backoff are execution spans on that drive's track (docs/SLO.md).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -74,14 +78,34 @@ Segment make_segment(const std::vector<U>& src, std::size_t src_first,
       count * sizeof(U)};
 }
 
-/// FNV-1a over a byte range; chainable via `h` for multi-segment chunks.
-inline std::uint64_t fnv1a(const unsigned char* p, std::size_t n,
-                           std::uint64_t h = 14695981039346656037ULL) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+inline constexpr std::uint64_t kChecksumSeed = 14695981039346656037ULL;
+
+/// Chunk checksum over a byte range; chainable via `h` for multi-segment
+/// chunks. FNV-style `(lane ^ word) * P` steps over 8-byte words in four
+/// independent lanes (so the multiplies pipeline), the tail bytewise into
+/// lane 0, then the lanes and the length folded into `h` the same way.
+/// Multiplying by the odd prime is a bijection mod 2^64, so every step is
+/// a bijection of the state it updates: a corruption confined to one word
+/// (or one tail byte) changes exactly one lane, which changes the result —
+/// as does any change to the incoming `h` of a chained earlier segment.
+inline std::uint64_t chunk_checksum(const unsigned char* p, std::size_t n,
+                                    std::uint64_t h = kChecksumSeed) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t lane[4] = {kChecksumSeed, 0x9e3779b97f4a7c15ULL,
+                           0xc2b2ae3d27d4eb4fULL, 0x165667b19e3779f9ULL};
+  auto word = [p](std::size_t i) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);  // segments are not 8-byte aligned
+    return w;
+  };
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32)
+    for (std::size_t k = 0; k < 4; ++k)
+      lane[k] = (lane[k] ^ word(i + 8 * k)) * kPrime;
+  for (; i + 8 <= n; i += 8) lane[0] = (lane[0] ^ word(i)) * kPrime;
+  for (; i < n; ++i) lane[0] = (lane[0] ^ p[i]) * kPrime;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kPrime;
+  return (h ^ n) * kPrime;
 }
 
 struct TierConfig {
@@ -181,21 +205,21 @@ class StorageTier {
   }
 
   static std::uint64_t checksum_src(const std::vector<Segment>& segs) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const Segment& s : segs) h = fnv1a(s.src, s.bytes, h);
+    std::uint64_t h = kChecksumSeed;
+    for (const Segment& s : segs) h = chunk_checksum(s.src, s.bytes, h);
     return h;
   }
 
   static std::uint64_t checksum_dst(const std::vector<Segment>& segs) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const Segment& s : segs) h = fnv1a(s.dst, s.bytes, h);
+    std::uint64_t h = kChecksumSeed;
+    for (const Segment& s : segs) h = chunk_checksum(s.dst, s.bytes, h);
     return h;
   }
 
   /// Charge retry backoff on the request's first drive; returns the new
   /// completion floor.
   double charge_backoff(int drive, int attempt, const std::string& what) {
-    const double b = cfg_.backoff_s * static_cast<double>(1LL << attempt);
+    const double b = std::ldexp(cfg_.backoff_s, attempt);
     stats_.retries += 1;
     stats_.penalty_s += b;
     return tl_.enqueue(streams_[static_cast<std::size_t>(drive)], b,

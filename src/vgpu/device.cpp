@@ -79,7 +79,7 @@ KernelRun finalize(const LaunchConfig& cfg, const DeviceSpec& spec,
 }  // namespace
 
 KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
-                         std::unordered_set<std::uint64_t>* group_l2) {
+                         SectorSet* group_l2) {
   ACSR_CHECK_MSG(cfg.grid_dim >= 1, "empty grid for kernel " << cfg.name);
   ACSR_CHECK_MSG(cfg.block_dim >= 1 &&
                      cfg.block_dim <= spec_.max_threads_per_block,

@@ -104,14 +104,13 @@ class Device {
   /// no std::function materialisation (children the kernel enqueues are
   /// the only owned copies).
   KernelRun launch(const LaunchConfig& cfg, KernelRef fn,
-                   std::unordered_set<std::uint64_t>* group_l2 = nullptr);
+                   SectorSet* group_l2 = nullptr);
 
   /// Convenience wrapper for warp-granularity kernels: `fn(Warp&)` is run
   /// for every warp of the grid.
   template <class F>
   KernelRun launch_warps(const LaunchConfig& cfg, F&& fn,
-                         std::unordered_set<std::uint64_t>* group_l2 =
-                             nullptr) {
+                         SectorSet* group_l2 = nullptr) {
     auto body = [&fn](Block& blk) {
       blk.each_warp([&fn](Warp& w) { fn(w); });
     };
@@ -154,8 +153,9 @@ class Device {
 };
 
 /// Kernels issued on independent streams that execute concurrently on one
-/// device (the ACSR driver's per-bin grids). Their aligned sweeps share L2:
-/// a DRAM sector any member already fetched is free for the others. Call
+/// device (the ACSR driver's per-bin grids, the out-of-core slab bins).
+/// Their aligned sweeps share L2, modelled as one SectorSet: a DRAM sector
+/// any member already fetched is free for the others. Call
 /// launch/launch_warps per grid, then seconds() for the group's combined
 /// duration under the concurrent-kernel model.
 class ConcurrentGroup {
@@ -182,7 +182,7 @@ class ConcurrentGroup {
 
  private:
   Device& dev_;
-  std::unordered_set<std::uint64_t> l2_;
+  SectorSet l2_;  // the group's shared L2 (see SectorSet)
   std::vector<KernelRun> runs_;
 };
 

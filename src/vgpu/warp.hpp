@@ -28,7 +28,6 @@
 #include <cstdlib>
 #include <functional>
 #include <type_traits>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.hpp"
@@ -112,6 +111,63 @@ struct SectorCacheState {
   std::uint64_t epoch = 0;  // first warp bumps to 1 > all stamps
 };
 
+/// A concurrent group's shared L2 (ConcurrentGroup): the set of DRAM
+/// sectors any member launch already fetched. One flat open-addressing
+/// table — power-of-two capacity, linear probing from a Fibonacci-hashed
+/// home slot, all-ones as the empty sentinel (keys are sector indices,
+/// byte address / 32 < 2^59, so the sentinel is never a key). Arena
+/// addresses are bump-allocated and never reused, so a bitmap over the
+/// address space would be unbounded; the table grows with the sectors
+/// actually touched, doubling at 3/4 load, and allocates nothing until
+/// the first insert (a memo replay's group never inserts).
+class SectorSet {
+ public:
+  /// True when `sector` was not in the set yet (a DRAM fetch).
+  bool insert(std::uint64_t sector) {
+    ACSR_CHECK(sector != kEmpty);
+    if (size_ >= grow_at_) [[unlikely]] grow();
+    for (std::size_t i = home(sector);; i = (i + 1) & mask_) {
+      if (slots_[i] == sector) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = sector;
+        ++size_;
+        return true;
+      }
+    }
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr int kInitialLog2 = 12;  // 32 KiB
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void grow() {
+    const int log2 = slots_.empty() ? kInitialLog2 : 65 - shift_;
+    std::vector<std::uint64_t> old(std::size_t{1} << log2, kEmpty);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    shift_ = 64 - log2;
+    grow_at_ = slots_.size() / 4 * 3;
+    for (const std::uint64_t key : old) {
+      if (key == kEmpty) continue;
+      std::size_t i = home(key);
+      while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::size_t size_ = 0;
+  std::size_t grow_at_ = 0;  // 0 until the first insert allocates
+};
+
 /// Per-launch bump allocator backing Block::shared. Chunks are stable in
 /// memory (a chunk is never reallocated), so spans handed out earlier in a
 /// block stay valid; reset() at block start recycles the whole pool
@@ -161,12 +217,12 @@ struct KernelEnv {
   // cross-iteration sector reuse (how CSR-scalar really loses on GPUs).
   std::size_t gmem_cache_ways = 256;
   std::size_t tex_cache_ways = 64;
-  // When kernels run as a concurrent group (ACSR's per-bin grids on
-  // independent streams), their row sweeps advance in step and L2 merges
+  // When kernels run as a concurrent group (ACSR's per-bin grids, the
+  // out-of-core slab bins), their row sweeps advance in step and L2 merges
   // their accesses: a sector any kernel of the group already pulled is not
   // fetched from DRAM again. Owned by the ConcurrentGroup, shared by its
-  // launches.
-  std::unordered_set<std::uint64_t>* group_l2 = nullptr;
+  // launches; one SectorSet::insert per per-warp sector-cache miss.
+  SectorSet* group_l2 = nullptr;
   // Hoisted per-launch decisions (Device::launch re-captures them): whether
   // sanitizer instrumentation is live, and whether the analytic affine
   // fast path may run (never under the sanitizer or reference metering).
@@ -1042,7 +1098,7 @@ class Warp {
   /// current concurrent group already pulled it into L2.
   int group_miss(std::uint64_t seg) {
     if (env_.group_l2 == nullptr) return 1;
-    return env_.group_l2->insert(seg).second ? 1 : 0;
+    return env_.group_l2->insert(seg) ? 1 : 0;
   }
 
   /// `active` and `useful_bytes` feed only the profiler's lane tallies

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <unordered_set>
 
 #include "apps/dynamic_pagerank.hpp"
+#include "common/rng.hpp"
 #include "core/multi_gpu.hpp"
 #include "graph/corpus.hpp"
 #include "mat/mm_io.hpp"
@@ -44,6 +46,45 @@ TEST(ConcurrentGroup, SharesSectorsAcrossLaunches) {
   EXPECT_EQ(group.unique_sectors(),
             static_cast<std::size_t>(solo1.counters.gmem_transactions));
   EXPECT_GT(group.seconds(), 0.0);
+}
+
+TEST(ConcurrentGroup, SectorSetMatchesUnorderedSetThroughGrowth) {
+  // The group L2's flat table against a node-based reference: every
+  // insert must report the same freshness, through many doublings. Keys
+  // mix dense runs (sequential sectors of one buffer), arena slices 16 TiB
+  // apart (their low bits coincide), the shared-memory sentinel range and
+  // key 0.
+  constexpr std::uint64_t kSector = 32;
+  constexpr std::uint64_t kSlice = 0x100000000000ULL;  // 16 TiB
+  constexpr std::uint64_t kSharedBase = 0xffff000000000000ULL;
+  acsr::Rng rng(0x5ec7);
+  vgpu::SectorSet set;
+  std::unordered_set<std::uint64_t> ref;
+  auto insert = [&](std::uint64_t key) {
+    ASSERT_EQ(set.insert(key), ref.insert(key).second) << "key " << key;
+  };
+  insert(0);
+  for (int i = 0; i < 250000; ++i) {
+    const std::uint64_t off = rng.next_below(1 << 16);
+    switch (rng.next_below(4)) {
+      case 0:  // arena slice k, nearby sectors
+        insert((0x10000 + kSlice * rng.next_below(8)) / kSector + off);
+        break;
+      case 1:  // shared-memory spans
+        insert((kSharedBase + rng.next_below(64) * 0x100000ULL) / kSector +
+               off % 8);
+        break;
+      case 2:  // anywhere in the 2^59-sector address space
+        insert(rng.next_u64() >> 5);
+        break;
+      default:  // low keys, 0 included
+        insert(off % 1024);
+        break;
+    }
+  }
+  insert(0);
+  EXPECT_EQ(set.size(), ref.size());
+  EXPECT_GT(ref.size(), std::size_t{100000});  // many growths happened
 }
 
 TEST(ScaledSpec, ShrinksFixedCostsOnly) {

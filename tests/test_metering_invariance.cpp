@@ -67,6 +67,7 @@ const char* const kEngines[] = {
     "csr-scalar", "csr-vector", "csr",  "ell",  "coo",
     "hyb",        "brc",        "bccoo", "tcoo", "sic",
     "bcsr",       "sell",       "merge-csr", "acsr", "acsr-binning",
+    "ooc-csr",
 };
 
 Csr<double> rmat_matrix(int scale, double epv, Rng& rng) {

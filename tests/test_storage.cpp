@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -283,6 +284,56 @@ TEST_F(Storage, PersistentCorruptionEscapesTyped) {
                acsr::vgpu::ChunkChecksumMismatch);
   EXPECT_EQ(tier.stats().checksum_failures,
             static_cast<std::uint64_t>(TierConfig{}.max_retries) + 1);
+}
+
+TEST_F(Storage, ChunkChecksumDetectsEverySingleBitFlip) {
+  // Three segments with odd lengths (13 = 8+5, 29 = 3x8+5, 51 = 32+2x8+3)
+  // reach the four-lane body, the single-word loop and the bytewise tail.
+  // Flip every bit of the chunk in turn: the chained checksum over the
+  // segments must change for each one.
+  const std::vector<std::size_t> lengths = {13, 29, 51};
+  std::vector<std::vector<unsigned char>> bufs;
+  for (std::size_t len : lengths) {
+    std::vector<unsigned char> b(len);
+    for (std::size_t i = 0; i < len; ++i)
+      b[i] = static_cast<unsigned char>(i * 37 + len);
+    bufs.push_back(std::move(b));
+  }
+  auto checksum = [&bufs] {
+    std::uint64_t h = acsr::storage::kChecksumSeed;
+    for (const auto& b : bufs)
+      h = acsr::storage::chunk_checksum(b.data(), b.size(), h);
+    return h;
+  };
+  const std::uint64_t want = checksum();
+  for (auto& b : bufs)
+    for (std::size_t i = 0; i < b.size(); ++i)
+      for (int bit = 0; bit < 8; ++bit) {
+        b[i] ^= static_cast<unsigned char>(1u << bit);
+        EXPECT_NE(checksum(), want) << "segment of " << b.size()
+                                    << " B, byte " << i << " bit " << bit;
+        b[i] ^= static_cast<unsigned char>(1u << bit);
+      }
+  EXPECT_EQ(checksum(), want);
+}
+
+TEST_F(Storage, BackoffStaysDefinedPastSixtyThreeRetries) {
+  // max_retries >= 63 used to shift a 64-bit one by the attempt number.
+  FaultInjector::instance().configure("io_transient@read#1*1000");
+  StreamTimeline tl;
+  TierConfig cfg;
+  cfg.max_retries = 64;
+  StorageTier tier(tl, cfg);
+  const std::vector<double> src = pattern(100);
+  std::vector<double> dst;
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst)),
+               acsr::vgpu::IoTransientError);
+  EXPECT_EQ(tier.stats().reads, 65u);
+  EXPECT_EQ(tier.stats().retries, 64u);
+  // Backoff doubles per retry from backoff_s: the sum is (2^64 - 1) times
+  // the base, finite.
+  const double want = std::ldexp(cfg.backoff_s, 64);
+  EXPECT_NEAR(tier.stats().penalty_s, want, want * 1e-12);
 }
 
 TEST_F(Storage, DegradedDriveScalesServiceTime) {
