@@ -286,6 +286,87 @@ void BM_WarpGatherScatter(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+/// Raw warp-gather micro: the csr-vector V=4 row walk. Each 4-lane group
+/// reads two strided steps of its own 8-entry row through the fused
+/// col_idx + vals gather, so lane indices have gaps between groups (not
+/// affine) while neighbouring lanes share sectors — the per-lane probe
+/// loop with repeated sectors.
+void BM_WarpGatherSegmented(benchmark::State& state) {
+  Device dev(titan_spec());
+  const std::size_t n = 1 << 18;
+  constexpr int kVec = 4, kRowLen = 8;
+  auto col = dev.alloc<int>(n, "col_idx");
+  auto val = dev.alloc<double>(n, "vals");
+  col.host().assign(n, 1);
+  val.host().assign(n, 1.0);
+  auto cs = col.cspan();
+  auto vs = val.cspan();
+  acsr::vgpu::LaunchConfig cfg;
+  cfg.name = "gather_segmented";
+  cfg.block_dim = 256;  // 8 warps x 8 rows x kRowLen entries per block
+  cfg.grid_dim = static_cast<long long>(n) / (8 * 8 * kRowLen);
+  for (auto _ : state) {
+    const auto run = dev.launch_warps(cfg, [&](acsr::vgpu::Warp& w) {
+      const long long first_row = w.global_warp() * (acsr::vgpu::kWarpSize /
+                                                     kVec);
+      acsr::vgpu::LaneArray<long long> idx;
+      for (int l = 0; l < acsr::vgpu::kWarpSize; ++l)
+        idx[l] = (first_row + l / kVec) * kRowLen + l % kVec;
+      for (int step = 0; step < kRowLen / kVec; ++step) {
+        acsr::vgpu::LaneArray<int> c;
+        acsr::vgpu::LaneArray<double> v;
+        w.load_pair(cs, vs, idx, w.active_mask(), c, v);
+        benchmark::DoNotOptimize(v[0]);
+        for (int l = 0; l < acsr::vgpu::kWarpSize; ++l) idx[l] += kVec;
+      }
+    });
+    benchmark::DoNotOptimize(run.counters.gmem_transactions);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+/// Warp reduction micro: 16 butterfly sums (reduce_add) per warp over
+/// width-sized lane groups — the tail of every csr-vector row group (V=4)
+/// and of every full-warp partial sum (32).
+void BM_WarpReduce(benchmark::State& state, int width) {
+  Device dev(titan_spec());
+  constexpr int kReps = 16;
+  acsr::vgpu::LaunchConfig cfg;
+  cfg.name = "warp_reduce";
+  cfg.block_dim = 256;
+  cfg.grid_dim = 1024;
+  for (auto _ : state) {
+    const auto run = dev.launch_warps(cfg, [&](acsr::vgpu::Warp& w) {
+      auto v = acsr::vgpu::LaneArray<double>::iota(0.5);
+      for (int r = 0; r < kReps; ++r) v = w.reduce_add(v, w.active_mask(), width);
+      benchmark::DoNotOptimize(v[0]);
+    });
+    benchmark::DoNotOptimize(run.counters.shuffle_ops);
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.grid_dim *
+                          (cfg.block_dim / acsr::vgpu::kWarpSize) * kReps);
+}
+
+/// Group-L2 micro: 2^18 inserts into a fresh SectorSet per iteration, half
+/// of them repeats. Dense is a slab sweep (each sector twice in a row,
+/// ascending); random scatters over a 2^30-sector range.
+void BM_GroupL2Insert(benchmark::State& state, bool dense) {
+  constexpr std::uint64_t kInserts = 1 << 18;
+  std::vector<std::uint64_t> keys(kInserts);
+  for (std::uint64_t i = 0; i < kInserts; ++i) {
+    const std::uint64_t k = i / 2;
+    keys[i] = dense ? k : ((k * 0x9e3779b97f4a7c15ULL) >> 34);
+  }
+  for (auto _ : state) {
+    acsr::vgpu::SectorSet set;
+    std::uint64_t fresh = 0;
+    for (const std::uint64_t k : keys) fresh += set.insert(k) ? 1 : 0;
+    benchmark::DoNotOptimize(fresh);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kInserts));
+}
+
 /// PageRank operand over the scaled wikipedia graph, built once.
 const Csr<double>& pagerank_operand() {
   static const Csr<double> m =
@@ -453,6 +534,21 @@ void register_benches() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("warp_gather/scatter", BM_WarpGatherScatter)
       ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("warp_gather/segmented", BM_WarpGatherSegmented)
+      ->Unit(benchmark::kMillisecond);
+  for (const int width : {4, 32}) {
+    benchmark::RegisterBenchmark(
+        (std::string("warp_reduce/w") + std::to_string(width)).c_str(),
+        [width](benchmark::State& st) { BM_WarpReduce(st, width); })
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const bool dense : {true, false}) {
+    benchmark::RegisterBenchmark(
+        (std::string("group_l2/insert/") + (dense ? "dense" : "random"))
+            .c_str(),
+        [dense](benchmark::State& st) { BM_GroupL2Insert(st, dense); })
+        ->Unit(benchmark::kMillisecond);
+  }
   for (const bool memo : {false, true}) {
     const char* suffix = memo ? "/memo" : "";
     benchmark::RegisterBenchmark(

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <optional>
 #include <string>
@@ -376,10 +377,7 @@ class AcsrLauncher {
 
     LaneArray<long long> slot;
     LaneArray<int> sub;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) {
-      slot[l] = warp_first_slot + l / vec_size;
-      sub[l] = l % vec_size;
-    }
+    spmv::vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
     Mask live = 0;
     for (int l = 0; l < vgpu::kWarpSize; ++l)
       if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
@@ -393,7 +391,7 @@ class AcsrLauncher {
     const LaneArray<mat::offset_t> end = w.load(row_end, row, live);
     w.count_alu(5);
 
-    std::vector<vgpu::DeviceSpan<T>> ycol(static_cast<std::size_t>(kt));
+    std::array<vgpu::DeviceSpan<T>, spmv::kSpmmTile> ycol;
     for (int c = 0; c < kt; ++c) {
       const auto gc = static_cast<std::size_t>(c_begin + c);
       ycol[static_cast<std::size_t>(c)] =
@@ -403,7 +401,7 @@ class AcsrLauncher {
 
     LaneArray<mat::offset_t> i;
     for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start[l] + sub[l];
-    std::vector<LaneArray<T>> sums(static_cast<std::size_t>(kt));
+    std::array<LaneArray<T>, spmv::kSpmmTile> sums{};
     Mask m = 0;
     for (Mask rem = live; rem != 0; rem &= rem - 1) {
       const int l = std::countr_zero(rem);
@@ -510,7 +508,7 @@ class AcsrLauncher {
           const LaneArray<long long> tid = cw.global_threads();
           LaneArray<mat::offset_t> i;
           for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start + tid[l];
-          std::vector<LaneArray<T>> sums(static_cast<std::size_t>(kt));
+          std::array<LaneArray<T>, spmv::kSpmmTile> sums{};
           for (;;) {
             Mask m = 0;
             for (int l = 0; l < vgpu::kWarpSize; ++l)

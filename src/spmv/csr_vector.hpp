@@ -5,6 +5,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <vector>
 
 #include "analysis/shape.hpp"
@@ -13,6 +15,21 @@
 #include "vgpu/lane_array.hpp"
 
 namespace acsr::spmv {
+
+/// Lane geometry of a V-lane vector group (V a power of two, as the
+/// shuffle reduction requires): lane l serves slot first_slot + l / V at
+/// intra-row position l % V, computed as a shift and a mask.
+inline void vector_lane_geometry(int vec_size, long long first_slot,
+                                 vgpu::LaneArray<long long>& slot,
+                                 vgpu::LaneArray<int>& sub) {
+  ACSR_CHECK(vec_size > 0 && vec_size <= vgpu::kWarpSize &&
+             std::has_single_bit(static_cast<unsigned>(vec_size)));
+  const int shift = std::countr_zero(static_cast<unsigned>(vec_size));
+  for (int l = 0; l < vgpu::kWarpSize; ++l) {
+    slot[l] = first_slot + (l >> shift);
+    sub[l] = l & (vec_size - 1);
+  }
+}
 
 /// Warp body: processes 32/V consecutive rows starting at warp_first_row.
 /// Shared with the ACSR bin-specific kernels (Algorithm 2 is exactly this
@@ -29,17 +46,13 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
                      bool use_tex = true) {
   using vgpu::LaneArray;
   using vgpu::Mask;
-  const int rows_per_warp = vgpu::kWarpSize / vec_size;
 
   // Lane l works on slot warp_first_slot + l / vec_size with intra-row
   // offset l % vec_size. A "slot" indexes row_map when present (ACSR bins)
   // or is the row id itself (plain CSR-vector, empty row_map).
   LaneArray<long long> slot;
   LaneArray<int> sub;  // position within the vector group
-  for (int l = 0; l < vgpu::kWarpSize; ++l) {
-    slot[l] = warp_first_slot + l / vec_size;
-    sub[l] = l % vec_size;
-  }
+  vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
   Mask live = 0;
   for (int l = 0; l < vgpu::kWarpSize; ++l)
     if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
@@ -75,13 +88,13 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
       sum[l] = acc;
     }
     // reduce_add(sum, live, vec_size): inactive lanes are already zero.
+    // Same blend as Warp::shfl_down — lane + d stays in the lane's group
+    // iff (lane & (vec_size - 1)) < vec_size - d.
     for (int d = vec_size / 2; d > 0; d /= 2) {
       T o[vgpu::kWarpSize];
-      for (int lane = 0; lane < vgpu::kWarpSize; ++lane) {
-        const int group_end = (lane / vec_size) * vec_size + vec_size;
-        const int src = lane + d;
-        o[lane] = (src < group_end) ? sum[src] : sum[lane];
-      }
+      for (int lane = 0; lane < vgpu::kWarpSize; ++lane)
+        o[lane] = (lane & (vec_size - 1)) < vec_size - d ? sum[lane + d]
+                                                         : sum[lane];
       for (int lane = 0; lane < vgpu::kWarpSize; ++lane)
         sum[lane] = sum[lane] + o[lane];
     }
@@ -140,7 +153,6 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
     if (vgpu::lane_active(live, l) && sub[l] == 0)
       heads |= vgpu::lane_bit(l);
   w.store(y, row, sum, heads);
-  (void)rows_per_warp;
 }
 
 /// Column-blocked SpMM body on the csr_vector structure: one warp = 32/V
@@ -173,10 +185,7 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
 
   LaneArray<long long> slot;
   LaneArray<int> sub;
-  for (int l = 0; l < vgpu::kWarpSize; ++l) {
-    slot[l] = warp_first_slot + l / vec_size;
-    sub[l] = l % vec_size;
-  }
+  vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
   Mask live = 0;
   for (int l = 0; l < vgpu::kWarpSize; ++l)
     if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
@@ -204,7 +213,7 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
     const int kt = std::min(k, c_begin + kSpmmTile) - c_begin;
     w.count_alu(1);  // tile bookkeeping
 
-    std::vector<vgpu::DeviceSpan<T>> ycol(static_cast<std::size_t>(kt));
+    std::array<vgpu::DeviceSpan<T>, kSpmmTile> ycol;
     for (int c = 0; c < kt; ++c) {
       const auto gc = static_cast<std::size_t>(c_begin + c);
       ycol[static_cast<std::size_t>(c)] =
@@ -215,7 +224,7 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
     LaneArray<mat::offset_t> i;
     for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start[l] + sub[l];
 
-    std::vector<LaneArray<T>> sums(static_cast<std::size_t>(kt));
+    std::array<LaneArray<T>, kSpmmTile> sums{};
     Mask m = 0;
     for (Mask rem = live; rem != 0; rem &= rem - 1) {
       const int l = std::countr_zero(rem);

@@ -14,7 +14,9 @@
 // across the active lane prefix (iota thread ids, the CSR row-extent walk,
 // ELL slots) are serviced analytically — one range bounds check, a
 // memcpy-style lane fill, and one sector-cache probe per *distinct* 32 B
-// sector instead of 32 per-lane probes. The fast path is metering-
+// sector instead of 32 per-lane probes; irregular gathers keep the
+// per-lane loop but skip a lane's probe when its sector repeats the one
+// probed just before (a guaranteed hit). The fast path is metering-
 // invariant: every Counters field and cache end-state is bit-identical to
 // the reference per-lane loop (tests/test_metering_invariance.cpp pins
 // this). It is disabled under the sanitizer (which needs per-access hooks)
@@ -113,59 +115,87 @@ struct SectorCacheState {
 
 /// A concurrent group's shared L2 (ConcurrentGroup): the set of DRAM
 /// sectors any member launch already fetched. One flat open-addressing
-/// table — power-of-two capacity, linear probing from a Fibonacci-hashed
-/// home slot, all-ones as the empty sentinel (keys are sector indices,
-/// byte address / 32 < 2^59, so the sentinel is never a key). Arena
-/// addresses are bump-allocated and never reused, so a bitmap over the
-/// address space would be unbounded; the table grows with the sectors
-/// actually touched, doubling at 3/4 load, and allocates nothing until
-/// the first insert (a memo replay's group never inserts).
+/// table keyed by the 64-sector word (sector >> 6), each slot a
+/// {word, presence bitmap} pair — power-of-two capacity, linear probing
+/// from a Fibonacci-hashed home slot, all-ones as the empty key (sectors
+/// are byte address / 32 < 2^59, so a word key never reaches it). A dense
+/// slab sweep costs one bit test per sector, and a one-entry memo of the
+/// last word's slot skips the hash probe while a sweep stays in one word.
+/// Arena addresses are bump-allocated and never reused, so a bitmap over
+/// the whole address space would be unbounded; the table grows with the
+/// words actually touched, doubling at 3/4 load, and allocates nothing
+/// until the first insert (a memo replay's group never inserts).
 class SectorSet {
  public:
   /// True when `sector` was not in the set yet (a DRAM fetch).
   bool insert(std::uint64_t sector) {
-    ACSR_CHECK(sector != kEmpty);
-    if (size_ >= grow_at_) [[unlikely]] grow();
-    for (std::size_t i = home(sector);; i = (i + 1) & mask_) {
-      if (slots_[i] == sector) return false;
-      if (slots_[i] == kEmpty) {
-        slots_[i] = sector;
-        ++size_;
-        return true;
-      }
+    ACSR_CHECK(sector < kSectorLimit);
+    const std::uint64_t word = sector >> 6;
+    if (word != memo_word_) {
+      memo_slot_ = find_or_add(word);
+      memo_word_ = word;
     }
+    std::uint64_t& bits = slots_[memo_slot_].bits;
+    const std::uint64_t bit = std::uint64_t{1} << (sector & 63);
+    if ((bits & bit) != 0) return false;
+    bits |= bit;
+    ++size_;
+    return true;
   }
 
+  /// Distinct sectors inserted so far.
   std::size_t size() const { return size_; }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-  static constexpr int kInitialLog2 = 12;  // 32 KiB
+  static constexpr std::uint64_t kSectorLimit = std::uint64_t{1} << 59;
+  static constexpr int kInitialLog2 = 8;  // 4 KiB
 
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  struct Slot {
+    std::uint64_t word;
+    std::uint64_t bits;
+  };
+
+  std::size_t home(std::uint64_t word) const {
+    return static_cast<std::size_t>((word * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::size_t find_or_add(std::uint64_t word) {
+    if (words_ >= grow_at_) [[unlikely]] grow();
+    for (std::size_t i = home(word);; i = (i + 1) & mask_) {
+      if (slots_[i].word == word) return i;
+      if (slots_[i].word == kEmpty) {
+        slots_[i] = {word, 0};
+        ++words_;
+        return i;
+      }
+    }
   }
 
   void grow() {
     const int log2 = slots_.empty() ? kInitialLog2 : 65 - shift_;
-    std::vector<std::uint64_t> old(std::size_t{1} << log2, kEmpty);
+    std::vector<Slot> old(std::size_t{1} << log2, Slot{kEmpty, 0});
     old.swap(slots_);
     mask_ = slots_.size() - 1;
     shift_ = 64 - log2;
     grow_at_ = slots_.size() / 4 * 3;
-    for (const std::uint64_t key : old) {
-      if (key == kEmpty) continue;
-      std::size_t i = home(key);
-      while (slots_[i] != kEmpty) i = (i + 1) & mask_;
-      slots_[i] = key;
+    memo_word_ = kEmpty;  // the memoised slot index moved
+    for (const Slot& s : old) {
+      if (s.word == kEmpty) continue;
+      std::size_t i = home(s.word);
+      while (slots_[i].word != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = s;
     }
   }
 
-  std::vector<std::uint64_t> slots_;
+  std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   int shift_ = 64;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;   // sectors
+  std::size_t words_ = 0;  // occupied slots
   std::size_t grow_at_ = 0;  // 0 until the first insert allocates
+  std::uint64_t memo_word_ = kEmpty;
+  std::size_t memo_slot_ = 0;
 };
 
 /// Per-launch bump allocator backing Block::shared. Chunks are stable in
@@ -353,11 +383,12 @@ class Warp {
       const auto [lo, hi] = lane_index_range(idx, m);
       s.check_range(lo, hi);
       const T* p = s.data();
+      LaneProbe probe(gmem_cache_, env_.fast_path);
       const auto lane_body = [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         r[lane] = p[i];
-        if (!gmem_cache_.hit(s.addr_of(i) / kGmemSegment))
-          nsegs += allow_group ? group_miss(s.addr_of(i) / kGmemSegment) : 1;
+        const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
+        if (probe.miss(seg)) nsegs += allow_group ? group_miss(seg) : 1;
       };
       if (m == kFullMask) {
         for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
@@ -414,11 +445,12 @@ class Warp {
     {
       const A* p = a.data();
       int nsegs = 0;
+      LaneProbe probe(gmem_cache_, env_.fast_path);
       const auto lane_body = [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         ra[lane] = p[i];
-        if (!gmem_cache_.hit(a.addr_of(i) / kGmemSegment))
-          nsegs += group_miss(a.addr_of(i) / kGmemSegment);
+        const std::uint64_t seg = a.addr_of(i) / kGmemSegment;
+        if (probe.miss(seg)) nsegs += group_miss(seg);
       };
       if (m == kFullMask) {
         for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
@@ -433,11 +465,12 @@ class Warp {
     {
       const B* p = b.data();
       int nsegs = 0;
+      LaneProbe probe(gmem_cache_, env_.fast_path);
       const auto lane_body = [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         rb[lane] = p[i];
-        if (!gmem_cache_.hit(b.addr_of(i) / kGmemSegment))
-          nsegs += group_miss(b.addr_of(i) / kGmemSegment);
+        const std::uint64_t seg = b.addr_of(i) / kGmemSegment;
+        if (probe.miss(seg)) nsegs += group_miss(seg);
       };
       if (m == kFullMask) {
         for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
@@ -482,11 +515,12 @@ class Warp {
       const auto [lo, hi] = lane_index_range(idx, m);
       s.check_range(lo, hi);
       T* p = s.data();
+      LaneProbe probe(gmem_cache_, env_.fast_path);
       const auto lane_body = [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         p[i] = v[lane];
-        if (!gmem_cache_.hit(s.addr_of(i) / kGmemSegment))
-          nsegs += group_miss(s.addr_of(i) / kGmemSegment);
+        const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
+        if (probe.miss(seg)) nsegs += group_miss(seg);
       };
       if (m == kFullMask) {
         for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
@@ -541,10 +575,11 @@ class Warp {
       const auto [lo, hi] = lane_index_range(idx, m);
       s.check_range(lo, hi);
       const T* p = s.data();
+      LaneProbe probe(tex_cache_, env_.fast_path);
       const auto lane_body = [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         r[lane] = p[i];
-        if (!tex_cache_.hit(s.addr_of(i) / kTexSegment)) ++nsegs;
+        if (probe.miss(s.addr_of(i) / kTexSegment)) ++nsegs;
       };
       if (m == kFullMask) {
         for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
@@ -704,12 +739,14 @@ class Warp {
   template <class T>
   LaneArray<T> shfl_up(const LaneArray<T>& v, int delta,
                        int width = kWarpSize) {
-    ACSR_CHECK(width > 0 && width <= kWarpSize);
-    LaneArray<T> r;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      const int group_begin = (lane / width) * width;
-      const int src = lane - delta;
-      r[lane] = (src >= group_begin) ? v[src] : v[lane];
+    check_shuffle(delta, width);
+    LaneArray<T> r = v;
+    // Lane i reads i - delta iff that stays inside i's group, i.e. its
+    // offset within the group is >= delta (nothing moves if delta >= width).
+    if (delta > 0 && delta < width) {
+      const int in_group = width - 1;
+      for (int lane = delta; lane < kWarpSize; ++lane)
+        if ((lane & in_group) >= delta) r[lane] = v[lane - delta];
     }
     env_.counters.shuffle_ops += 1;
     issue_ += 1;
@@ -771,12 +808,19 @@ class Warp {
   template <class T>
   LaneArray<T> shfl_down(const LaneArray<T>& v, int delta,
                          int width = kWarpSize) {
-    ACSR_CHECK(width > 0 && width <= kWarpSize);
-    LaneArray<T> r;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      const int group_end = (lane / width) * width + width;
-      const int src = lane + delta;
-      r[lane] = (src < group_end) ? v[src] : v[lane];
+    check_shuffle(delta, width);
+    LaneArray<T> r = v;
+    // Shifted copy plus a blend: lane i takes i + delta iff that stays
+    // inside i's group, i.e. (i & (width-1)) + delta < width. Lanes past
+    // kWarpSize - delta always fail the test, so the shifted copy's tail
+    // (left as v) is never selected. Branch-free and vectorisable.
+    if (delta > 0 && delta < width) {
+      LaneArray<T> shifted = v;
+      std::copy(v.v.begin() + delta, v.v.end(), shifted.v.begin());
+      const int reach = width - delta;  // in-group offsets that move
+      const int in_group = width - 1;
+      for (int lane = 0; lane < kWarpSize; ++lane)
+        r[lane] = (lane & in_group) < reach ? shifted[lane] : v[lane];
     }
     env_.counters.shuffle_ops += 1;
     issue_ += 1;
@@ -911,6 +955,37 @@ class Warp {
     SectorCacheState* st_;
     std::uint64_t mask_;
   };
+
+  /// One per-lane probe loop's view of a sector cache. With `elide` (the
+  /// fast path) a lane whose sector equals the one this loop probed just
+  /// before skips the probe: that re-probe is a guaranteed hit with no
+  /// state effect (docs/PERF.md). Only an *immediately* repeated sector is
+  /// skipped — one seen earlier may have been evicted since. Reference
+  /// metering and the sanitizer probe every lane, so they stay the
+  /// independent oracle the elision is checked against.
+  class LaneProbe {
+   public:
+    LaneProbe(SectorCache& cache, bool elide) : cache_(cache), elide_(elide) {}
+    /// True when `seg` must be fetched (a per-warp cache miss).
+    bool miss(std::uint64_t seg) {
+      if (elide_ && seg == last_) return false;
+      last_ = seg;
+      return !cache_.hit(seg);
+    }
+
+   private:
+    SectorCache& cache_;
+    bool elide_;
+    std::uint64_t last_ = ~std::uint64_t{0};  // never a sector (< 2^59)
+  };
+
+  /// Shuffle sub-groups are power-of-two lane ranges (CUDA's rule), which
+  /// is what lets the group arithmetic be `lane & (width - 1)`.
+  static void check_shuffle(int delta, int width) {
+    ACSR_CHECK(width > 0 && width <= kWarpSize && std::has_single_bit(
+                   static_cast<unsigned>(width)));
+    ACSR_CHECK(delta >= 0);
+  }
 
   /// Affine fast path eligibility: byte addresses must advance by at most
   /// one sector per lane (then the touched sectors are exactly the

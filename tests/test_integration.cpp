@@ -87,6 +87,45 @@ TEST(ConcurrentGroup, SectorSetMatchesUnorderedSetThroughGrowth) {
   EXPECT_GT(ref.size(), std::size_t{100000});  // many growths happened
 }
 
+TEST(ConcurrentGroup, SectorSetWordBitmapEdges) {
+  // The table is keyed by 64-sector words with a one-entry memo of the
+  // last word's slot: pin the word edges, the ends of the key range, and
+  // a memoised word that stays live across doublings.
+  vgpu::SectorSet set;
+  std::unordered_set<std::uint64_t> ref;
+  auto insert = [&](std::uint64_t key) {
+    ASSERT_EQ(set.insert(key), ref.insert(key).second) << "key " << key;
+  };
+  constexpr std::uint64_t kMaxSector = (std::uint64_t{1} << 59) - 1;
+  // 63 is the last sector of word 0, 64 the first of word 1: alternating
+  // between them switches the memo on every insert.
+  for (int r = 0; r < 3; ++r) {
+    insert(63);
+    insert(64);
+  }
+  insert(0);
+  insert(kMaxSector);
+  insert(kMaxSector - 63);  // first sector of the top word
+  insert(0);
+  insert(kMaxSector);
+  // Each fresh word may trigger a grow(); the sectors inserted right after
+  // go through the memo, which must point at the word's new slot. A hot
+  // word interleaved with the fresh ones re-finds its slot by hashing.
+  constexpr std::uint64_t kHot = 777 * 64;
+  for (std::uint64_t word = 1000; word < 60000; ++word) {
+    insert(word * 64 + 5);
+    insert(word * 64 + 5);
+    insert(word * 64 + 6);
+    insert(kHot + word % 64);
+  }
+  insert(63);
+  insert(64);
+  insert(0);
+  insert(kMaxSector);
+  EXPECT_EQ(set.size(), ref.size());
+  EXPECT_THROW(set.insert(kMaxSector + 1), acsr::InvariantError);
+}
+
 TEST(ScaledSpec, ShrinksFixedCostsOnly) {
   const auto base = vgpu::DeviceSpec::gtx_titan();
   const auto scaled = base.scaled_for_corpus(64);

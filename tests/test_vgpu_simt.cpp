@@ -2,6 +2,8 @@
 // the coalescing counters, and the memory arena.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "vgpu/device.hpp"
 #include "vgpu/lane_array.hpp"
 
@@ -175,6 +177,55 @@ TEST_F(WarpFixture, StoreWritesOnlyActiveLanes) {
   });
   EXPECT_EQ(buf.host()[2], 7);
   EXPECT_EQ(buf.host()[3], 0);
+}
+
+TEST_F(WarpFixture, RepeatSectorElisionSkipsOnlyImmediateRepeats) {
+  // Two sectors 8 KiB (256 sectors) apart share a slot of the per-warp
+  // direct-mapped cache at every power-of-two way count. A non-affine
+  // gather alternating A,B,A,B evicts on every lane, so it must charge one
+  // transaction per lane: the fast path's elision may skip only a sector
+  // probed *immediately* before, never one seen earlier in the gather.
+  // A,A,B,B charges one per pair. Fast and reference metering agree.
+  constexpr long long kB = 8192 / sizeof(float);
+  auto a = dev.alloc<float>(2 * kB, "a");
+  auto b = dev.alloc<float>(2 * kB, "b");
+  auto out = dev.alloc<float>(2 * kB, "out");
+  const auto sa = a.cspan();
+  const auto sb = b.cspan();
+  const auto so = out.span();
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    for (const bool abab : {true, false}) {
+      LaneArray<long long> idx;
+      for (int l = 0; l < kWarpSize; ++l)
+        idx[l] = ((abab ? l : l >> 1) & 1) * kB;
+      const std::uint64_t per4 = abab ? 4 : 2;
+      for (const Mask m : {first_lanes(4), kFullMask}) {
+        const std::uint64_t want = per4 * (m == kFullMask ? 8 : 1);
+        const std::string where = std::string(abab ? "ABAB" : "AABB") +
+                                  (reference ? " reference" : " fast") +
+                                  " lanes " +
+                                  std::to_string(active_lanes(m));
+        const KernelRun g =
+            run_warp([&](Warp& w) { (void)w.load(sa, idx, m); });
+        EXPECT_EQ(g.counters.gmem_transactions, want) << "load " << where;
+        const KernelRun t =
+            run_warp([&](Warp& w) { (void)w.load_tex(sa, idx, m); });
+        EXPECT_EQ(t.counters.tex_transactions, want) << "load_tex " << where;
+        const KernelRun s = run_warp([&](Warp& w) {
+          w.store(so, idx, LaneArray<float>::filled(1.0f), m);
+        });
+        EXPECT_EQ(s.counters.gmem_transactions, want) << "store " << where;
+        const KernelRun p = run_warp([&](Warp& w) {
+          LaneArray<float> ra, rb;
+          w.load_pair(sa, sb, idx, m, ra, rb);
+        });
+        EXPECT_EQ(p.counters.gmem_transactions, 2 * want)
+            << "load_pair " << where;
+      }
+    }
+  }
+  set_reference_metering(false);
 }
 
 TEST(Memory, ArenaCapacityEnforced) {

@@ -131,4 +131,75 @@ TEST_F(WarpPrimitives, ScanChargesShuffleInstructions) {
   EXPECT_GT(run.counters.dp_flops, 0u);
 }
 
+// Division-based references for the sub-group shuffles (the executor uses
+// lane & ~(width - 1) instead).
+template <class T>
+LaneArray<T> ref_shfl_down(const LaneArray<T>& v, int delta, int width) {
+  LaneArray<T> r;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const int group_end = (lane / width) * width + width;
+    r[lane] = lane + delta < group_end ? v[lane + delta] : v[lane];
+  }
+  return r;
+}
+
+template <class T>
+LaneArray<T> ref_shfl_up(const LaneArray<T>& v, int delta, int width) {
+  LaneArray<T> r;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const int group_begin = (lane / width) * width;
+    r[lane] = lane - delta >= group_begin ? v[lane - delta] : v[lane];
+  }
+  return r;
+}
+
+TEST_F(WarpPrimitives, ShuffleWidthSweepMatchesDivisionReference) {
+  LaneArray<double> v;
+  for (int l = 0; l < kWarpSize; ++l) v[l] = 0.25 * l + (l * 37 % 11);
+  const Mask masks[] = {kFullMask, 0x00ff0f3cu, first_lanes(5)};
+  run_warp([&](Warp& w) {
+    for (const int width : {1, 2, 4, 8, 16, 32}) {
+      for (int delta = 0; delta <= 32; ++delta) {
+        const auto dn = w.shfl_down(v, delta, width);
+        const auto up = w.shfl_up(v, delta, width);
+        const auto dn_ref = ref_shfl_down(v, delta, width);
+        const auto up_ref = ref_shfl_up(v, delta, width);
+        for (int l = 0; l < kWarpSize; ++l) {
+          EXPECT_EQ(dn[l], dn_ref[l])
+              << "shfl_down width " << width << " delta " << delta
+              << " lane " << l;
+          EXPECT_EQ(up[l], up_ref[l])
+              << "shfl_up width " << width << " delta " << delta
+              << " lane " << l;
+        }
+      }
+      for (const Mask m : masks) {
+        LaneArray<double> ref = v;
+        for (int l = 0; l < kWarpSize; ++l)
+          if (!lane_active(m, l)) ref[l] = 0.0;
+        for (int d = width / 2; d > 0; d /= 2) {
+          const auto o = ref_shfl_down(ref, d, width);
+          for (int l = 0; l < kWarpSize; ++l) ref[l] = ref[l] + o[l];
+        }
+        const auto r = w.reduce_add(v, m, width);
+        for (int l = 0; l < kWarpSize; ++l)
+          EXPECT_EQ(r[l], ref[l]) << "reduce_add width " << width << " mask "
+                                  << m << " lane " << l;
+      }
+    }
+  });
+}
+
+TEST_F(WarpPrimitives, ShuffleRejectsNonPowerOfTwoWidth) {
+  const auto v = LaneArray<int>::iota();
+  EXPECT_THROW(run_warp([&](Warp& w) { (void)w.shfl_down(v, 1, 12); }),
+               acsr::InvariantError);
+  EXPECT_THROW(run_warp([&](Warp& w) { (void)w.shfl_up(v, 1, 12); }),
+               acsr::InvariantError);
+  EXPECT_THROW(run_warp([&](Warp& w) {
+                 (void)w.reduce_add(LaneArray<double>{}, kFullMask, 12);
+               }),
+               acsr::InvariantError);
+}
+
 }  // namespace
