@@ -290,8 +290,9 @@ void BM_WarpGatherScatter(benchmark::State& state) {
 /// reads two strided steps of its own 8-entry row through the fused
 /// col_idx + vals gather, so lane indices have gaps between groups (not
 /// affine) while neighbouring lanes share sectors — the per-lane probe
-/// loop with repeated sectors.
-void BM_WarpGatherSegmented(benchmark::State& state) {
+/// loop with repeated sectors. With `runs`, the same layout goes through
+/// the segmented-affine Warp::load_pair_runs, one run per group and step.
+void BM_WarpGatherSegmented(benchmark::State& state, bool runs) {
   Device dev(titan_spec());
   const std::size_t n = 1 << 18;
   constexpr int kVec = 4, kRowLen = 8;
@@ -312,12 +313,23 @@ void BM_WarpGatherSegmented(benchmark::State& state) {
       acsr::vgpu::LaneArray<long long> idx;
       for (int l = 0; l < acsr::vgpu::kWarpSize; ++l)
         idx[l] = (first_row + l / kVec) * kRowLen + l % kVec;
+      acsr::vgpu::LaneRuns lr;
+      lr.vec = kVec;
+      for (int g = 0; g < lr.groups(); ++g) {
+        lr.base[static_cast<std::size_t>(g)] = (first_row + g) * kRowLen;
+        lr.len[static_cast<std::size_t>(g)] = kVec;
+      }
       for (int step = 0; step < kRowLen / kVec; ++step) {
         acsr::vgpu::LaneArray<int> c;
         acsr::vgpu::LaneArray<double> v;
-        w.load_pair(cs, vs, idx, w.active_mask(), c, v);
+        if (runs) {
+          w.load_pair_runs(cs, vs, lr, c, v);
+          for (long long& b : lr.base) b += kVec;
+        } else {
+          w.load_pair(cs, vs, idx, w.active_mask(), c, v);
+          for (int l = 0; l < acsr::vgpu::kWarpSize; ++l) idx[l] += kVec;
+        }
         benchmark::DoNotOptimize(v[0]);
-        for (int l = 0; l < acsr::vgpu::kWarpSize; ++l) idx[l] += kVec;
       }
     });
     benchmark::DoNotOptimize(run.counters.gmem_transactions);
@@ -534,8 +546,12 @@ void register_benches() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("warp_gather/scatter", BM_WarpGatherScatter)
       ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("warp_gather/segmented", BM_WarpGatherSegmented)
-      ->Unit(benchmark::kMillisecond);
+  for (const bool runs : {false, true}) {
+    benchmark::RegisterBenchmark(
+        runs ? "warp_gather/segmented_runs" : "warp_gather/segmented",
+        [runs](benchmark::State& st) { BM_WarpGatherSegmented(st, runs); })
+        ->Unit(benchmark::kMillisecond);
+  }
   for (const int width : {4, 32}) {
     benchmark::RegisterBenchmark(
         (std::string("warp_reduce/w") + std::to_string(width)).c_str(),

@@ -375,20 +375,10 @@ class AcsrLauncher {
     const std::size_t slab_base =
         static_cast<std::size_t>(w.warp_in_block()) * vgpu::kWarpSize;
 
-    LaneArray<long long> slot;
-    LaneArray<int> sub;
-    spmv::vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
-    Mask live = 0;
-    for (int l = 0; l < vgpu::kWarpSize; ++l)
-      if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
-        live |= vgpu::lane_bit(l);
-    if (live == 0) return;
-
-    const LaneArray<mat::index_t> mapped = w.load(row_map, slot, live);
-    LaneArray<long long> row;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) row[l] = mapped[l];
-    const LaneArray<mat::offset_t> start = w.load(row_start, row, live);
-    const LaneArray<mat::offset_t> end = w.load(row_end, row, live);
+    spmv::VectorGroups grp;
+    if (!grp.load(w, vec_size, row_start, row_end, row_map, map_size,
+                  warp_first_slot))
+      return;
     w.count_alu(5);
 
     std::array<vgpu::DeviceSpan<T>, spmv::kSpmmTile> ycol;
@@ -399,18 +389,14 @@ class AcsrLauncher {
                      static_cast<std::size_t>(n_rows));
     }
 
-    LaneArray<mat::offset_t> i;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start[l] + sub[l];
     std::array<LaneArray<T>, spmv::kSpmmTile> sums{};
-    Mask m = 0;
-    for (Mask rem = live; rem != 0; rem &= rem - 1) {
-      const int l = std::countr_zero(rem);
-      if (i[l] < end[l]) m |= vgpu::lane_bit(l);
-    }
-    while (m != 0) {
-      LaneArray<mat::index_t> col{};
-      LaneArray<T> val{};
-      w.load_pair(col_idx, vals, i, m, col, val);  // A paid once per tile
+    LaneArray<mat::index_t> col;
+    LaneArray<T> val;
+    vgpu::LaneRuns runs;
+    Mask walking = 0;
+    for (Mask m = grp.walk_begin(runs, walking); m != 0;
+         m = grp.walk_next(runs, walking)) {
+      w.load_pair_runs(col_idx, vals, runs, col, val);  // A paid once per tile
       // Packed vector gather: lane l fetches its tile slice xp[col*k +
       // c_begin .. +kt-1] in one short-vector fetch, charged per
       // contiguous sector instead of per element.
@@ -446,23 +432,13 @@ class AcsrLauncher {
         w.count_flops(m, 2, sizeof(T) == 8);
       }
       w.count_alu(2);
-      Mask next = 0;
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int l = std::countr_zero(rem);
-        i[l] += vec_size;
-        if (i[l] < end[l]) next |= vgpu::lane_bit(l);
-      }
-      m = next;
     }
 
-    Mask heads = 0;
-    for (int l = 0; l < vgpu::kWarpSize; ++l)
-      if (vgpu::lane_active(live, l) && sub[l] == 0)
-        heads |= vgpu::lane_bit(l);
+    const LaneArray<long long> rows = grp.head_rows();
     for (int c = 0; c < kt; ++c) {
-      const LaneArray<T> red =
-          w.reduce_add(sums[static_cast<std::size_t>(c)], live, vec_size);
-      w.store(ycol[static_cast<std::size_t>(c)], row, red, heads);
+      const LaneArray<T> red = w.reduce_add(sums[static_cast<std::size_t>(c)],
+                                            grp.lanes, vec_size);
+      w.store(ycol[static_cast<std::size_t>(c)], rows, red, grp.heads);
     }
   }
 

@@ -16,20 +16,110 @@
 
 namespace acsr::spmv {
 
-/// Lane geometry of a V-lane vector group (V a power of two, as the
-/// shuffle reduction requires): lane l serves slot first_slot + l / V at
-/// intra-row position l % V, computed as a shift and a mask.
-inline void vector_lane_geometry(int vec_size, long long first_slot,
-                                 vgpu::LaneArray<long long>& slot,
-                                 vgpu::LaneArray<int>& sub) {
-  ACSR_CHECK(vec_size > 0 && vec_size <= vgpu::kWarpSize &&
-             std::has_single_bit(static_cast<unsigned>(vec_size)));
-  const int shift = std::countr_zero(static_cast<unsigned>(vec_size));
-  for (int l = 0; l < vgpu::kWarpSize; ++l) {
-    slot[l] = first_slot + (l >> shift);
-    sub[l] = l & (vec_size - 1);
+/// One warp's V-lane row groups (V a power of two, as the shuffle
+/// reduction requires): group g — lanes g*V .. g*V + V - 1 — serves slot
+/// first_slot + g. A slot indexes row_map when present (ACSR bins, ooc
+/// slabs) or is the row id itself (plain CSR-vector, empty row_map). The
+/// shared setup and row walk of csr_vector_warp, csr_vector_spmm_warp and
+/// the ACSR bin SpMM kernel; every per-group array is indexed by g.
+struct VectorGroups {
+  int vec = 1;
+  vgpu::Mask live = 0;   // live groups, bit g
+  vgpu::Mask lanes = 0;  // their lanes
+  vgpu::Mask heads = 0;  // their first lanes, which publish the row sums
+  std::array<long long, vgpu::kWarpSize> row{};
+  std::array<mat::offset_t, vgpu::kWarpSize> start{};
+  std::array<mat::offset_t, vgpu::kWarpSize> end{};
+
+  /// Decodes the warp's groups and loads their extents — row_map (when
+  /// present), row_start, row_end — one group-broadcast gather each. A
+  /// group is live when its lanes are active and its slot is below
+  /// map_size. A group the block edge cuts is an InvariantError: its live
+  /// sub-lanes would publish a partial row sum. False when none is live.
+  bool load(vgpu::Warp& w, int vec_size,
+            vgpu::DeviceSpan<const mat::offset_t> row_start,
+            vgpu::DeviceSpan<const mat::offset_t> row_end,
+            vgpu::DeviceSpan<const mat::index_t> row_map, long long map_size,
+            long long first_slot) {
+    ACSR_CHECK(vec_size > 0 && vec_size <= vgpu::kWarpSize &&
+               std::has_single_bit(static_cast<unsigned>(vec_size)));
+    vec = vec_size;
+    const vgpu::Mask one = vgpu::first_lanes(vec);
+    for (int g = 0; g * vec < vgpu::kWarpSize; ++g) {
+      const vgpu::Mask on = w.active_mask() & (one << (g * vec));
+      ACSR_CHECK_MSG(on == 0 || on == one << (g * vec),
+                     "V-lane group " << g << " (V = " << vec
+                                     << ") cut by the block edge");
+      if (on != 0 && first_slot + g < map_size) {
+        live |= vgpu::lane_bit(g);
+        row[static_cast<std::size_t>(g)] = first_slot + g;
+      }
+    }
+    if (live == 0) return false;
+    lanes = vgpu::group_lanes(live, vec);
+    for (vgpu::Mask rem = live; rem != 0; rem &= rem - 1)
+      heads |= vgpu::lane_bit(std::countr_zero(rem) * vec);
+    if (!row_map.empty()) {
+      std::array<mat::index_t, vgpu::kWarpSize> mapped{};
+      w.load_broadcast(row_map, vec, row, live, mapped);
+      for (vgpu::Mask rem = live; rem != 0; rem &= rem - 1) {
+        const auto g = static_cast<std::size_t>(std::countr_zero(rem));
+        row[g] = mapped[g];
+      }
+    }
+    w.load_broadcast(row_start, vec, row, live, start);
+    w.load_broadcast(row_end, vec, row, live, end);
+    return true;
   }
-}
+
+  /// Row ids on the head lanes, the index vector of the y stores.
+  vgpu::LaneArray<long long> head_rows() const {
+    vgpu::LaneArray<long long> r{};
+    for (vgpu::Mask rem = live; rem != 0; rem &= rem - 1) {
+      const int g = std::countr_zero(rem);
+      r[g * vec] = row[static_cast<std::size_t>(g)];
+    }
+    return r;
+  }
+
+  /// First step of the row walk: each live group's run starts at its
+  /// row's first entry. `walking` tracks the groups still inside their
+  /// rows. Returns the lanes with an entry this step.
+  vgpu::Mask walk_begin(vgpu::LaneRuns& runs, vgpu::Mask& walking) const {
+    runs.vec = vec;
+    walking = live;
+    for (vgpu::Mask rem = live; rem != 0; rem &= rem - 1) {
+      const auto g = static_cast<std::size_t>(std::countr_zero(rem));
+      runs.base[g] = start[g];
+    }
+    return clip(runs, walking);
+  }
+
+  /// Next step: every walking group advances V entries (lane j of group g
+  /// reads entry start[g] + j + kV at step k, as the per-lane walk does).
+  vgpu::Mask walk_next(vgpu::LaneRuns& runs, vgpu::Mask& walking) const {
+    for (vgpu::Mask rem = walking; rem != 0; rem &= rem - 1)
+      runs.base[static_cast<std::size_t>(std::countr_zero(rem))] += vec;
+    return clip(runs, walking);
+  }
+
+ private:
+  /// Sets each walking group's run length to its row's remaining entries,
+  /// at most V, and drops the groups that have none left.
+  vgpu::Mask clip(vgpu::LaneRuns& runs, vgpu::Mask& walking) const {
+    vgpu::Mask m = 0;
+    for (vgpu::Mask rem = walking; rem != 0; rem &= rem - 1) {
+      const int g = std::countr_zero(rem);
+      const auto gi = static_cast<std::size_t>(g);
+      const mat::offset_t left = end[gi] - runs.base[gi];
+      const int n = left <= 0 ? 0 : left >= vec ? vec : static_cast<int>(left);
+      runs.len[gi] = n;
+      if (n == 0) walking &= ~vgpu::lane_bit(g);
+      m |= vgpu::first_lanes(n) << (g * vec);
+    }
+    return m;
+  }
+};
 
 /// Warp body: processes 32/V consecutive rows starting at warp_first_row.
 /// Shared with the ACSR bin-specific kernels (Algorithm 2 is exactly this
@@ -47,80 +137,50 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
   using vgpu::LaneArray;
   using vgpu::Mask;
 
-  // Lane l works on slot warp_first_slot + l / vec_size with intra-row
-  // offset l % vec_size. A "slot" indexes row_map when present (ACSR bins)
-  // or is the row id itself (plain CSR-vector, empty row_map).
-  LaneArray<long long> slot;
-  LaneArray<int> sub;  // position within the vector group
-  vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
-  Mask live = 0;
-  for (int l = 0; l < vgpu::kWarpSize; ++l)
-    if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
-      live |= vgpu::lane_bit(l);
-  if (live == 0) return;
-
-  LaneArray<long long> row;
-  if (row_map.empty()) {
-    row = slot;
-  } else {
-    const LaneArray<mat::index_t> mapped = w.load(row_map, slot, live);
-    for (int l = 0; l < vgpu::kWarpSize; ++l) row[l] = mapped[l];
-  }
-
-  const LaneArray<mat::offset_t> start = w.load(row_start, row, live);
-  const LaneArray<mat::offset_t> end = w.load(row_end, row, live);
+  VectorGroups grp;
+  if (!grp.load(w, vec_size, row_start, row_end, row_map, map_size,
+                warp_first_slot))
+    return;
 
   // Value plane only (memo replay): the same arithmetic in the same order
   // as the SIMT walk below — per-lane stride-V accumulation, then the
-  // butterfly — without the per-step mask bookkeeping and LaneArray
-  // traffic. Bit-identity with the metered path is pinned by the memoized
-  // mode of test_metering_invariance.cpp and the differential fuzz.
+  // butterfly, of which the group head's sum depends only on lanes
+  // j < d at step d — without the per-step bookkeeping. Bit-identity with
+  // the metered path is pinned by the memoized mode of
+  // test_metering_invariance.cpp and the differential fuzz.
   if (w.value_only()) [[unlikely]] {
-    T sum[vgpu::kWarpSize] = {};
-    for (Mask rem = live; rem != 0; rem &= rem - 1) {
-      const int l = std::countr_zero(rem);
-      T acc{};
-      const auto e = end[l];
-      for (mat::offset_t j = start[l] + sub[l]; j < e;
-           j += static_cast<mat::offset_t>(vec_size))
-        acc += vals[static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(j)])];
-      sum[l] = acc;
+    for (Mask rem = grp.live; rem != 0; rem &= rem - 1) {
+      const auto g = static_cast<std::size_t>(std::countr_zero(rem));
+      T part[vgpu::kWarpSize] = {};
+      for (int j = 0; j < vec_size; ++j) {
+        T acc{};
+        for (mat::offset_t e = grp.start[g] + j; e < grp.end[g];
+             e += static_cast<mat::offset_t>(vec_size))
+          acc += vals[static_cast<std::size_t>(e)] *
+                 x[static_cast<std::size_t>(
+                     col_idx[static_cast<std::size_t>(e)])];
+        part[j] = acc;
+      }
+      for (int d = vec_size / 2; d > 0; d /= 2)
+        for (int j = 0; j < d; ++j) part[j] = part[j] + part[j + d];
+      y[static_cast<std::size_t>(grp.row[g])] = part[0];
     }
-    // reduce_add(sum, live, vec_size): inactive lanes are already zero.
-    // Same blend as Warp::shfl_down — lane + d stays in the lane's group
-    // iff (lane & (vec_size - 1)) < vec_size - d.
-    for (int d = vec_size / 2; d > 0; d /= 2) {
-      T o[vgpu::kWarpSize];
-      for (int lane = 0; lane < vgpu::kWarpSize; ++lane)
-        o[lane] = (lane & (vec_size - 1)) < vec_size - d ? sum[lane + d]
-                                                         : sum[lane];
-      for (int lane = 0; lane < vgpu::kWarpSize; ++lane)
-        sum[lane] = sum[lane] + o[lane];
-    }
-    for (int l = 0; l < vgpu::kWarpSize; ++l)
-      if (vgpu::lane_active(live, l) && sub[l] == 0)
-        y[static_cast<std::size_t>(row[l])] = sum[l];
     return;
   }
   w.count_alu(3);
 
-  LaneArray<mat::offset_t> i;
-  for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start[l] + sub[l];
-
-  // A lane leaves the mask for good when its group's row runs out of
-  // entries at its sub-position; maintain the mask incrementally so the
-  // divergent tail costs only the lanes still live.
+  // Each step, group g's lanes read the next run of its row's entries
+  // (one segmented-affine col/val gather); a group leaves the walk for
+  // good when its row runs out, so the divergent tail costs only the
+  // groups still live.
   LaneArray<T> sum{};
-  Mask m = 0;
-  for (Mask rem = live; rem != 0; rem &= rem - 1) {
-    const int l = std::countr_zero(rem);
-    if (i[l] < end[l]) m |= vgpu::lane_bit(l);
-  }
-  while (m != 0) {
-    LaneArray<mat::index_t> col{};
-    LaneArray<T> val{};
-    w.load_pair(col_idx, vals, i, m, col, val);
+  LaneArray<mat::index_t> col;
+  LaneArray<T> val;
+  vgpu::LaneRuns runs;
+  Mask walking = 0;
+  for (Mask m = grp.walk_begin(runs, walking); m != 0;
+       m = grp.walk_next(runs, walking)) {
+    w.load_pair_runs(col_idx, vals, runs, col, val);
     // x through the texture path (the paper's choice, also cuSPARSE's) or
     // the plain global path for the ablation.
     const LaneArray<T> xv = use_tex ? w.load_tex(x, col, m)
@@ -128,31 +188,13 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
     vgpu::fma_into(sum, val, xv, m);
     w.count_flops(m, 2, sizeof(T) == 8);
     w.count_alu(2);
-    Mask next = 0;
-    if (m == vgpu::kFullMask) {  // plain loop: no serial bit-scan chain
-      for (int l = 0; l < vgpu::kWarpSize; ++l) {
-        i[l] += vec_size;
-        if (i[l] < end[l]) next |= vgpu::lane_bit(l);
-      }
-    } else {
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int l = std::countr_zero(rem);
-        i[l] += vec_size;
-        if (i[l] < end[l]) next |= vgpu::lane_bit(l);
-      }
-    }
-    m = next;
   }
 
   // Intra-group shuffle reduction; the group leader publishes. Every
   // caller (plain CSR-vector, the ACSR bins) owns its rows exclusively,
   // so this is a plain store (beta = 0 semantics) — no read-modify-write.
-  sum = w.reduce_add(sum, live, vec_size);
-  Mask heads = 0;
-  for (int l = 0; l < vgpu::kWarpSize; ++l)
-    if (vgpu::lane_active(live, l) && sub[l] == 0)
-      heads |= vgpu::lane_bit(l);
-  w.store(y, row, sum, heads);
+  sum = w.reduce_add(sum, grp.lanes, vec_size);
+  w.store(y, grp.head_rows(), sum, grp.heads);
 }
 
 /// Column-blocked SpMM body on the csr_vector structure: one warp = 32/V
@@ -183,31 +225,12 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
   using vgpu::LaneArray;
   using vgpu::Mask;
 
-  LaneArray<long long> slot;
-  LaneArray<int> sub;
-  vector_lane_geometry(vec_size, warp_first_slot, slot, sub);
-  Mask live = 0;
-  for (int l = 0; l < vgpu::kWarpSize; ++l)
-    if (vgpu::lane_active(w.active_mask(), l) && slot[l] < map_size)
-      live |= vgpu::lane_bit(l);
-  if (live == 0) return;
-
-  LaneArray<long long> row;
-  if (row_map.empty()) {
-    row = slot;
-  } else {
-    const LaneArray<mat::index_t> mapped = w.load(row_map, slot, live);
-    for (int l = 0; l < vgpu::kWarpSize; ++l) row[l] = mapped[l];
-  }
-
-  const LaneArray<mat::offset_t> start = w.load(row_start, row, live);
-  const LaneArray<mat::offset_t> end = w.load(row_end, row, live);
+  VectorGroups grp;
+  if (!grp.load(w, vec_size, row_start, row_end, row_map, map_size,
+                warp_first_slot))
+    return;
   w.count_alu(3);  // slot/sub decode
-
-  Mask heads = 0;
-  for (int l = 0; l < vgpu::kWarpSize; ++l)
-    if (vgpu::lane_active(live, l) && sub[l] == 0)
-      heads |= vgpu::lane_bit(l);
+  const LaneArray<long long> rows = grp.head_rows();
 
   for (int c_begin = 0; c_begin < k; c_begin += kSpmmTile) {
     const int kt = std::min(k, c_begin + kSpmmTile) - c_begin;
@@ -221,20 +244,15 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
                      static_cast<std::size_t>(n_rows));
     }
 
-    LaneArray<mat::offset_t> i;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start[l] + sub[l];
-
     std::array<LaneArray<T>, kSpmmTile> sums{};
-    Mask m = 0;
-    for (Mask rem = live; rem != 0; rem &= rem - 1) {
-      const int l = std::countr_zero(rem);
-      if (i[l] < end[l]) m |= vgpu::lane_bit(l);
-    }
-    while (m != 0) {
-      LaneArray<mat::index_t> col{};
-      LaneArray<T> val{};
+    LaneArray<mat::index_t> col;
+    LaneArray<T> val;
+    vgpu::LaneRuns runs;
+    Mask walking = 0;
+    for (Mask m = grp.walk_begin(runs, walking); m != 0;
+         m = grp.walk_next(runs, walking)) {
       // A sectors: DRAM on the first tile, warp sector cache afterwards.
-      w.load_pair(col_idx, vals, i, m, col, val);
+      w.load_pair_runs(col_idx, vals, runs, col, val);
       // Packed gather base: lane l's tile slice is xp[col*k + c_begin ..
       // +kt-1]. On the texture path one short-vector fetch serves the
       // whole slice (charged per contiguous sector); the uncached path
@@ -261,26 +279,12 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
         w.count_flops(m, 2, sizeof(T) == 8);
       }
       w.count_alu(2);
-      Mask next = 0;
-      if (m == vgpu::kFullMask) {
-        for (int l = 0; l < vgpu::kWarpSize; ++l) {
-          i[l] += vec_size;
-          if (i[l] < end[l]) next |= vgpu::lane_bit(l);
-        }
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1) {
-          const int l = std::countr_zero(rem);
-          i[l] += vec_size;
-          if (i[l] < end[l]) next |= vgpu::lane_bit(l);
-        }
-      }
-      m = next;
     }
 
     for (int c = 0; c < kt; ++c) {
       const LaneArray<T> red =
-          w.reduce_add(sums[static_cast<std::size_t>(c)], live, vec_size);
-      w.store(ycol[static_cast<std::size_t>(c)], row, red, heads);
+          w.reduce_add(sums[static_cast<std::size_t>(c)], grp.lanes, vec_size);
+      w.store(ycol[static_cast<std::size_t>(c)], rows, red, grp.heads);
     }
   }
 }

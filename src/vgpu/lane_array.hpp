@@ -144,6 +144,51 @@ inline std::pair<long long, long long> lane_index_range(
   return {lo, hi};
 }
 
+/// Lanes of the V-lane groups set in `groups` (bit g = group g). A warp
+/// cut into groups of `vec` consecutive lanes (vec a power of two <= 32)
+/// has kWarpSize / vec of them; group g is lanes g*vec .. g*vec + vec - 1.
+inline Mask group_lanes(Mask groups, int vec) {
+  const Mask one = first_lanes(vec);
+  Mask m = 0;
+  for (Mask rem = groups; rem != 0; rem &= rem - 1)
+    m |= one << (std::countr_zero(rem) * vec);
+  return m;
+}
+
+/// Segmented-affine lane layout — one step of the csr-vector row walk:
+/// group g's first len[g] lanes (0 <= len[g] <= vec) address the
+/// consecutive elements base[g], base[g] + 1, ..., and its other lanes
+/// are inactive. Groups are in lane order, so lanes() is the equivalent
+/// per-lane index vector and mask() its active lanes.
+struct LaneRuns {
+  int vec = kWarpSize;
+  std::array<long long, kWarpSize> base{};
+  std::array<int, kWarpSize> len{};
+
+  int groups() const {
+    return kWarpSize >> std::countr_zero(static_cast<unsigned>(vec));
+  }
+  Mask mask() const {
+    Mask m = 0;
+    for (int g = 0, n = groups(); g < n; ++g)
+      m |= first_lanes(checked_len(g)) << (g * vec);
+    return m;
+  }
+  LaneArray<long long> lanes() const {
+    LaneArray<long long> idx{};
+    for (int g = 0, n = groups(); g < n; ++g)
+      for (int j = 0, e = checked_len(g); j < e; ++j)
+        idx[g * vec + j] = base[static_cast<std::size_t>(g)] + j;
+    return idx;
+  }
+  /// len[g], checked to stay inside its group.
+  int checked_len(int g) const {
+    const int n = len[static_cast<std::size_t>(g)];
+    ACSR_CHECK(n >= 0 && n <= vec);
+    return n;
+  }
+};
+
 // Elementwise arithmetic. These are *functional* helpers only; kernels must
 // report the corresponding instruction cost through Warp::count_* calls
 // (the Warp memory/shuffle/reduce APIs self-report).

@@ -16,7 +16,9 @@
 // memcpy-style lane fill, and one sector-cache probe per *distinct* 32 B
 // sector instead of 32 per-lane probes; irregular gathers keep the
 // per-lane loop but skip a lane's probe when its sector repeats the one
-// probed just before (a guaranteed hit). The fast path is metering-
+// probed just before (a guaranteed hit). Gathers laid out in V-lane groups
+// (load_broadcast, load_pair_runs) read and probe once per group or per
+// sector of a group's run. The fast path is metering-
 // invariant: every Counters field and cache end-state is bit-identical to
 // the reference per-lane loop (tests/test_metering_invariance.cpp pins
 // this). It is disabled under the sanitizer (which needs per-access hooks)
@@ -25,10 +27,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -481,6 +485,105 @@ class Warp {
       account_gmem(active_lanes(m), nsegs,
                    static_cast<std::size_t>(active_lanes(m)) * sizeof(B));
     }
+  }
+
+  // --- V-lane groups (see group_lanes / LaneRuns). Each primitive below is
+  // metering-identical to the per-lane call on the equivalent index vector
+  // (docs/PERF.md). Under reference metering and the sanitizer it builds
+  // that vector and makes the per-lane call, so the oracle stays
+  // independent of the group path. ---
+
+  /// Group-broadcast gather: the `vec` lanes of each group g set in
+  /// `groups` all read s[gidx[g]], and out[g] receives it. Same metering
+  /// as load(s, idx, group_lanes(groups, vec)) with idx[l] = gidx[l / vec];
+  /// the fast path reads and probes once per group, skipping the probe
+  /// when the sector repeats the one probed just before.
+  template <class T>
+  void load_broadcast(DeviceSpan<const T> s, int vec,
+                      const std::array<long long, kWarpSize>& gidx,
+                      Mask groups, std::array<T, kWarpSize>& out) {
+    check_width(vec);
+    if (!env_.fast_path && !env_.value_only) {
+      LaneArray<long long> idx{};
+      for (Mask rem = groups; rem != 0; rem &= rem - 1) {
+        const int g = std::countr_zero(rem);
+        for (int j = 0; j < vec; ++j)
+          idx[g * vec + j] = gidx[static_cast<std::size_t>(g)];
+      }
+      const LaneArray<T> r = load(s, idx, group_lanes(groups, vec));
+      for (Mask rem = groups; rem != 0; rem &= rem - 1) {
+        const int g = std::countr_zero(rem);
+        out[static_cast<std::size_t>(g)] = r[g * vec];
+      }
+      return;
+    }
+    long long lo = std::numeric_limits<long long>::max();
+    long long hi = std::numeric_limits<long long>::min();
+    for (Mask rem = groups; rem != 0; rem &= rem - 1) {
+      const long long i = gidx[static_cast<std::size_t>(std::countr_zero(rem))];
+      lo = std::min(lo, i);
+      hi = std::max(hi, i);
+    }
+    if (groups != 0) s.check_range(lo, hi);
+    const T* p = s.data();
+    if (env_.value_only) [[unlikely]] {
+      for (Mask rem = groups; rem != 0; rem &= rem - 1) {
+        const auto g = static_cast<std::size_t>(std::countr_zero(rem));
+        out[g] = p[static_cast<std::size_t>(gidx[g])];
+      }
+      return;
+    }
+    int nsegs = 0;
+    LaneProbe probe(gmem_cache_, /*elide=*/true);
+    for (Mask rem = groups; rem != 0; rem &= rem - 1) {
+      const auto g = static_cast<std::size_t>(std::countr_zero(rem));
+      const auto i = static_cast<std::size_t>(gidx[g]);
+      out[g] = p[i];
+      const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
+      if (probe.miss(seg)) nsegs += group_miss(seg);
+    }
+    const int active = active_lanes(groups) * vec;
+    account_gmem(active, nsegs, static_cast<std::size_t>(active) * sizeof(T));
+  }
+
+  /// Segmented-affine fused gather of two spans: group g's first
+  /// runs.len[g] lanes read runs.base[g] + j. Same metering as
+  /// load_pair(a, b, runs.lanes(), runs.mask(), ra, rb); the fast path
+  /// copies each run and probes its contiguous sector range once per
+  /// sector, in lane order (gather_runs). Lanes outside the runs read
+  /// zero.
+  template <class A, class B>
+  void load_pair_runs(DeviceSpan<const A> a, DeviceSpan<const B> b,
+                      const LaneRuns& runs, LaneArray<A>& ra,
+                      LaneArray<B>& rb) {
+    check_width(runs.vec);
+    ra = {};
+    rb = {};
+    if (!env_.fast_path && !env_.value_only) {
+      load_pair(a, b, runs.lanes(), runs.mask(), ra, rb);
+      return;
+    }
+    const int n = runs.groups();
+    long long lo = std::numeric_limits<long long>::max();
+    long long hi = std::numeric_limits<long long>::min();
+    int active = 0;
+    for (int g = 0; g < n; ++g) {
+      const int len = runs.checked_len(g);
+      if (len == 0) continue;
+      const long long first = runs.base[static_cast<std::size_t>(g)];
+      lo = std::min(lo, first);
+      hi = std::max(hi, first + len - 1);
+      active += len;
+    }
+    if (active != 0) {
+      a.check_range(lo, hi);
+      b.check_range(lo, hi);
+    }
+    const int na = gather_runs(a, runs, ra);
+    const int nb = gather_runs(b, runs, rb);
+    if (env_.value_only) [[unlikely]] return;
+    account_gmem(active, na, static_cast<std::size_t>(active) * sizeof(A));
+    account_gmem(active, nb, static_cast<std::size_t>(active) * sizeof(B));
   }
 
   template <class T, class I>
@@ -979,12 +1082,51 @@ class Warp {
     std::uint64_t last_ = ~std::uint64_t{0};  // never a sector (< 2^59)
   };
 
-  /// Shuffle sub-groups are power-of-two lane ranges (CUDA's rule), which
-  /// is what lets the group arithmetic be `lane & (width - 1)`.
+  /// Lane groups — shuffle sub-groups and V-lane groups — are
+  /// power-of-two lane ranges (CUDA's rule), which is what lets the group
+  /// arithmetic be `lane & (width - 1)`. Tested as `width & (width - 1)`:
+  /// without -mpopcnt, std::has_single_bit is a libgcc call.
+  static void check_width(int width) {
+    ACSR_CHECK(width > 0 && width <= kWarpSize && (width & (width - 1)) == 0);
+  }
   static void check_shuffle(int delta, int width) {
-    ACSR_CHECK(width > 0 && width <= kWarpSize && std::has_single_bit(
-                   static_cast<unsigned>(width)));
+    check_width(width);
     ACSR_CHECK(delta >= 0);
+  }
+
+  /// Copies each run of `runs` from span s (range-checked by the caller)
+  /// into its lanes of r and, unless value-only, probes the run's sectors
+  /// in lane order: a run's elements are contiguous and at most one
+  /// sector apart, so its lanes touch exactly the sector range s0..s1,
+  /// each probed once. A run's s0 is skipped only when it equals the
+  /// sector probed immediately before (the previous run's s1) — a
+  /// guaranteed hit, by the same lemma as LaneProbe. Returns the DRAM
+  /// sectors charged.
+  template <class T>
+  int gather_runs(DeviceSpan<const T> s, const LaneRuns& runs,
+                  LaneArray<T>& r) {
+    static_assert(sizeof(T) <= kGmemSegment);
+    const T* p = s.data();
+    int nsegs = 0;
+    std::uint64_t last = ~std::uint64_t{0};  // never a sector (< 2^59)
+    for (int g = 0, n = runs.groups(); g < n; ++g) {
+      const auto len =
+          static_cast<std::size_t>(runs.len[static_cast<std::size_t>(g)]);
+      if (len == 0) continue;
+      const auto first =
+          static_cast<std::size_t>(runs.base[static_cast<std::size_t>(g)]);
+      const auto lane = static_cast<std::size_t>(g * runs.vec);
+      // A plain loop: runs are a few elements long, below the size at
+      // which a memmove call pays for itself.
+      for (std::size_t j = 0; j < len; ++j) r.v[lane + j] = p[first + j];
+      if (env_.value_only) [[unlikely]] continue;
+      const std::uint64_t s0 = s.addr_of(first) / kGmemSegment;
+      const std::uint64_t s1 = s.addr_of(first + len - 1) / kGmemSegment;
+      for (std::uint64_t seg = s0 == last ? s0 + 1 : s0; seg <= s1; ++seg)
+        if (!gmem_cache_.hit(seg)) nsegs += group_miss(seg);
+      last = s1;
+    }
+    return nsegs;
   }
 
   /// Affine fast path eligibility: byte addresses must advance by at most

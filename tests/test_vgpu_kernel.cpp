@@ -3,7 +3,10 @@
 // the roofline terms, and timeline composition.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "spmv/csr_vector.hpp"
 #include "vgpu/device.hpp"
 
 namespace {
@@ -45,6 +48,62 @@ TEST(KernelExec, PartialLastWarpMask) {
   });
   EXPECT_EQ(masks[0], kFullMask);
   EXPECT_EQ(masks[1], first_lanes(8));
+}
+
+TEST(KernelExec, VectorGroupCutByBlockEdgeThrows) {
+  // block_dim 100 leaves the fourth warp 4 live lanes: half of the V = 8
+  // group serving row 12. Running only that half would publish a partial
+  // row sum (4 where the row of eight ones sums to 8), so the csr-vector
+  // kernels reject a group the block edge cuts — in fast and reference
+  // mode. With block_dim 128 every group is whole and every row sums to 8.
+  using acsr::mat::index_t;
+  using acsr::mat::offset_t;
+  constexpr int kRows = 16;
+  constexpr int kV = 8;
+  constexpr int kCols = 2;  // SpMM batch width
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    Device dev(DeviceSpec::gtx_titan());
+    auto row_off = dev.alloc<offset_t>(kRows + 1, "row_off");
+    auto col_idx = dev.alloc<index_t>(kRows * kV, "col_idx");
+    auto vals = dev.alloc<double>(kRows * kV, "vals");
+    auto x = dev.alloc<double>(kV * kCols, "x");
+    auto y = dev.alloc<double>(kRows * kCols, "y");
+    for (int r = 0; r <= kRows; ++r)
+      row_off.host()[static_cast<std::size_t>(r)] = r * kV;
+    for (int e = 0; e < kRows * kV; ++e) {
+      col_idx.host()[static_cast<std::size_t>(e)] = e % kV;
+      vals.host()[static_cast<std::size_t>(e)] = 1.0;
+    }
+    for (double& v : x.host()) v = 1.0;
+    const auto rs = row_off.cspan().subspan(0, kRows);
+    const auto re = row_off.cspan().subspan(1, kRows);
+    const DeviceSpan<const index_t> no_map;
+    auto spmv = [&](Warp& w) {
+      acsr::spmv::csr_vector_warp<double>(
+          w, kV, rs, re, col_idx.cspan(), vals.cspan(), x.cspan(),
+          y.span().subspan(0, kRows), no_map, kRows,
+          w.global_warp() * (kWarpSize / kV));
+    };
+    auto spmm = [&](Warp& w) {
+      acsr::spmv::csr_vector_spmm_warp<double>(
+          w, kV, rs, re, col_idx.cspan(), vals.cspan(), x.cspan(), y.span(),
+          kRows, kRows, no_map, kRows, w.global_warp() * (kWarpSize / kV),
+          kCols);
+    };
+    const char* mode = reference ? "reference" : "fast";
+    LaunchConfig cfg;
+    cfg.block_dim = 100;
+    EXPECT_THROW(dev.launch_warps(cfg, spmv), acsr::InvariantError) << mode;
+    EXPECT_THROW(dev.launch_warps(cfg, spmm), acsr::InvariantError) << mode;
+    cfg.block_dim = 128;
+    dev.launch_warps(cfg, spmv);
+    for (int r = 0; r < kRows; ++r)
+      EXPECT_EQ(y.host()[static_cast<std::size_t>(r)], 8.0) << mode;
+    dev.launch_warps(cfg, spmm);
+    for (const double v : y.host()) EXPECT_EQ(v, 8.0) << mode;
+  }
+  set_reference_metering(false);
 }
 
 TEST(KernelExec, GlobalThreadIds) {

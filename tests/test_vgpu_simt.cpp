@@ -2,8 +2,13 @@
 // the coalescing counters, and the memory arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/lane_array.hpp"
 
@@ -224,6 +229,208 @@ TEST_F(WarpFixture, RepeatSectorElisionSkipsOnlyImmediateRepeats) {
             << "load_pair " << where;
       }
     }
+  }
+  set_reference_metering(false);
+}
+
+/// Every Counters field, by name (the X-macro field list).
+void expect_same_counters(const Counters& a, const Counters& b,
+                          const std::string& where) {
+#define ACSR_EXPECT_SAME_FIELD(type, name, unit, what) \
+  EXPECT_EQ(a.name, b.name) << "counter '" #name "' " << where;
+  ACSR_COUNTERS_FIELDS(ACSR_EXPECT_SAME_FIELD)
+#undef ACSR_EXPECT_SAME_FIELD
+}
+
+/// A random segmented-affine layout over [0, n) elements. Shapes: random
+/// bases; descending bases; runs that start where the previous one ended
+/// or one element before it (a shared boundary sector, or an overlap);
+/// bases 8 KiB apart, which share a slot of the direct-mapped per-warp
+/// cache, so a sector probed earlier in the gather is evicted before it
+/// comes back. About a fifth of the runs are empty.
+LaneRuns random_runs(acsr::Rng& rng, int vec, long long n) {
+  constexpr long long kAlias = 8192 / sizeof(int);
+  LaneRuns r;
+  r.vec = vec;
+  const auto shape = rng.next_below(4);
+  const long long origin =
+      static_cast<long long>(rng.next_below(static_cast<std::uint64_t>(
+          n - 2 * kAlias - 2 * kWarpSize)));
+  long long prev_end = origin;
+  for (int g = 0; g < r.groups(); ++g) {
+    const auto gi = static_cast<std::size_t>(g);
+    r.len[gi] = rng.next_bool(0.2)
+                    ? 0
+                    : 1 + static_cast<int>(rng.next_below(
+                              static_cast<std::uint64_t>(vec)));
+    switch (shape) {
+      case 0:
+        r.base[gi] = static_cast<long long>(
+            rng.next_below(static_cast<std::uint64_t>(n - vec)));
+        break;
+      case 1:
+        r.base[gi] = n - vec - g * (2 * kWarpSize) -
+                     static_cast<long long>(rng.next_below(kWarpSize));
+        break;
+      case 2:
+        r.base[gi] = std::max(
+            0LL, prev_end - static_cast<long long>(rng.next_below(2)));
+        break;
+      default:
+        r.base[gi] = origin +
+                     static_cast<long long>(rng.next_below(3)) * kAlias +
+                     static_cast<long long>(rng.next_below(4));
+    }
+    prev_end = r.base[gi] + r.len[gi];
+  }
+  return r;
+}
+
+TEST_F(WarpFixture, GroupPrimitivesMatchPerLaneReference) {
+  // load_pair_runs and load_broadcast against load_pair and load on the
+  // equivalent per-lane index vector, for every group width, with and
+  // without a concurrent group's L2: the same values, every Counters
+  // field, and the same group-L2 contents. Each warp issues a sequence of
+  // gathers, so cache state carries from one into the next.
+  constexpr long long kN = 8192;
+  constexpr int kSteps = 6;
+  auto ai = dev.alloc<int>(kN, "runs_int");
+  auto bd = dev.alloc<double>(kN, "runs_double");
+  for (long long i = 0; i < kN; ++i) {
+    ai.host()[static_cast<std::size_t>(i)] = static_cast<int>(7 * i + 1);
+    bd.host()[static_cast<std::size_t>(i)] = 0.5 * static_cast<double>(i);
+  }
+  const auto sa = ai.cspan();
+  const auto sb = bd.cspan();
+  acsr::Rng rng(0x16a5);
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    for (const int vec : {1, 2, 4, 8, 16, 32}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        std::vector<LaneRuns> runs;
+        std::vector<std::array<long long, kWarpSize>> gidx(kSteps);
+        std::vector<Mask> groups;
+        for (int s = 0; s < kSteps; ++s) {
+          runs.push_back(random_runs(rng, vec, kN));
+          // Broadcast indices: the runs' bases, so neighbouring groups
+          // often share a sector.
+          groups.push_back(static_cast<Mask>(rng.next_u64()) &
+                           first_lanes(kWarpSize / vec));
+          for (int g = 0; g < kWarpSize / vec; ++g)
+            gidx[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] =
+                runs.back().base[static_cast<std::size_t>(g)];
+        }
+        for (const bool group_l2 : {false, true}) {
+          struct Out {
+            std::vector<LaneArray<int>> ra;
+            std::vector<LaneArray<double>> rb;
+            std::vector<std::array<int, kWarpSize>> oi;
+            std::vector<std::array<double, kWarpSize>> od;
+            KernelRun run;
+            std::size_t l2 = 0;
+          };
+          auto execute = [&](bool grouped) {
+            Out o;
+            o.ra.assign(kSteps, LaneArray<int>::filled(-1));
+            o.rb.assign(kSteps, LaneArray<double>::filled(-1.0));
+            o.oi.assign(kSteps, {});
+            o.od.assign(kSteps, {});
+            auto body = [&](Warp& w) {
+              for (std::size_t s = 0; s < kSteps; ++s) {
+                if (grouped) {
+                  w.load_pair_runs(sa, sb, runs[s], o.ra[s], o.rb[s]);
+                  w.load_broadcast(sa, vec, gidx[s], groups[s], o.oi[s]);
+                  w.load_broadcast(sb, vec, gidx[s], groups[s], o.od[s]);
+                  continue;
+                }
+                w.load_pair(sa, sb, runs[s].lanes(), runs[s].mask(), o.ra[s],
+                            o.rb[s]);
+                LaneArray<long long> idx{};
+                for (int l = 0; l < kWarpSize; ++l)
+                  idx[l] = gidx[s][static_cast<std::size_t>(l / vec)];
+                const Mask m = group_lanes(groups[s], vec);
+                const LaneArray<int> ri = w.load(sa, idx, m);
+                const LaneArray<double> rd = w.load(sb, idx, m);
+                for (int g = 0; g < kWarpSize / vec; ++g) {
+                  if (!lane_active(groups[s], g)) continue;
+                  o.oi[s][static_cast<std::size_t>(g)] = ri[g * vec];
+                  o.od[s][static_cast<std::size_t>(g)] = rd[g * vec];
+                }
+              }
+            };
+            LaunchConfig cfg;
+            cfg.block_dim = 32;
+            if (group_l2) {
+              ConcurrentGroup cg(dev);
+              o.run = cg.launch_warps(cfg, body);
+              o.l2 = cg.unique_sectors();
+            } else {
+              o.run = dev.launch_warps(cfg, body);
+            }
+            return o;
+          };
+          const Out lane = execute(false);
+          const Out grp = execute(true);
+          const std::string where =
+              std::string(reference ? "reference" : "fast") + " V=" +
+              std::to_string(vec) + " trial " + std::to_string(trial) +
+              (group_l2 ? " group-L2" : "");
+          for (std::size_t s = 0; s < kSteps; ++s) {
+            // Lanes outside the runs read zero.
+            const Mask m = runs[s].mask();
+            for (int l = 0; l < kWarpSize; ++l) {
+              const bool on = lane_active(m, l);
+              EXPECT_EQ(on ? lane.ra[s][l] : 0, grp.ra[s][l])
+                  << "int run values, lane " << l << " " << where;
+              EXPECT_EQ(on ? lane.rb[s][l] : 0.0, grp.rb[s][l])
+                  << "double run values, lane " << l << " " << where;
+            }
+            EXPECT_EQ(lane.oi[s], grp.oi[s]) << "int broadcast " << where;
+            EXPECT_EQ(lane.od[s], grp.od[s]) << "double broadcast " << where;
+          }
+          expect_same_counters(lane.run.counters, grp.run.counters, where);
+          EXPECT_EQ(lane.l2, grp.l2) << "group-L2 size " << where;
+        }
+      }
+    }
+  }
+  set_reference_metering(false);
+}
+
+TEST_F(WarpFixture, GroupPrimitivesRejectOutOfRangeRuns) {
+  // A run or broadcast index past the span's end is an InvariantError
+  // naming the buffer, in fast and reference mode alike.
+  auto a = dev.alloc<int>(64, "short_int");
+  auto b = dev.alloc<double>(64, "short_double");
+  const auto sa = a.cspan();
+  const auto sb = b.cspan();
+  const auto throws_naming = [&](const std::function<void(Warp&)>& fn) {
+    try {
+      run_warp(fn);
+    } catch (const acsr::InvariantError& e) {
+      return std::string(e.what()).find("short_int") != std::string::npos;
+    }
+    return false;
+  };
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    LaneRuns runs;
+    runs.vec = 8;
+    runs.base[0] = 0;
+    runs.len[0] = 8;
+    runs.base[2] = 60;  // elements 60..67: four past the end
+    runs.len[2] = 8;
+    EXPECT_TRUE(throws_naming([&](Warp& w) {
+      LaneArray<int> ra;
+      LaneArray<double> rb;
+      w.load_pair_runs(sa, sb, runs, ra, rb);
+    })) << (reference ? "reference" : "fast");
+    std::array<long long, kWarpSize> gidx{};
+    gidx[1] = 64;
+    EXPECT_TRUE(throws_naming([&](Warp& w) {
+      std::array<int, kWarpSize> out{};
+      w.load_broadcast(sa, 8, gidx, Mask{0b11}, out);
+    })) << (reference ? "reference" : "fast");
   }
   set_reference_metering(false);
 }
