@@ -339,8 +339,9 @@ void BM_WarpGatherSegmented(benchmark::State& state, bool runs) {
 
 /// Warp reduction micro: 16 butterfly sums (reduce_add) per warp over
 /// width-sized lane groups — the tail of every csr-vector row group (V=4)
-/// and of every full-warp partial sum (32).
-void BM_WarpReduce(benchmark::State& state, int width) {
+/// and of every full-warp partial sum (32). `heads` runs reduce_heads,
+/// the form the kernels use when only the group heads publish.
+void BM_WarpReduce(benchmark::State& state, int width, bool heads) {
   Device dev(titan_spec());
   constexpr int kReps = 16;
   acsr::vgpu::LaunchConfig cfg;
@@ -350,7 +351,9 @@ void BM_WarpReduce(benchmark::State& state, int width) {
   for (auto _ : state) {
     const auto run = dev.launch_warps(cfg, [&](acsr::vgpu::Warp& w) {
       auto v = acsr::vgpu::LaneArray<double>::iota(0.5);
-      for (int r = 0; r < kReps; ++r) v = w.reduce_add(v, w.active_mask(), width);
+      for (int r = 0; r < kReps; ++r)
+        v = heads ? w.reduce_heads(v, w.active_mask(), width)
+                  : w.reduce_add(v, w.active_mask(), width);
       benchmark::DoNotOptimize(v[0]);
     });
     benchmark::DoNotOptimize(run.counters.shuffle_ops);
@@ -552,11 +555,17 @@ void register_benches() {
         [runs](benchmark::State& st) { BM_WarpGatherSegmented(st, runs); })
         ->Unit(benchmark::kMillisecond);
   }
-  for (const int width : {4, 32}) {
-    benchmark::RegisterBenchmark(
-        (std::string("warp_reduce/w") + std::to_string(width)).c_str(),
-        [width](benchmark::State& st) { BM_WarpReduce(st, width); })
-        ->Unit(benchmark::kMillisecond);
+  for (const bool heads : {false, true}) {
+    for (const int width : {4, 32}) {
+      benchmark::RegisterBenchmark(
+          (std::string(heads ? "warp_reduce/heads/w" : "warp_reduce/w") +
+           std::to_string(width))
+              .c_str(),
+          [width, heads](benchmark::State& st) {
+            BM_WarpReduce(st, width, heads);
+          })
+          ->Unit(benchmark::kMillisecond);
+    }
   }
   for (const bool dense : {true, false}) {
     benchmark::RegisterBenchmark(

@@ -319,8 +319,8 @@ class AcsrLauncher {
           for (int l = 0; l < vgpu::kWarpSize; ++l)
             if (vgpu::lane_active(m, l)) i[l] += total_threads;
         }
-        sum = cw.reduce_add(sum, cw.active_mask(), vgpu::kWarpSize);
-        partials[static_cast<std::size_t>(cw.warp_in_block())] = sum[0];
+        partials[static_cast<std::size_t>(cw.warp_in_block())] =
+            cw.reduce_heads(sum, cw.active_mask(), vgpu::kWarpSize)[0];
         cw.count_smem(1);
       });
       blk.sync();
@@ -344,8 +344,9 @@ class AcsrLauncher {
   }
 
   /// Bin SpMM warp body: the csr_vector structure widened to a column
-  /// tile. Per matrix entry the col/val pair is loaded once; per tile
-  /// column the gathered x slice is staged through the warp's private
+  /// tile. Per matrix entry the col/val pair is loaded once and the
+  /// lane's packed x slice arrives as its row of a lane-major tile; each
+  /// x value is staged through the lane's slot of the warp's private
   /// 32-slot window of the block's shared slab (one smem store + one smem
   /// load per element) and accumulated from there — register pressure
   /// stays one accumulator per tile column no matter the batch width. The
@@ -389,7 +390,8 @@ class AcsrLauncher {
                      static_cast<std::size_t>(n_rows));
     }
 
-    std::array<LaneArray<T>, spmv::kSpmmTile> sums{};
+    vgpu::LaneTile<T> sums;
+    vgpu::LaneTile<T> xt;
     LaneArray<mat::index_t> col;
     LaneArray<T> val;
     vgpu::LaneRuns runs;
@@ -397,49 +399,32 @@ class AcsrLauncher {
     for (Mask m = grp.walk_begin(runs, walking); m != 0;
          m = grp.walk_next(runs, walking)) {
       w.load_pair_runs(col_idx, vals, runs, col, val);  // A paid once per tile
-      // Packed vector gather: lane l fetches its tile slice xp[col*k +
-      // c_begin .. +kt-1] in one short-vector fetch, charged per
-      // contiguous sector instead of per element.
-      LaneArray<long long> pidx{};
+      spmv::load_x_tile(w, xp, col, k, c_begin, kt, m, use_tex, xt);
+      // Stage each x value through the lane's slab slot and accumulate
+      // from there, all of a lane's tile columns in one pass: a lane only
+      // touches its own slot, so the slab ends as the column-by-column
+      // staging leaves it. Charged per tile column as that staging is.
       for (Mask rem = m; rem != 0; rem &= rem - 1) {
         const int l = std::countr_zero(rem);
-        pidx[l] = static_cast<long long>(col[l]) * k + c_begin;
-      }
-      w.count_alu(1);
-      LaneArray<T> xv[spmv::kSpmmTile];
-      if (use_tex) {
-        w.load_tex_vec(xp, pidx, kt, m, xv);
-      } else {
-        for (int c = 0; c < kt; ++c) {
-          LaneArray<long long> pc = pidx;
-          for (Mask rem = m; rem != 0; rem &= rem - 1)
-            pc[std::countr_zero(rem)] += c;
-          xv[c] = w.load_gather_uncached(xp, pc, m);
+        T& slot = xslab[slab_base + static_cast<std::size_t>(l)];
+        const T v = val[l];
+        auto& acc = sums[l];
+        for (std::size_t c = 0; c < static_cast<std::size_t>(kt); ++c) {
+          slot = xt[l][c];
+          acc[c] += v * slot;
         }
       }
-      for (int c = 0; c < kt; ++c) {
-        // Stage this column's x slice through the warp's slab window.
-        for (Mask rem = m; rem != 0; rem &= rem - 1) {
-          const int l = std::countr_zero(rem);
-          xslab[slab_base + static_cast<std::size_t>(l)] = xv[c][l];
-        }
-        for (Mask rem = m; rem != 0; rem &= rem - 1) {
-          const int l = std::countr_zero(rem);
-          xv[c][l] = xslab[slab_base + static_cast<std::size_t>(l)];
-        }
-        w.count_smem(2 * std::popcount(m));
-        vgpu::fma_into(sums[static_cast<std::size_t>(c)], val, xv[c], m);
-        w.count_flops(m, 2, sizeof(T) == 8);
-      }
+      const int staged = 2 * vgpu::active_lanes(m);
+      for (int c = 0; c < kt; ++c) w.count_smem(staged);
+      w.count_flops(m, 2 * kt, sizeof(T) == 8);
       w.count_alu(2);
     }
 
     const LaneArray<long long> rows = grp.head_rows();
-    for (int c = 0; c < kt; ++c) {
-      const LaneArray<T> red = w.reduce_add(sums[static_cast<std::size_t>(c)],
-                                            grp.lanes, vec_size);
-      w.store(ycol[static_cast<std::size_t>(c)], rows, red, grp.heads);
-    }
+    const auto red = w.reduce_heads(sums, kt, grp.lanes, vec_size);
+    for (int c = 0; c < kt; ++c)
+      w.store(ycol[static_cast<std::size_t>(c)], rows,
+              red[static_cast<std::size_t>(c)], grp.heads);
   }
 
   /// Algorithm 3/4 widened to the vector block: one child grid per heavy
@@ -484,7 +469,8 @@ class AcsrLauncher {
           const LaneArray<long long> tid = cw.global_threads();
           LaneArray<mat::offset_t> i;
           for (int l = 0; l < vgpu::kWarpSize; ++l) i[l] = start + tid[l];
-          std::array<LaneArray<T>, spmv::kSpmmTile> sums{};
+          vgpu::LaneTile<T> sums;
+          vgpu::LaneTile<T> xt;
           for (;;) {
             Mask m = 0;
             for (int l = 0; l < vgpu::kWarpSize; ++l)
@@ -494,39 +480,20 @@ class AcsrLauncher {
             const LaneArray<mat::index_t> col = cw.load(col_idx, i, m);
             const LaneArray<T> val = cw.load(vals, i, m);
             // Packed vector gather of the tile slice, one fetch per lane.
-            LaneArray<long long> pidx{};
-            for (Mask rem = m; rem != 0; rem &= rem - 1) {
-              const int l = std::countr_zero(rem);
-              pidx[l] = static_cast<long long>(col[l]) * k + c_begin;
-            }
-            cw.count_alu(1);
-            LaneArray<T> xv[spmv::kSpmmTile];
-            if (use_tex) {
-              cw.load_tex_vec(xp, pidx, kt, m, xv);
-            } else {
-              for (int c = 0; c < kt; ++c) {
-                LaneArray<long long> pc = pidx;
-                for (Mask rem = m; rem != 0; rem &= rem - 1)
-                  pc[std::countr_zero(rem)] += c;
-                xv[c] = cw.load_gather_uncached(xp, pc, m);
-              }
-            }
-            for (int c = 0; c < kt; ++c) {
-              vgpu::fma_into(sums[static_cast<std::size_t>(c)], val, xv[c], m);
-              cw.count_flops(m, 2, sizeof(T) == 8);
-            }
+            spmv::load_x_tile(cw, xp, col, k, c_begin, kt, m, use_tex, xt);
+            vgpu::fma_into(sums, val, xt, kt, m);
+            cw.count_flops(m, 2 * kt, sizeof(T) == 8);
             cw.count_alu(2);
             for (int l = 0; l < vgpu::kWarpSize; ++l)
               if (vgpu::lane_active(m, l)) i[l] += total_threads;
           }
-          for (int c = 0; c < kt; ++c) {
-            const LaneArray<T> red = cw.reduce_add(
-                sums[static_cast<std::size_t>(c)], cw.active_mask(),
-                vgpu::kWarpSize);
+          const auto red =
+              cw.reduce_heads(sums, kt, cw.active_mask(), vgpu::kWarpSize);
+          for (int c = 0; c < kt; ++c)
             partials[static_cast<std::size_t>(c) *
                          static_cast<std::size_t>(blk.warps_per_block()) +
-                     static_cast<std::size_t>(cw.warp_in_block())] = red[0];
-          }
+                     static_cast<std::size_t>(cw.warp_in_block())] =
+                red[static_cast<std::size_t>(c)][0];
           cw.count_smem(kt);
         });
         blk.sync();

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "analysis/shape.hpp"
@@ -112,7 +113,7 @@ void csr_scalar_spmm_warp(vgpu::Warp& w,
     w.count_alu(1);  // tile bookkeeping
 
     // Per-column views of the output block: column c is yb[c*ldy .. +n_rows).
-    std::vector<vgpu::DeviceSpan<T>> ycol(static_cast<std::size_t>(kt));
+    std::array<vgpu::DeviceSpan<T>, kSpmmTile> ycol;
     for (int c = 0; c < kt; ++c) {
       const auto gc = static_cast<std::size_t>(c_begin + c);
       ycol[static_cast<std::size_t>(c)] =
@@ -120,7 +121,8 @@ void csr_scalar_spmm_warp(vgpu::Warp& w,
                      static_cast<std::size_t>(n_rows));
     }
 
-    std::vector<vgpu::LaneArray<T>> sums(static_cast<std::size_t>(kt));
+    vgpu::LaneTile<T> sums;
+    vgpu::LaneTile<T> xt;
     LaneArray<mat::offset_t> cur = start;
     Mask m = 0;
     for (Mask rem = live; rem != 0; rem &= rem - 1) {
@@ -135,18 +137,9 @@ void csr_scalar_spmm_warp(vgpu::Warp& w,
       // Packed vector gather: lane l fetches xp[col*k + c_begin .. +kt-1]
       // in one short-vector fetch, so the tile's kt values per matrix
       // column are charged per contiguous sector, not per element.
-      LaneArray<long long> pidx{};
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int l = std::countr_zero(rem);
-        pidx[l] = static_cast<long long>(col[l]) * k + c_begin;
-      }
-      w.count_alu(1);  // packed-index math
-      LaneArray<T> xv[kSpmmTile];
-      w.load_tex_vec(xp, pidx, kt, m, xv);
-      for (int c = 0; c < kt; ++c) {
-        vgpu::fma_into(sums[static_cast<std::size_t>(c)], val, xv[c], m);
-        w.count_flops(m, 2, sizeof(T) == 8);
-      }
+      load_x_tile(w, xp, col, k, c_begin, kt, m, /*use_tex=*/true, xt);
+      vgpu::fma_into(sums, val, xt, kt, m);
+      w.count_flops(m, 2 * kt, sizeof(T) == 8);
       w.count_alu(2);  // loop compare + increment
       Mask next = 0;
       if (m == vgpu::kFullMask) {
@@ -161,8 +154,8 @@ void csr_scalar_spmm_warp(vgpu::Warp& w,
       m = next;
     }
     for (int c = 0; c < kt; ++c)
-      w.store_seq(ycol[static_cast<std::size_t>(c)], row0,
-                  sums[static_cast<std::size_t>(c)], live);
+      w.store_seq(ycol[static_cast<std::size_t>(c)], row0, sums.column(c),
+                  live);
   }
 }
 

@@ -42,7 +42,7 @@ struct VectorGroups {
             vgpu::DeviceSpan<const mat::index_t> row_map, long long map_size,
             long long first_slot) {
     ACSR_CHECK(vec_size > 0 && vec_size <= vgpu::kWarpSize &&
-               std::has_single_bit(static_cast<unsigned>(vec_size)));
+               (vec_size & (vec_size - 1)) == 0);
     vec = vec_size;
     const vgpu::Mask one = vgpu::first_lanes(vec);
     for (int g = 0; g * vec < vgpu::kWarpSize; ++g) {
@@ -193,8 +193,8 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
   // Intra-group shuffle reduction; the group leader publishes. Every
   // caller (plain CSR-vector, the ACSR bins) owns its rows exclusively,
   // so this is a plain store (beta = 0 semantics) — no read-modify-write.
-  sum = w.reduce_add(sum, grp.lanes, vec_size);
-  w.store(y, grp.head_rows(), sum, grp.heads);
+  w.store(y, grp.head_rows(), w.reduce_heads(sum, grp.lanes, vec_size),
+          grp.heads);
 }
 
 /// Column-blocked SpMM body on the csr_vector structure: one warp = 32/V
@@ -244,7 +244,8 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
                      static_cast<std::size_t>(n_rows));
     }
 
-    std::array<LaneArray<T>, kSpmmTile> sums{};
+    vgpu::LaneTile<T> sums;
+    vgpu::LaneTile<T> xt;
     LaneArray<mat::index_t> col;
     LaneArray<T> val;
     vgpu::LaneRuns runs;
@@ -253,39 +254,16 @@ void csr_vector_spmm_warp(vgpu::Warp& w, int vec_size,
          m = grp.walk_next(runs, walking)) {
       // A sectors: DRAM on the first tile, warp sector cache afterwards.
       w.load_pair_runs(col_idx, vals, runs, col, val);
-      // Packed gather base: lane l's tile slice is xp[col*k + c_begin ..
-      // +kt-1]. On the texture path one short-vector fetch serves the
-      // whole slice (charged per contiguous sector); the uncached path
-      // keeps per-element gathers — it has no sector reuse to expose.
-      LaneArray<long long> pidx{};
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int l = std::countr_zero(rem);
-        pidx[l] = static_cast<long long>(col[l]) * k + c_begin;
-      }
-      w.count_alu(1);  // packed-index math
-      LaneArray<T> xv[kSpmmTile];
-      if (use_tex) {
-        w.load_tex_vec(xp, pidx, kt, m, xv);
-      } else {
-        for (int c = 0; c < kt; ++c) {
-          LaneArray<long long> pc = pidx;
-          for (Mask rem = m; rem != 0; rem &= rem - 1)
-            pc[std::countr_zero(rem)] += c;
-          xv[c] = w.load_gather_uncached(xp, pc, m);
-        }
-      }
-      for (int c = 0; c < kt; ++c) {
-        vgpu::fma_into(sums[static_cast<std::size_t>(c)], val, xv[c], m);
-        w.count_flops(m, 2, sizeof(T) == 8);
-      }
+      load_x_tile(w, xp, col, k, c_begin, kt, m, use_tex, xt);
+      vgpu::fma_into(sums, val, xt, kt, m);
+      w.count_flops(m, 2 * kt, sizeof(T) == 8);
       w.count_alu(2);
     }
 
-    for (int c = 0; c < kt; ++c) {
-      const LaneArray<T> red =
-          w.reduce_add(sums[static_cast<std::size_t>(c)], grp.lanes, vec_size);
-      w.store(ycol[static_cast<std::size_t>(c)], rows, red, grp.heads);
-    }
+    const auto red = w.reduce_heads(sums, kt, grp.lanes, vec_size);
+    for (int c = 0; c < kt; ++c)
+      w.store(ycol[static_cast<std::size_t>(c)], rows,
+              red[static_cast<std::size_t>(c)], grp.heads);
   }
 }
 

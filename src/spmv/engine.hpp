@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <string>
@@ -253,8 +254,39 @@ class EngineBase : public SpmvEngine<T> {
 /// way). Tiles beyond the first re-walk the matrix arrays, but within one
 /// launch the sector model (an L2-resident re-touch is not a new DRAM
 /// transaction) charges the A-traffic once — which is exactly the
-/// amortization column-blocked SpMM exists for.
-inline constexpr int kSpmmTile = 8;
+/// amortization column-blocked SpMM exists for. One tile is one
+/// vgpu::LaneTile.
+inline constexpr int kSpmmTile = vgpu::kTileCols;
+
+/// The packed x tile of one SpMM walk step: lane l of m gets its slice
+/// xp[col[l]*k + c_begin .. + kt-1] of the packed row-major x slab
+/// (EngineBase::stage_x_pack) in its row of xt. The texture path issues
+/// one short-vector fetch per lane, charged per contiguous sector; the
+/// plain global path (the use_texture=false ablation) keeps one
+/// per-element gather per column — it has no sector reuse to expose.
+template <class T>
+void load_x_tile(vgpu::Warp& w, vgpu::DeviceSpan<const T> xp,
+                 const vgpu::LaneArray<mat::index_t>& col, int k, int c_begin,
+                 int kt, vgpu::Mask m, bool use_tex, vgpu::LaneTile<T>& xt) {
+  vgpu::LaneArray<long long> pidx{};
+  for (vgpu::Mask rem = m; rem != 0; rem &= rem - 1) {
+    const int l = std::countr_zero(rem);
+    pidx[l] = static_cast<long long>(col[l]) * k + c_begin;
+  }
+  w.count_alu(1);  // packed-index math
+  if (use_tex) {
+    w.load_tex_vec(xp, pidx, kt, m, xt);
+    return;
+  }
+  for (int c = 0; c < kt; ++c) {
+    const vgpu::LaneArray<T> xc = w.load_gather_uncached(xp, pidx, m);
+    for (vgpu::Mask rem = m; rem != 0; rem &= rem - 1) {
+      const int l = std::countr_zero(rem);
+      xt[l][static_cast<std::size_t>(c)] = xc[l];
+      ++pidx[l];
+    }
+  }
+}
 
 /// Round up to the next power of two (thread-group sizing).
 inline int pow2_ceil(long long v) {

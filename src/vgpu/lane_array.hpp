@@ -82,6 +82,33 @@ struct LaneArray {
   }
 };
 
+/// Columns of a LaneTile: the batched SpMM column tile (spmv::kSpmmTile).
+inline constexpr int kTileCols = 8;
+
+/// A register tile of up to kTileCols columns, stored lane-major: lane l's
+/// column values t[l][0..kTileCols) are contiguous. This is the layout a
+/// per-lane short-vector fetch of a row-major dense operand produces
+/// (Warp::load_tex_vec), and the one a per-lane FMA fan-out over the
+/// tile's columns reads.
+template <class T>
+struct LaneTile {
+  using Row = std::array<T, kTileCols>;
+  std::array<Row, kWarpSize> v{};
+
+  Row& operator[](int lane) { return v[static_cast<std::size_t>(lane)]; }
+  const Row& operator[](int lane) const {
+    return v[static_cast<std::size_t>(lane)];
+  }
+
+  /// Column c across the lanes.
+  LaneArray<T> column(int c) const {
+    LaneArray<T> r;
+    for (int l = 0; l < kWarpSize; ++l)
+      r[l] = v[static_cast<std::size_t>(l)][static_cast<std::size_t>(c)];
+    return r;
+  }
+};
+
 /// Inclusive element range [first, last] touched by an affine access
 /// idx[l] = base + l * step over the n-lane active prefix (step >= 0,
 /// n >= 1). Templated on the index value domain: instantiated with
@@ -234,6 +261,22 @@ void fma_into(LaneArray<T>& acc, const LaneArray<T>& a, const LaneArray<T>& b,
   for (Mask rem = m; rem != 0; rem &= rem - 1) {
     const int i = std::countr_zero(rem);
     acc[i] += a[i] * b[i];
+  }
+}
+
+/// Tile FMA fan-out: acc[l][c] += a[l] * b[l][c] for the lanes of m and
+/// the columns c < kt. Each element sees the same multiply-add as
+/// fma_into on its column, so a column's result is bit-identical.
+template <class T>
+void fma_into(LaneTile<T>& acc, const LaneArray<T>& a, const LaneTile<T>& b,
+              int kt, Mask m) {
+  for (Mask rem = m; rem != 0; rem &= rem - 1) {
+    const int i = std::countr_zero(rem);
+    const T ai = a[i];
+    auto& row = acc[i];
+    const auto& x = b[i];
+    for (int c = 0; c < kt; ++c)
+      row[static_cast<std::size_t>(c)] += ai * x[static_cast<std::size_t>(c)];
   }
 }
 

@@ -18,7 +18,9 @@
 // per-lane loop but skip a lane's probe when its sector repeats the one
 // probed just before (a guaranteed hit). Gathers laid out in V-lane groups
 // (load_broadcast, load_pair_runs) read and probe once per group or per
-// sector of a group's run. The fast path is metering-
+// sector of a group's run. SpMM column tiles are lane-major (LaneTile):
+// load_tex_vec fills a lane's tile row, and reduce_heads computes only
+// the sums the group heads publish. The fast path is metering-
 // invariant: every Counters field and cache end-state is bit-identical to
 // the reference per-lane loop (tests/test_metering_invariance.cpp pins
 // this). It is disabled under the sanitizer (which needs per-access hooks)
@@ -394,12 +396,7 @@ class Warp {
         const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
         if (probe.miss(seg)) nsegs += allow_group ? group_miss(seg) : 1;
       };
-      if (m == kFullMask) {
-        for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1)
-          lane_body(std::countr_zero(rem));
-      }
+      for_lanes(m, lane_body);
     }
     account_gmem(active_lanes(m), nsegs,
                  static_cast<std::size_t>(active_lanes(m)) * sizeof(T));
@@ -456,12 +453,7 @@ class Warp {
         const std::uint64_t seg = a.addr_of(i) / kGmemSegment;
         if (probe.miss(seg)) nsegs += group_miss(seg);
       };
-      if (m == kFullMask) {
-        for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1)
-          lane_body(std::countr_zero(rem));
-      }
+      for_lanes(m, lane_body);
       account_gmem(active_lanes(m), nsegs,
                    static_cast<std::size_t>(active_lanes(m)) * sizeof(A));
     }
@@ -476,12 +468,7 @@ class Warp {
         const std::uint64_t seg = b.addr_of(i) / kGmemSegment;
         if (probe.miss(seg)) nsegs += group_miss(seg);
       };
-      if (m == kFullMask) {
-        for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1)
-          lane_body(std::countr_zero(rem));
-      }
+      for_lanes(m, lane_body);
       account_gmem(active_lanes(m), nsegs,
                    static_cast<std::size_t>(active_lanes(m)) * sizeof(B));
     }
@@ -625,12 +612,7 @@ class Warp {
         const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
         if (probe.miss(seg)) nsegs += group_miss(seg);
       };
-      if (m == kFullMask) {
-        for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1)
-          lane_body(std::countr_zero(rem));
-      }
+      for_lanes(m, lane_body);
     }
     account_gmem(active_lanes(m), nsegs,
                  static_cast<std::size_t>(active_lanes(m)) * sizeof(T));
@@ -684,65 +666,72 @@ class Warp {
         r[lane] = p[i];
         if (probe.miss(s.addr_of(i) / kTexSegment)) ++nsegs;
       };
-      if (m == kFullMask) {
-        for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
-      } else {
-        for (Mask rem = m; rem != 0; rem &= rem - 1)
-          lane_body(std::countr_zero(rem));
-      }
+      for_lanes(m, lane_body);
     }
     account_tex(s, active_lanes(m), nsegs);
     return r;
   }
 
   /// Per-lane short-vector texture fetch: lane l reads the kt consecutive
-  /// elements s[idx[l]] .. s[idx[l]+kt-1] into out[c][l], c < kt — the
-  /// double2/float4-style vectorized gather a kernel issues against a
-  /// packed operand tile (spmv::stage_x_pack). A lane's payload spans a
-  /// contiguous run of texture sectors, so each distinct sector is probed
-  /// and charged at most once per lane. The scalar-load equivalent (kt
-  /// separate load_tex calls) probes per element, and for packed-slab
-  /// strides — where every lane's base address is congruent mod the
-  /// direct-mapped cache's way count — the cross-lane aliasing evicts each
-  /// sector before the next element's probe, re-fetching it up to kt
-  /// times. Issue cost is one memory instruction per 16 bytes of per-lane
-  /// payload (LDG.128 granularity), not one per element.
+  /// elements s[idx[l]] .. s[idx[l]+kt-1] into its tile row out[l][0..kt)
+  /// — the double2/float4-style vectorized gather a kernel issues against
+  /// a packed operand tile (spmv::stage_x_pack). Lanes outside m and
+  /// columns >= kt keep their previous contents (predicated-off
+  /// registers). A lane's payload spans a contiguous run of texture
+  /// sectors, so each distinct sector is probed and charged at most once
+  /// per lane. The scalar-load equivalent (kt separate load_tex calls)
+  /// probes per element, and for packed-slab strides — where every lane's
+  /// base address is congruent mod the direct-mapped cache's way count —
+  /// the cross-lane aliasing evicts each sector before the next element's
+  /// probe, re-fetching it up to kt times. Issue cost is one memory
+  /// instruction per 16 bytes of per-lane payload (LDG.128 granularity),
+  /// not one per element. The fast path probes each lane's sector range
+  /// s0..s1; reference metering and the sanitizer walk the lane's
+  /// elements and probe each element's sector when it differs from the
+  /// element before — the same sectors in the same order, derived
+  /// independently (docs/PERF.md).
   template <class T, class I>
   void load_tex_vec(DeviceSpan<const T> s, const LaneArray<I>& idx, int kt,
-                    Mask m, LaneArray<T>* out) {
-    for (int c = 0; c < kt; ++c) out[c] = LaneArray<T>{};
+                    Mask m, LaneTile<T>& out) {
+    static_assert(sizeof(T) <= kTexSegment);
+    ACSR_CHECK(kt >= 1 && kt <= kTileCols);
     if (m == 0) return;
-    if (env_.value_only) [[unlikely]] {
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int lane = std::countr_zero(rem);
-        const T* p = s.data() + static_cast<std::size_t>(idx[lane]);
-        for (int c = 0; c < kt; ++c) out[c][lane] = p[c];
-      }
-      return;
-    }
     const auto [lo, hi] = lane_index_range(idx, m);
     s.check_range(lo, hi + kt - 1);
     const T* p = s.data();
+    const auto n = static_cast<std::size_t>(kt);
+    if (env_.value_only) [[unlikely]] {
+      for_lanes(m, [&](int lane) {
+        std::copy_n(p + static_cast<std::size_t>(idx[lane]), n,
+                    out[lane].begin());
+      });
+      return;
+    }
     int nsegs = 0;
-    const auto lane_body = [&](int lane) {
-      const auto i = static_cast<std::size_t>(idx[lane]);
-      for (int c = 0; c < kt; ++c) out[c][lane] = p[i + c];
-      const std::uint64_t s0 = s.addr_of(i) / kTexSegment;
-      const std::uint64_t s1 =
-          s.addr_of(i + static_cast<std::size_t>(kt) - 1) / kTexSegment;
-      for (std::uint64_t seg = s0; seg <= s1; ++seg)
-        if (!tex_cache_.hit(seg)) ++nsegs;
-      if (env_.sanitize)
-        Sanitizer::instance().note_read(s.addr_of(i),
-                                        static_cast<std::size_t>(kt) *
-                                            sizeof(T),
-                                        block_idx_, warp_in_block_, lane);
-    };
-    if (m == kFullMask) {
-      for (int lane = 0; lane < kWarpSize; ++lane) lane_body(lane);
+    if (env_.fast_path) {
+      for_lanes(m, [&](int lane) {
+        const auto i = static_cast<std::size_t>(idx[lane]);
+        std::copy_n(p + i, n, out[lane].begin());
+        const std::uint64_t s0 = s.addr_of(i) / kTexSegment;
+        const std::uint64_t s1 = s.addr_of(i + n - 1) / kTexSegment;
+        for (std::uint64_t seg = s0; seg <= s1; ++seg)
+          if (!tex_cache_.hit(seg)) ++nsegs;
+      });
     } else {
-      for (Mask rem = m; rem != 0; rem &= rem - 1)
-        lane_body(std::countr_zero(rem));
+      for_lanes(m, [&](int lane) {
+        const auto i = static_cast<std::size_t>(idx[lane]);
+        std::uint64_t last = ~std::uint64_t{0};  // never a sector (< 2^59)
+        for (std::size_t c = 0; c < n; ++c) {
+          out[lane][c] = p[i + c];
+          const std::uint64_t seg = s.addr_of(i + c) / kTexSegment;
+          if (seg == last) continue;
+          last = seg;
+          if (!tex_cache_.hit(seg)) ++nsegs;
+        }
+        if (env_.sanitize)
+          Sanitizer::instance().note_read(s.addr_of(i), n * sizeof(T),
+                                          block_idx_, warp_in_block_, lane);
+      });
     }
     const int nreq = static_cast<int>(
         (static_cast<std::size_t>(kt) * sizeof(T) + 15) / 16);
@@ -945,6 +934,66 @@ class Warp {
     return v;
   }
 
+  /// reduce_add for callers that read only the group heads: lane g*width
+  /// of the result holds group g's sum, every other lane zero. The same
+  /// adds in the butterfly's order — a head's value at step d depends
+  /// only on offsets j < 2d, and offset j < d gets part[j] + part[j + d]
+  /// (docs/PERF.md) — and exactly reduce_add's shuffle and flop charges.
+  /// Reference metering and the sanitizer run reduce_add itself, so the
+  /// oracle stays independent.
+  template <class T>
+  LaneArray<T> reduce_heads(const LaneArray<T>& v, Mask m,
+                            int width = kWarpSize) {
+    check_width(width);
+    LaneArray<T> r{};
+    if (!env_.fast_path) {
+      const LaneArray<T> full = reduce_add(v, m, width);
+      for (int h = 0; h < kWarpSize; h += width) r[h] = full[h];
+      return r;
+    }
+    LaneArray<T> part{};
+    for_lanes(m, [&](int lane) { part[lane] = v[lane]; });
+    for (int h = 0; h < kWarpSize; h += width) {
+      for (int d = width / 2; d > 0; d /= 2)
+        for (int j = h; j < h + d; ++j) part[j] = part[j] + part[j + d];
+      r[h] = part[h];
+    }
+    charge_reduce(m, width, 1, sizeof(T) == 8);
+    return r;
+  }
+
+  /// Tile form: reduce_heads of each column c < kt of a lane-major tile;
+  /// out[c] holds column c's group sums on the head lanes. Charges kt
+  /// reduce_add calls.
+  template <class T>
+  std::array<LaneArray<T>, kTileCols> reduce_heads(const LaneTile<T>& v,
+                                                   int kt, Mask m,
+                                                   int width = kWarpSize) {
+    check_width(width);
+    ACSR_CHECK(kt >= 1 && kt <= kTileCols);
+    std::array<LaneArray<T>, kTileCols> r{};
+    if (!env_.fast_path) {
+      for (int c = 0; c < kt; ++c) {
+        const LaneArray<T> full = reduce_add(v.column(c), m, width);
+        for (int h = 0; h < kWarpSize; h += width)
+          r[static_cast<std::size_t>(c)][h] = full[h];
+      }
+      return r;
+    }
+    LaneTile<T> part;
+    for_lanes(m, [&](int lane) { part[lane] = v[lane]; });
+    const auto n = static_cast<std::size_t>(kt);
+    for (int h = 0; h < kWarpSize; h += width) {
+      for (int d = width / 2; d > 0; d /= 2)
+        for (int j = h; j < h + d; ++j)
+          for (std::size_t c = 0; c < n; ++c)
+            part[j][c] = part[j][c] + part[j + d][c];
+      for (std::size_t c = 0; c < n; ++c) r[c][h] = part[h][c];
+    }
+    charge_reduce(m, width, kt, sizeof(T) == 8);
+    return r;
+  }
+
   // --- instruction accounting ----------------------------------------------
   /// n floating-point lane-ops per active lane (an FMA counts as 2 flops;
   /// pass flops_per_lane accordingly).
@@ -1092,6 +1141,26 @@ class Warp {
   static void check_shuffle(int delta, int width) {
     check_width(width);
     ACSR_CHECK(delta >= 0);
+  }
+
+  /// Calls f(lane) for the lanes of m in ascending order; the full mask
+  /// takes a plain loop (no serial bit-scan chain).
+  template <class F>
+  static void for_lanes(Mask m, F&& f) {
+    if (m == kFullMask) {
+      for (int lane = 0; lane < kWarpSize; ++lane) f(lane);
+    } else {
+      for (Mask rem = m; rem != 0; rem &= rem - 1) f(std::countr_zero(rem));
+    }
+  }
+
+  /// The charges of `reps` reduce_add(_, m, width) calls: log2(width)
+  /// shfl_down steps each, every step one shuffle and one flop per lane
+  /// of m.
+  void charge_reduce(Mask m, int width, int reps, bool dp) {
+    const int steps = reps * std::countr_zero(static_cast<unsigned>(width));
+    count_shuffles(steps);
+    count_flops(m, steps, dp);
   }
 
   /// Copies each run of `runs` from span s (range-checked by the caller)

@@ -24,7 +24,9 @@
 //               metering must be unaffected
 //
 // and asserts that the numeric result, every Counters field, and every
-// KernelRun roofline term are BIT-identical across the six.
+// KernelRun roofline term are BIT-identical across the six. A second leg
+// does the same for the batched SpMM kernels (simulate_batch) in the
+// five modes that change how a kernel executes.
 //
 // Each run uses a fresh Device: MemoryArena address slices are spaced
 // 2^44 bytes apart, so corresponding buffers in consecutive arenas have
@@ -36,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,8 +58,10 @@ using acsr::Rng;
 using acsr::core::EngineConfig;
 using acsr::core::make_engine;
 using acsr::mat::Csr;
+using acsr::mat::DenseBlock;
 using acsr::mat::index_t;
 using acsr::mat::offset_t;
+using acsr::spmv::SpmvEngine;
 using acsr::vgpu::Counters;
 using acsr::vgpu::Device;
 using acsr::vgpu::DeviceSpec;
@@ -145,27 +150,12 @@ std::vector<Csr<double>> make_matrices(std::uint64_t seed) {
   return ms;
 }
 
-#define EXPECT_FIELD_EQ(field) \
-  EXPECT_EQ(a.field, b.field) << "counter '" #field "' diverges"
-
+/// Every Counters field, by name (the X-macro field list).
 void expect_counters_identical(const Counters& a, const Counters& b) {
-  EXPECT_FIELD_EQ(blocks);
-  EXPECT_FIELD_EQ(warps);
-  EXPECT_FIELD_EQ(issue_cycles);
-  EXPECT_FIELD_EQ(sp_flops);
-  EXPECT_FIELD_EQ(dp_flops);
-  EXPECT_FIELD_EQ(gmem_requests);
-  EXPECT_FIELD_EQ(gmem_transactions);
-  EXPECT_FIELD_EQ(gmem_bytes);
-  EXPECT_FIELD_EQ(tex_requests);
-  EXPECT_FIELD_EQ(tex_transactions);
-  EXPECT_FIELD_EQ(tex_bytes);
-  EXPECT_FIELD_EQ(shuffle_ops);
-  EXPECT_FIELD_EQ(smem_accesses);
-  EXPECT_FIELD_EQ(atomic_ops);
-  EXPECT_FIELD_EQ(atomic_conflicts);
-  EXPECT_FIELD_EQ(child_launches);
-  EXPECT_FIELD_EQ(child_blocks);
+#define ACSR_EXPECT_SAME_FIELD(type, name, unit, what) \
+  EXPECT_EQ(a.name, b.name) << "counter '" #name "' diverges";
+  ACSR_COUNTERS_FIELDS(ACSR_EXPECT_SAME_FIELD)
+#undef ACSR_EXPECT_SAME_FIELD
 }
 
 void expect_run_identical(const KernelRun& a, const KernelRun& b) {
@@ -182,8 +172,6 @@ void expect_run_identical(const KernelRun& a, const KernelRun& b) {
   EXPECT_EQ(a.duration_s, b.duration_s);
 }
 
-#undef EXPECT_FIELD_EQ
-
 struct ModeResult {
   bool skipped = false;  // ELL refusing a pathological shape
   double duration = 0.0;
@@ -194,8 +182,13 @@ struct ModeResult {
 enum class Mode { kFast, kReference, kSanitized, kProfiled, kMemoized,
                   kTraced };
 
+/// One simulated product on an engine: returns simulated seconds and
+/// fills y (a batch's y is its column-major block payload).
+using Simulate =
+    std::function<double(SpmvEngine<double>&, std::vector<double>&)>;
+
 ModeResult run_mode(const Csr<double>& a, const char* engine_name,
-                    const std::vector<double>& x, Mode mode) {
+                    const Simulate& simulate, Mode mode) {
   Sanitizer& san = Sanitizer::instance();
   acsr::vgpu::set_reference_metering(mode == Mode::kReference);
   if (mode == Mode::kSanitized) {
@@ -223,13 +216,13 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     cfg.hyb_breakeven = 64;
     try {
       auto engine = make_engine<double>(engine_name, dev, a, cfg);
-      res.duration = engine->simulate(x, res.y);
+      res.duration = simulate(*engine, res.y);
       if (mode == Mode::kMemoized) {
         // The first simulate captured the launch metering; the second
         // replays it (kernels re-run value-only, metering comes from the
         // cache). The replayed iteration is the one under test.
         res.y.clear();
-        res.duration = engine->simulate(x, res.y);
+        res.duration = simulate(*engine, res.y);
       }
       res.run = engine->report().last_run;
     } catch (const acsr::InputError&) {
@@ -274,6 +267,49 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
   return res;
 }
 
+const Mode kAllModes[] = {Mode::kFast,     Mode::kReference,
+                          Mode::kSanitized, Mode::kProfiled,
+                          Mode::kMemoized, Mode::kTraced};
+
+const char* mode_name(Mode m) {
+  switch (m) {
+    case Mode::kFast: return "fast";
+    case Mode::kReference: return "reference";
+    case Mode::kSanitized: return "sanitized";
+    case Mode::kProfiled: return "profiled";
+    case Mode::kMemoized: return "memoized replay";
+    case Mode::kTraced: return "traced";
+  }
+  return "?";
+}
+
+/// Runs `simulate` in every mode of `modes` (the first is the baseline)
+/// and expects y, the simulated seconds and the KernelRun bit-identical
+/// to the baseline's. False when the engine refused the matrix.
+template <std::size_t N>
+bool expect_modes_identical(const Csr<double>& a, const char* engine_name,
+                            const Simulate& simulate, const Mode (&modes)[N]) {
+  std::vector<ModeResult> res;
+  for (const Mode m : modes)
+    res.push_back(run_mode(a, engine_name, simulate, m));
+  const ModeResult& base = res.front();
+  for (std::size_t i = 1; i < N; ++i) {
+    SCOPED_TRACE(std::string(mode_name(modes[0])) + " vs " +
+                 mode_name(modes[i]));
+    const ModeResult& other = res[i];
+    EXPECT_EQ(base.skipped, other.skipped);
+    if (base.skipped || other.skipped) continue;
+    // Numeric result: the fast path reads the same elements in the same
+    // per-lane order, so y must match to the last bit.
+    EXPECT_EQ(base.y.size(), other.y.size());
+    for (std::size_t r = 0; r < std::min(base.y.size(), other.y.size()); ++r)
+      EXPECT_EQ(base.y[r], other.y[r]) << "y diverges at element " << r;
+    EXPECT_EQ(base.duration, other.duration);
+    expect_run_identical(base.run, other.run);
+  }
+  return !base.skipped;
+}
+
 TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
   const auto matrices = make_matrices(/*seed=*/2014);
   const Rng root(0x5eed);
@@ -289,60 +325,12 @@ TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
     for (const char* engine_name : kEngines) {
       SCOPED_TRACE("matrix #" + std::to_string(mi) + " engine " +
                    engine_name);
-      const ModeResult fast = run_mode(a, engine_name, x, Mode::kFast);
-      const ModeResult ref = run_mode(a, engine_name, x, Mode::kReference);
-      const ModeResult san = run_mode(a, engine_name, x, Mode::kSanitized);
-      const ModeResult prof = run_mode(a, engine_name, x, Mode::kProfiled);
-      const ModeResult memo = run_mode(a, engine_name, x, Mode::kMemoized);
-      const ModeResult traced = run_mode(a, engine_name, x, Mode::kTraced);
-      ASSERT_EQ(fast.skipped, ref.skipped);
-      ASSERT_EQ(fast.skipped, san.skipped);
-      ASSERT_EQ(fast.skipped, prof.skipped);
-      ASSERT_EQ(fast.skipped, memo.skipped);
-      ASSERT_EQ(fast.skipped, traced.skipped);
-      if (fast.skipped) continue;
-
-      // Numeric result: the fast path reads the same elements in the same
-      // per-lane order, so y must match to the last bit.
-      ASSERT_EQ(fast.y.size(), ref.y.size());
-      ASSERT_EQ(fast.y.size(), san.y.size());
-      ASSERT_EQ(fast.y.size(), prof.y.size());
-      ASSERT_EQ(fast.y.size(), memo.y.size());
-      ASSERT_EQ(fast.y.size(), traced.y.size());
-      for (std::size_t r = 0; r < fast.y.size(); ++r) {
-        EXPECT_EQ(fast.y[r], ref.y[r]) << "y diverges at row " << r;
-        EXPECT_EQ(fast.y[r], san.y[r]) << "y diverges at row " << r;
-        EXPECT_EQ(fast.y[r], prof.y[r]) << "y diverges at row " << r;
-        EXPECT_EQ(fast.y[r], memo.y[r]) << "y diverges at row " << r;
-        EXPECT_EQ(fast.y[r], traced.y[r]) << "y diverges at row " << r;
-      }
-
-      EXPECT_EQ(fast.duration, ref.duration);
-      EXPECT_EQ(fast.duration, san.duration);
-      EXPECT_EQ(fast.duration, prof.duration);
-      EXPECT_EQ(fast.duration, memo.duration);
-      EXPECT_EQ(fast.duration, traced.duration);
-      {
-        SCOPED_TRACE("fast vs reference");
-        const KernelRun &a_run = fast.run, &b_run = ref.run;
-        expect_run_identical(a_run, b_run);
-      }
-      {
-        SCOPED_TRACE("fast vs sanitized");
-        expect_run_identical(fast.run, san.run);
-      }
-      {
-        SCOPED_TRACE("fast vs profiled");
-        expect_run_identical(fast.run, prof.run);
-      }
-      {
-        SCOPED_TRACE("fast vs memoized replay");
-        expect_run_identical(fast.run, memo.run);
-      }
-      {
-        SCOPED_TRACE("fast vs traced");
-        expect_run_identical(fast.run, traced.run);
-      }
+      const Simulate simulate = [&](SpmvEngine<double>& e,
+                                    std::vector<double>& y) {
+        return e.simulate(x, y);
+      };
+      if (!expect_modes_identical(a, engine_name, simulate, kAllModes))
+        continue;
       ++compared;
     }
   }
@@ -350,6 +338,55 @@ TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
   EXPECT_GE(compared, matrices.size() * 14);
   std::cout << "[invariance] " << compared << " engine/matrix cells over "
             << matrices.size() << " matrices, 6 modes each\n";
+}
+
+/// The batched SpMM kernels (simulate_batch) of the three engines with
+/// real column-blocked kernels, at widths on both sides of the
+/// kSpmmTile = 8 column tile (1 routes through the scalar SpMV), in the
+/// five modes that change how a kernel executes: fast, reference,
+/// sanitized, profiled and memoized replay. The matrices include ACSR's
+/// dynamic-parallelism rows, so the batched child grids run too.
+TEST(MeteringInvariance, BatchedSpmmIsBitIdenticalAcrossModes) {
+  const Mode kModes[] = {Mode::kFast, Mode::kReference, Mode::kSanitized,
+                         Mode::kProfiled, Mode::kMemoized};
+  const auto matrices = make_matrices(/*seed=*/2014);
+  const Rng root(0xb47c);
+
+  std::size_t compared = 0;
+  std::uint64_t acsr_child_launches = 0;
+  for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
+    const Csr<double>& a = matrices[mi];
+    for (const int k : {1, 3, 8, 9, 17, 32}) {
+      Rng xrng = root.split(mi * 64 + static_cast<std::size_t>(k));
+      DenseBlock<double> xb(a.cols, k);
+      for (int c = 0; c < k; ++c)
+        for (index_t r = 0; r < a.cols; ++r)
+          xb.at(r, c) = xrng.next_double(0.5, 1.5);
+      for (const char* engine_name : {"acsr", "csr-vector", "csr-scalar"}) {
+        SCOPED_TRACE("matrix #" + std::to_string(mi) + " width " +
+                     std::to_string(k) + " engine " + engine_name);
+        std::uint64_t children = 0;
+        const Simulate simulate = [&](SpmvEngine<double>& e,
+                                      std::vector<double>& y) {
+          DenseBlock<double> yb;
+          const double t = e.simulate_batch(xb, yb);
+          y = yb.data;
+          children += e.report().last_run.counters.child_launches;
+          return t;
+        };
+        if (!expect_modes_identical(a, engine_name, simulate, kModes))
+          continue;
+        if (k > 1 && std::string(engine_name) == "acsr")
+          acsr_child_launches += children;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, matrices.size() * 6 * 3);
+  EXPECT_GT(acsr_child_launches, 0u)
+      << "no batched dynamic-parallelism child grid ran";
+  std::cout << "[invariance] " << compared
+            << " batched engine/matrix/width cells, 5 modes each\n";
 }
 
 /// The raw warp-level primitives, pinned directly: affine loads/stores at

@@ -311,7 +311,7 @@ TEST(Scheduler, CoalescesUpToMaxWidthAndServesCorrectResults) {
     std::vector<double> x(static_cast<std::size_t>(a.cols));
     for (std::size_t j = 0; j < x.size(); ++j)
       x[j] = 0.5 + ((i * 31 + static_cast<int>(j)) % 13) * 0.25;
-    ids.push_back(sched.submit(x, "t" + std::to_string(i % 2)));
+    ids.push_back(sched.submit(x, i % 2 == 0 ? "t0" : "t1"));
     xs.push_back(std::move(x));
   }
   EXPECT_EQ(sched.pending(), 10u);

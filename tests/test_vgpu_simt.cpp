@@ -492,4 +492,105 @@ TEST(DeviceSpecs, PresetsMatchTableII) {
   EXPECT_THROW(DeviceSpec::by_name("h100"), acsr::InputError);
 }
 
+TEST_F(WarpFixture, LaneTileTexFetchMatchesPerElementReads) {
+  // load_tex_vec fills each active lane's tile row with its kt consecutive
+  // elements, exactly what kt per-element load_tex calls read; inactive
+  // lanes and columns >= kt keep their contents. A lane whose base is one
+  // element short of a sector edge touches sectors q, q+1 (kt >= 2) and
+  // q+2 (kt >= 6), each charged once; the fast path and reference
+  // metering charge every Counters field alike.
+  constexpr long long kN = 4096;
+  constexpr double kKeep = -7.0;
+  auto buf = dev.alloc<double>(kN, "xpack_tile");
+  for (long long i = 0; i < kN; ++i)
+    buf.host()[static_cast<std::size_t>(i)] =
+        1.0 + 0.25 * static_cast<double>(i);
+  const auto s = buf.cspan();
+  acsr::Rng rng(0x7e5);
+  for (int kt = 1; kt <= kTileCols; ++kt) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::string where =
+          "kt " + std::to_string(kt) + " trial " + std::to_string(trial);
+      // Trial 0: lane l's base 8*l sectors in, one element short of the
+      // sector's end (4 doubles per 32 B sector); otherwise random bases
+      // under a random mask.
+      LaneArray<long long> idx;
+      for (int l = 0; l < kWarpSize; ++l)
+        idx[l] = trial == 0 ? 4 * (8 * l) + 3
+                            : static_cast<long long>(rng.next_below(
+                                  static_cast<std::uint64_t>(kN - kt + 1)));
+      const Mask m = trial == 0 ? kFullMask
+                                : static_cast<Mask>(rng.next_u64()) | 1u;
+      KernelRun runs[2];
+      for (const bool reference : {false, true}) {
+        set_reference_metering(reference);
+        LaneTile<double> t;
+        for (auto& row : t.v) row.fill(kKeep);
+        std::vector<LaneArray<double>> e;
+        runs[reference ? 1 : 0] =
+            run_warp([&](Warp& w) { w.load_tex_vec(s, idx, kt, m, t); });
+        run_warp([&](Warp& w) {
+          for (int c = 0; c < kt; ++c)
+            e.push_back(w.load_tex(s, idx + static_cast<long long>(c), m));
+        });
+        for (int l = 0; l < kWarpSize; ++l)
+          for (int c = 0; c < kTileCols; ++c)
+            EXPECT_EQ(t[l][static_cast<std::size_t>(c)],
+                      lane_active(m, l) && c < kt
+                          ? e[static_cast<std::size_t>(c)][l]
+                          : kKeep)
+                << where << " lane " << l << " column " << c;
+      }
+      set_reference_metering(false);
+      expect_same_counters(runs[0].counters, runs[1].counters, where);
+      EXPECT_EQ(runs[0].counters.tex_requests,
+                static_cast<std::uint64_t>((kt * 8 + 15) / 16))
+          << where;
+      if (trial == 0) {
+        EXPECT_EQ(runs[0].counters.tex_transactions,
+                  static_cast<std::uint64_t>(kWarpSize) *
+                      (1u + (kt >= 2 ? 1u : 0u) + (kt >= 6 ? 1u : 0u)))
+            << where;
+      }
+    }
+  }
+}
+
+TEST_F(WarpFixture, LaneTileTexFetchRejectsOutOfRange) {
+  // A lane whose kt-element slice runs past the span's end, or a tile
+  // wider than kTileCols, is an InvariantError; the former names the
+  // buffer. Fast and reference mode alike.
+  auto buf = dev.alloc<double>(64, "short_tile");
+  const auto s = buf.cspan();
+  const auto throws_naming = [&](const std::function<void(Warp&)>& fn) {
+    try {
+      run_warp(fn);
+    } catch (const acsr::InvariantError& e) {
+      return std::string(e.what()).find("short_tile") != std::string::npos;
+    }
+    return false;
+  };
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    LaneArray<long long> idx{};
+    idx[5] = 60;  // elements 60..63 fit a 4-wide tile, not a 5-wide one
+    LaneTile<double> t;
+    EXPECT_NO_THROW(
+        run_warp([&](Warp& w) { w.load_tex_vec(s, idx, 4, kFullMask, t); }));
+    EXPECT_TRUE(throws_naming(
+        [&](Warp& w) { w.load_tex_vec(s, idx, 5, kFullMask, t); }))
+        << (reference ? "reference" : "fast");
+    idx[5] = -1;
+    EXPECT_TRUE(throws_naming(
+        [&](Warp& w) { w.load_tex_vec(s, idx, 1, kFullMask, t); }))
+        << (reference ? "reference" : "fast");
+    idx[5] = 0;
+    EXPECT_THROW(run_warp([&](Warp& w) {
+                   w.load_tex_vec(s, idx, kTileCols + 1, kFullMask, t);
+                 }),
+                 acsr::InvariantError);
+  }
+  set_reference_metering(false);
+}
+
 }  // namespace

@@ -3,6 +3,14 @@
 // sub-group widths, partial masks, and segment boundaries.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "vgpu/device.hpp"
 
 namespace {
@@ -200,6 +208,94 @@ TEST_F(WarpPrimitives, ShuffleRejectsNonPowerOfTwoWidth) {
                  (void)w.reduce_add(LaneArray<double>{}, kFullMask, 12);
                }),
                acsr::InvariantError);
+}
+
+/// Bitwise double equality (distinguishes -0.0 from +0.0).
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST_F(WarpPrimitives, ReduceHeadsMatchesButterflyHeads) {
+  // reduce_heads (both forms) against reduce_add's head lanes: every
+  // width 1..32 (non-powers of two must throw), seeded masks including
+  // the empty mask and groups with no live lane, values spread over many
+  // magnitudes so any other summation order rounds differently. Heads
+  // bitwise equal, other lanes zero, and every Counters field equal —
+  // in fast and reference mode.
+  acsr::Rng rng(0x4ead5);
+  for (const bool reference : {false, true}) {
+    set_reference_metering(reference);
+    for (int width = 1; width <= kWarpSize; ++width) {
+      if ((width & (width - 1)) != 0) {
+        EXPECT_THROW(run_warp([&](Warp& w) {
+                       (void)w.reduce_heads(LaneArray<double>{}, kFullMask,
+                                            width);
+                     }),
+                     acsr::InvariantError)
+            << "width " << width;
+        EXPECT_THROW(run_warp([&](Warp& w) {
+                       (void)w.reduce_heads(LaneTile<double>{}, 1, kFullMask,
+                                            width);
+                     }),
+                     acsr::InvariantError)
+            << "width " << width;
+        continue;
+      }
+      for (int trial = 0; trial < 24; ++trial) {
+        const std::string where = "width " + std::to_string(width) +
+                                  " trial " + std::to_string(trial) +
+                                  (reference ? " reference" : " fast");
+        const auto value = [&] {
+          return rng.next_double(-1.0, 1.0) *
+                 std::ldexp(1.0, static_cast<int>(rng.next_below(60)) - 30);
+        };
+        LaneArray<double> v;
+        LaneTile<double> t;
+        for (int l = 0; l < kWarpSize; ++l) {
+          v[l] = value();
+          for (auto& x : t[l]) x = value();
+        }
+        Mask m = trial == 0   ? 0
+                 : trial == 1 ? kFullMask
+                              : static_cast<Mask>(rng.next_u64());
+        // Kill whole groups now and then.
+        for (int h = 0; h < kWarpSize; h += width)
+          if (rng.next_bool(0.25)) m &= ~(first_lanes(width) << h);
+        const int kt = 1 + trial % kTileCols;
+
+        LaneArray<double> full;
+        std::vector<LaneArray<double>> full_cols;
+        const KernelRun ref_run = run_warp([&](Warp& w) {
+          full = w.reduce_add(v, m, width);
+          for (int c = 0; c < kt; ++c)
+            full_cols.push_back(w.reduce_add(t.column(c), m, width));
+        });
+        LaneArray<double> heads;
+        std::array<LaneArray<double>, kTileCols> head_cols;
+        const KernelRun run = run_warp([&](Warp& w) {
+          heads = w.reduce_heads(v, m, width);
+          head_cols = w.reduce_heads(t, kt, m, width);
+        });
+        for (int l = 0; l < kWarpSize; ++l) {
+          const bool head = l % width == 0;
+          EXPECT_TRUE(same_bits(heads[l], head ? full[l] : 0.0))
+              << where << " lane " << l;
+          for (int c = 0; c < kTileCols; ++c) {
+            const auto cc = static_cast<std::size_t>(c);
+            EXPECT_TRUE(same_bits(head_cols[cc][l],
+                                  head && c < kt ? full_cols[cc][l] : 0.0))
+                << where << " column " << c << " lane " << l;
+          }
+        }
+#define ACSR_EXPECT_SAME_FIELD(type, name, unit, what) \
+  EXPECT_EQ(run.counters.name, ref_run.counters.name)  \
+      << "counter '" #name "' " << where;
+        ACSR_COUNTERS_FIELDS(ACSR_EXPECT_SAME_FIELD)
+#undef ACSR_EXPECT_SAME_FIELD
+      }
+    }
+  }
+  set_reference_metering(false);
 }
 
 }  // namespace
