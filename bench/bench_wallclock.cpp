@@ -258,14 +258,19 @@ void BM_WarpGatherAffine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-/// Raw warp-gather micro: pseudo-random scatter (the reference per-lane
-/// path; no affine structure to exploit).
-void BM_WarpGatherScatter(benchmark::State& state) {
+enum class HashedAccess { kGather, kTex, kStore };
+
+/// Raw warp-access micro: pseudo-random per-lane indices (the per-lane
+/// route; no affine structure to exploit) through a global gather, a
+/// texture gather (the x gather of every SpMV kernel) or a global store.
+template <HashedAccess A>
+void BM_WarpHashed(benchmark::State& state) {
   Device dev(titan_spec());
   const std::size_t n = 1 << 18;
   auto buf = dev.alloc<double>(n, "scatter");
   buf.host().assign(n, 1.0);
   auto s = buf.cspan();
+  auto out = buf.span();
   const long long grid = static_cast<long long>(n) / 256;
   acsr::vgpu::LaunchConfig cfg;
   cfg.name = "gather_scatter";
@@ -278,10 +283,21 @@ void BM_WarpGatherScatter(benchmark::State& state) {
       const auto idx = tid.map([mask](long long t) {
         return (t * 2654435761LL + 12345) & mask;  // cheap hash scatter
       });
-      const auto v = w.load(s, idx, w.active_mask());
-      benchmark::DoNotOptimize(v[0]);
+      if constexpr (A == HashedAccess::kStore) {
+        w.store(out, idx, acsr::vgpu::LaneArray<double>::filled(1.0),
+                w.active_mask());
+      } else {
+        const auto v = A == HashedAccess::kTex
+                           ? w.load_tex(s, idx, w.active_mask())
+                           : w.load(s, idx, w.active_mask());
+        benchmark::DoNotOptimize(v[0]);
+      }
     });
     benchmark::DoNotOptimize(run.counters.gmem_transactions);
+    if constexpr (A == HashedAccess::kStore) {
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -547,7 +563,14 @@ void register_benches() {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("warp_gather/affine", BM_WarpGatherAffine)
       ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("warp_gather/scatter", BM_WarpGatherScatter)
+  benchmark::RegisterBenchmark("warp_gather/scatter",
+                               BM_WarpHashed<HashedAccess::kGather>)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("warp_gather/tex",
+                               BM_WarpHashed<HashedAccess::kTex>)
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("warp_store/scatter",
+                               BM_WarpHashed<HashedAccess::kStore>)
       ->Unit(benchmark::kMillisecond);
   for (const bool runs : {false, true}) {
     benchmark::RegisterBenchmark(

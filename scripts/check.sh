@@ -81,6 +81,15 @@ tier1_start=$SECONDS
 ctest --test-dir "$build" -L tier1 --output-on-failure
 echo "check.sh: tier-1 suite took $((SECONDS - tier1_start))s"
 
+# The executor's two oracle routes (docs/PERF.md): every Warp memory access
+# takes the per-lane route with every probe under reference metering and
+# the sanitizer route under ACSR_SANITIZE. The tier-1 suite must pass with
+# either plane switched on from the environment.
+for plane in ACSR_REFERENCE_METERING ACSR_SANITIZE; do
+  echo "== tier-1 tests under $plane=1"
+  env "$plane=1" ctest --test-dir "$build" -L tier1 --output-on-failure
+done
+
 # Sanitizer preset (docs/TESTING.md): under ACSR_CI=1, rebuild with
 # -fsanitize=address,undefined (the ACSR_ASAN CMake option) in a separate
 # tree and run the tier-1 label under it. The simulator is pure host C++,

@@ -52,9 +52,10 @@ void csr_scalar_warp(vgpu::Warp& w,
     const int l = std::countr_zero(rem);
     if (cur[l] < end[l]) m |= vgpu::lane_bit(l);
   }
+  // Reused across steps: load_pair zeroes the lanes outside m itself.
+  LaneArray<mat::index_t> col;
+  LaneArray<T> val;
   while (m != 0) {
-    LaneArray<mat::index_t> col{};
-    LaneArray<T> val{};
     w.load_pair(col_idx, vals, cur, m, col, val);
     const LaneArray<T> xv = w.load_tex(x, col, m);
     vgpu::fma_into(sum, val, xv, m);
@@ -129,9 +130,9 @@ void csr_scalar_spmm_warp(vgpu::Warp& w,
       const int l = std::countr_zero(rem);
       if (cur[l] < end[l]) m |= vgpu::lane_bit(l);
     }
+    LaneArray<mat::index_t> col;  // load_pair zeroes lanes outside m
+    LaneArray<T> val;
     while (m != 0) {
-      LaneArray<mat::index_t> col{};
-      LaneArray<T> val{};
       // A sectors: DRAM on the first tile, warp sector cache afterwards.
       w.load_pair(col_idx, vals, cur, m, col, val);
       // Packed vector gather: lane l fetches xp[col*k + c_begin .. +kt-1]

@@ -112,10 +112,10 @@ struct LaneTile {
 /// Inclusive element range [first, last] touched by an affine access
 /// idx[l] = base + l * step over the n-lane active prefix (step >= 0,
 /// n >= 1). Templated on the index value domain: instantiated with
-/// `long long` by the executor's analytic fast path (gather_affine /
-/// scatter_affine / tex_affine in warp.hpp) and with `analysis::Sym` by
-/// the static verifier's abstract interpreter, so the concrete and the
-/// abstract machines share one definition of a gather's extent.
+/// `long long` by the executor's affine route (Warp::affine in warp.hpp)
+/// and with `analysis::Sym` by the static verifier's abstract
+/// interpreter, so the concrete and the abstract machines share one
+/// definition of a gather's extent.
 template <class V>
 inline std::pair<V, V> affine_touch_range(const V& base, const V& step,
                                           int n) {

@@ -10,13 +10,16 @@
 // __shfl_down, atomics, and device-side (dynamic-parallelism) launches —
 // and self-reports every event into the kernel's Counters.
 //
-// Executor fast path (docs/PERF.md): gathers whose index vector is affine
-// across the active lane prefix (iota thread ids, the CSR row-extent walk,
-// ELL slots) are serviced analytically — one range bounds check, a
-// memcpy-style lane fill, and one sector-cache probe per *distinct* 32 B
-// sector instead of 32 per-lane probes; irregular gathers keep the
-// per-lane loop but skip a lane's probe when its sector repeats the one
-// probed just before (a guaranteed hit). Gathers laid out in V-lane groups
+// Executor fast path (docs/PERF.md): load, load_gather_uncached, load_tex,
+// store and load_pair share one lane-access core (Warp::access) over three
+// ports — global memory behind the concurrent group's L2, uncached global
+// memory, texture. Accesses whose index vector is affine across the active
+// lane prefix (iota thread ids, the CSR row-extent walk, ELL slots) are
+// serviced analytically — one range bounds check, a memcpy-style lane
+// fill, and one sector-cache probe per *distinct* 32 B sector instead of
+// 32 per-lane probes; irregular ones keep the per-lane loop but skip a
+// lane's probe when its sector repeats the one probed just before (a
+// guaranteed hit). Gathers laid out in V-lane groups
 // (load_broadcast, load_pair_runs) read and probe once per group or per
 // sector of a group's run. SpMM column tiles are lane-major (LaneTile):
 // load_tex_vec fills a lane's tile row, and reduce_heads computes only
@@ -325,7 +328,9 @@ class Warp {
   // row walk) fetches each sector once, not once per iteration. ---
   template <class T, class I>
   LaneArray<T> load(DeviceSpan<const T> s, const LaneArray<I>& idx, Mask m) {
-    return load_gather(s, idx, m, /*allow_group=*/true);
+    LaneArray<T> r{};
+    access<Port::kGlobal, /*Write=*/false>(s, idx, m, r);
+    return r;
   }
 
   /// Unit-stride gather of the active lane prefix starting at element
@@ -352,54 +357,8 @@ class Warp {
   template <class T, class I>
   LaneArray<T> load_gather_uncached(DeviceSpan<const T> s,
                                     const LaneArray<I>& idx, Mask m) {
-    return load_gather(s, idx, m, /*allow_group=*/false);
-  }
-
-  template <class T, class I>
-  LaneArray<T> load_gather(DeviceSpan<const T> s, const LaneArray<I>& idx,
-                           Mask m, bool allow_group) {
-    if (env_.value_only) [[unlikely]]
-      return gather_plain(s, idx, m);
-    if (env_.fast_path && m != 0 && is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) &&
-          affine_stride_ok(step, sizeof(T)))
-        return gather_affine(s, base, step, n, allow_group);
-    }
     LaneArray<T> r{};
-    int nsegs = 0;
-    // Iterate set bits only (ascending lane order, same as the plain loop):
-    // sparse masks — the long tail of a power-law row sweep — cost
-    // popcount(m) iterations, not 32.
-    if (env_.sanitize) {
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int lane = std::countr_zero(rem);
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        r[lane] = s[i];
-        Sanitizer::instance().note_read(s.addr_of(i), sizeof(T), block_idx_,
-                                        warp_in_block_, lane);
-        if (!gmem_cache_.hit(s.addr_of(i) / kGmemSegment))
-          nsegs += allow_group ? group_miss(s.addr_of(i) / kGmemSegment) : 1;
-      }
-    } else if (m != 0) {
-      // Validate the whole gather once (min/max over the active lanes),
-      // then read raw: same failure class as per-element checks, no
-      // per-element branch in the hot loop.
-      const auto [lo, hi] = lane_index_range(idx, m);
-      s.check_range(lo, hi);
-      const T* p = s.data();
-      LaneProbe probe(gmem_cache_, env_.fast_path);
-      const auto lane_body = [&](int lane) {
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        r[lane] = p[i];
-        const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
-        if (probe.miss(seg)) nsegs += allow_group ? group_miss(seg) : 1;
-      };
-      for_lanes(m, lane_body);
-    }
-    account_gmem(active_lanes(m), nsegs,
-                 static_cast<std::size_t>(active_lanes(m)) * sizeof(T));
+    access<Port::kUncached, /*Write=*/false>(s, idx, m, r);
     return r;
   }
 
@@ -414,63 +373,33 @@ class Warp {
   /// inner loop's col_idx + vals pattern. Metering-identical to
   /// load(a, idx, m) followed by load(b, idx, m): all of a's lanes are
   /// probed and accounted first, then all of b's; only the mask decode and
-  /// the index min/max scan are shared between the two gathers.
+  /// the index min/max scan are shared between the two gathers. Lanes
+  /// outside m read zero, on every route.
   template <class A, class B, class I>
   void load_pair(DeviceSpan<const A> a, DeviceSpan<const B> b,
                  const LaneArray<I>& idx, Mask m, LaneArray<A>& ra,
                  LaneArray<B>& rb) {
-    if (env_.value_only) [[unlikely]] {
-      gather_pair_plain(a, b, idx, m, ra, rb);
-      return;
+    if (m != kFullMask) {  // a full mask leaves no lane to zero
+      ra = {};
+      rb = {};
     }
-    if (m == 0 || env_.sanitize) {
-      ra = load(a, idx, m);
-      rb = load(b, idx, m);
+    long long base = 0, step = 0;
+    if (m == 0 || env_.sanitize ||
+        (affine_lanes(idx, m, &base, &step) &&
+         (affine_stride_ok(step, sizeof(A)) ||
+          affine_stride_ok(step, sizeof(B))))) {
+      // Per-span routes: affine eligibility depends on the element size.
+      access<Port::kGlobal, /*Write=*/false>(a, idx, m, ra);
+      access<Port::kGlobal, /*Write=*/false>(b, idx, m, rb);
       return;
-    }
-    if (env_.fast_path && is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) &&
-          (affine_stride_ok(step, sizeof(A)) ||
-           affine_stride_ok(step, sizeof(B)))) {
-        // Genuinely affine: take the plain per-span routes, since stride
-        // eligibility depends on each span's element size.
-        ra = load(a, idx, m);
-        rb = load(b, idx, m);
-        return;
-      }
     }
     const auto [lo, hi] = lane_index_range(idx, m);
-    a.check_range(lo, hi);
-    {
-      const A* p = a.data();
-      int nsegs = 0;
-      LaneProbe probe(gmem_cache_, env_.fast_path);
-      const auto lane_body = [&](int lane) {
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        ra[lane] = p[i];
-        const std::uint64_t seg = a.addr_of(i) / kGmemSegment;
-        if (probe.miss(seg)) nsegs += group_miss(seg);
-      };
-      for_lanes(m, lane_body);
-      account_gmem(active_lanes(m), nsegs,
-                   static_cast<std::size_t>(active_lanes(m)) * sizeof(A));
-    }
-    b.check_range(lo, hi);
-    {
-      const B* p = b.data();
-      int nsegs = 0;
-      LaneProbe probe(gmem_cache_, env_.fast_path);
-      const auto lane_body = [&](int lane) {
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        rb[lane] = p[i];
-        const std::uint64_t seg = b.addr_of(i) / kGmemSegment;
-        if (probe.miss(seg)) nsegs += group_miss(seg);
-      };
-      for_lanes(m, lane_body);
-      account_gmem(active_lanes(m), nsegs,
-                   static_cast<std::size_t>(active_lanes(m)) * sizeof(B));
+    if (env_.value_only) [[unlikely]] {
+      per_lane<Port::kGlobal, false, /*Meter=*/false>(a, idx, m, ra, lo, hi);
+      per_lane<Port::kGlobal, false, /*Meter=*/false>(b, idx, m, rb, lo, hi);
+    } else {
+      per_lane<Port::kGlobal, false, /*Meter=*/true>(a, idx, m, ra, lo, hi);
+      per_lane<Port::kGlobal, false, /*Meter=*/true>(b, idx, m, rb, lo, hi);
     }
   }
 
@@ -513,24 +442,18 @@ class Warp {
     }
     if (groups != 0) s.check_range(lo, hi);
     const T* p = s.data();
-    if (env_.value_only) [[unlikely]] {
-      for (Mask rem = groups; rem != 0; rem &= rem - 1) {
-        const auto g = static_cast<std::size_t>(std::countr_zero(rem));
-        out[g] = p[static_cast<std::size_t>(gidx[g])];
-      }
-      return;
-    }
-    int nsegs = 0;
-    LaneProbe probe(gmem_cache_, /*elide=*/true);
+    const bool meter = !env_.value_only;
+    LaneProbe<Port::kGlobal> probe(*this, /*elide=*/true);
     for (Mask rem = groups; rem != 0; rem &= rem - 1) {
       const auto g = static_cast<std::size_t>(std::countr_zero(rem));
       const auto i = static_cast<std::size_t>(gidx[g]);
       out[g] = p[i];
-      const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
-      if (probe.miss(seg)) nsegs += group_miss(seg);
+      if (meter) probe.touch(s.addr_of(i) / kGmemSegment);
     }
+    if (!meter) return;
     const int active = active_lanes(groups) * vec;
-    account_gmem(active, nsegs, static_cast<std::size_t>(active) * sizeof(T));
+    account_gmem(active, probe.nsegs(),
+                 static_cast<std::size_t>(active) * sizeof(T));
   }
 
   /// Segmented-affine fused gather of two spans: group g's first
@@ -576,46 +499,7 @@ class Warp {
   template <class T, class I>
   void store(DeviceSpan<T> s, const LaneArray<I>& idx, const LaneArray<T>& v,
              Mask m) {
-    if (env_.value_only) [[unlikely]] {
-      scatter_plain(s, idx, v, m);
-      return;
-    }
-    if (env_.fast_path && m != 0 && is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) &&
-          affine_stride_ok(step, sizeof(T))) {
-        scatter_affine(s, base, step, n, v);
-        return;
-      }
-    }
-    int nsegs = 0;
-    if (env_.sanitize) {
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int lane = std::countr_zero(rem);
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        s[i] = v[lane];
-        Sanitizer::instance().note_write(s.addr_of(i), sizeof(T), block_idx_,
-                                         warp_in_block_, lane,
-                                         /*atomic=*/false);
-        if (!gmem_cache_.hit(s.addr_of(i) / kGmemSegment))
-          nsegs += group_miss(s.addr_of(i) / kGmemSegment);
-      }
-    } else if (m != 0) {
-      const auto [lo, hi] = lane_index_range(idx, m);
-      s.check_range(lo, hi);
-      T* p = s.data();
-      LaneProbe probe(gmem_cache_, env_.fast_path);
-      const auto lane_body = [&](int lane) {
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        p[i] = v[lane];
-        const std::uint64_t seg = s.addr_of(i) / kGmemSegment;
-        if (probe.miss(seg)) nsegs += group_miss(seg);
-      };
-      for_lanes(m, lane_body);
-    }
-    account_gmem(active_lanes(m), nsegs,
-                 static_cast<std::size_t>(active_lanes(m)) * sizeof(T));
+    access<Port::kGlobal, /*Write=*/true>(s, idx, m, v);
   }
 
   /// Uniform (warp-wide broadcast) load of a single element.
@@ -636,39 +520,8 @@ class Warp {
   template <class T, class I>
   LaneArray<T> load_tex(DeviceSpan<const T> s, const LaneArray<I>& idx,
                         Mask m) {
-    if (env_.value_only) [[unlikely]]
-      return gather_plain(s, idx, m);
-    if (env_.fast_path && m != 0 && is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) &&
-          affine_stride_ok(step, sizeof(T)))
-        return tex_affine(s, base, step, n);
-    }
     LaneArray<T> r{};
-    int nsegs = 0;
-    if (env_.sanitize) {
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int lane = std::countr_zero(rem);
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        r[lane] = s[i];
-        Sanitizer::instance().note_read(s.addr_of(i), sizeof(T), block_idx_,
-                                        warp_in_block_, lane);
-        if (!tex_cache_.hit(s.addr_of(i) / kTexSegment)) ++nsegs;
-      }
-    } else if (m != 0) {
-      const auto [lo, hi] = lane_index_range(idx, m);
-      s.check_range(lo, hi);
-      const T* p = s.data();
-      LaneProbe probe(tex_cache_, env_.fast_path);
-      const auto lane_body = [&](int lane) {
-        const auto i = static_cast<std::size_t>(idx[lane]);
-        r[lane] = p[i];
-        if (probe.miss(s.addr_of(i) / kTexSegment)) ++nsegs;
-      };
-      for_lanes(m, lane_body);
-    }
-    account_tex(s, active_lanes(m), nsegs);
+    access<Port::kTexture, /*Write=*/false>(s, idx, m, r);
     return r;
   }
 
@@ -700,18 +553,13 @@ class Warp {
     s.check_range(lo, hi + kt - 1);
     const T* p = s.data();
     const auto n = static_cast<std::size_t>(kt);
-    if (env_.value_only) [[unlikely]] {
-      for_lanes(m, [&](int lane) {
-        std::copy_n(p + static_cast<std::size_t>(idx[lane]), n,
-                    out[lane].begin());
-      });
-      return;
-    }
+    const bool meter = !env_.value_only;
     int nsegs = 0;
     if (env_.fast_path) {
       for_lanes(m, [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         std::copy_n(p + i, n, out[lane].begin());
+        if (!meter) return;
         const std::uint64_t s0 = s.addr_of(i) / kTexSegment;
         const std::uint64_t s1 = s.addr_of(i + n - 1) / kTexSegment;
         for (std::uint64_t seg = s0; seg <= s1; ++seg)
@@ -733,25 +581,9 @@ class Warp {
                                           block_idx_, warp_in_block_, lane);
       });
     }
-    const int nreq = static_cast<int>(
-        (static_cast<std::size_t>(kt) * sizeof(T) + 15) / 16);
-    const int active = active_lanes(m);
-    env_.counters.tex_requests += static_cast<std::uint64_t>(nreq);
-    env_.counters.tex_transactions += static_cast<std::uint64_t>(nsegs);
-    env_.counters.tex_bytes += static_cast<std::uint64_t>(nsegs) * kTexSegment;
-    if (s.size() * sizeof(T) > env_.tex_footprint_bytes)
-      env_.tex_footprint_bytes = s.size() * sizeof(T);
-    issue_ += static_cast<std::uint64_t>(nreq);
-    mem_instr_ += static_cast<std::uint64_t>(nreq);
-    if (env_.lane_prof != nullptr) [[unlikely]] {
-      env_.lane_prof->mem_lane_slots +=
-          static_cast<std::uint64_t>(nreq) * kWarpSize;
-      env_.lane_prof->mem_active_lanes +=
-          static_cast<std::uint64_t>(nreq) * static_cast<std::uint64_t>(active);
-      env_.lane_prof->useful_tex_bytes += static_cast<std::uint64_t>(active) *
-                                          static_cast<std::uint64_t>(kt) *
-                                          sizeof(T);
-    }
+    if (!meter) return;
+    account_tex(s, active_lanes(m), nsegs, kt,
+                static_cast<int>((n * sizeof(T) + 15) / 16));
   }
 
   // --- atomics -------------------------------------------------------------
@@ -795,23 +627,15 @@ class Warp {
       else
         addrs[n++] = a;
     }
-    const auto act = static_cast<std::uint64_t>(active_lanes(m));
-    env_.counters.atomic_ops += act;
+    const int act = active_lanes(m);
+    env_.counters.atomic_ops += static_cast<std::uint64_t>(act);
     env_.counters.atomic_conflicts += dups;
     // Conflicting lanes serialise: each replay is an extra issue slot.
-    issue_ += 1 + dups;
-    mem_instr_ += 1;
+    issue_ += dups;
     std::uint64_t segs[kWarpSize];
     int nsegs = 0;
     for (int k = 0; k < n; ++k) note_segment(segs, nsegs, addrs[k] / kGmemSegment);
-    env_.counters.gmem_requests += 1;
-    env_.counters.gmem_transactions += static_cast<std::uint64_t>(nsegs);
-    env_.counters.gmem_bytes += static_cast<std::uint64_t>(nsegs) * kGmemSegment;
-    if (env_.lane_prof != nullptr) [[unlikely]] {
-      env_.lane_prof->mem_lane_slots += kWarpSize;
-      env_.lane_prof->mem_active_lanes += act;
-      env_.lane_prof->useful_gmem_bytes += act * sizeof(T);
-    }
+    account_gmem(act, nsegs, static_cast<std::size_t>(act) * sizeof(T));
   }
 
   // --- intra-warp data exchange --------------------------------------------
@@ -844,32 +668,6 @@ class Warp {
     issue_ += 1;
     alu_instr_ += 1;
     return r;
-  }
-
-  /// CUDA __shfl_xor: butterfly exchange with lane ^ mask.
-  template <class T>
-  LaneArray<T> shfl_xor(const LaneArray<T>& v, int lane_mask) {
-    LaneArray<T> r;
-    for (int lane = 0; lane < kWarpSize; ++lane)
-      r[lane] = v[lane ^ lane_mask];
-    env_.counters.shuffle_ops += 1;
-    issue_ += 1;
-    alu_instr_ += 1;
-    return r;
-  }
-
-  /// Inclusive prefix sum over active lanes (Hillis-Steele with
-  /// shuffle-up): lane i gets the sum of active lanes 0..i.
-  template <class T>
-  LaneArray<T> inclusive_scan_add(LaneArray<T> v, Mask m) {
-    for (int lane = 0; lane < kWarpSize; ++lane)
-      if (!lane_active(m, lane)) v[lane] = T{0};
-    for (int d = 1; d < kWarpSize; d <<= 1) {
-      const LaneArray<T> up = shfl_up(v, d);
-      for (int lane = d; lane < kWarpSize; ++lane) v[lane] = v[lane] + up[lane];
-      count_flops(m, 1, sizeof(T) == 8);
-    }
-    return v;
   }
 
   /// Inclusive *segmented* prefix sum: `heads` marks the first lane of
@@ -1108,27 +906,64 @@ class Warp {
     std::uint64_t mask_;
   };
 
-  /// One per-lane probe loop's view of a sector cache. With `elide` (the
-  /// fast path) a lane whose sector equals the one this loop probed just
-  /// before skips the probe: that re-probe is a guaranteed hit with no
-  /// state effect (docs/PERF.md). Only an *immediately* repeated sector is
-  /// skipped — one seen earlier may have been evicted since. Reference
-  /// metering and the sanitizer probe every lane, so they stay the
-  /// independent oracle the elision is checked against.
+  /// The ports a warp memory access goes through. Each fixes at compile
+  /// time the sector cache it probes, what a miss there costs and the
+  /// Counters fields it charges (LaneProbe, charge):
+  ///   kGlobal    global memory: gmem cache; a miss is a DRAM sector
+  ///              unless the concurrent group's L2 already holds it
+  ///   kUncached  global memory without the group-L2 filter (the plain-
+  ///              global x gather): every gmem-cache miss is a DRAM sector
+  ///   kTexture   the texture path: tex cache and tex_* counters
+  enum class Port { kGlobal, kUncached, kTexture };
+
+  /// One route's probe sequence on port P, summing the DRAM sectors its
+  /// misses cost. With `elide` (the fast path) a sector equal to the one
+  /// probed just before is skipped: that re-probe is a guaranteed hit
+  /// with no state effect (docs/PERF.md). Only an *immediately* repeated
+  /// sector is skipped — one seen earlier may have been evicted since.
+  /// Reference metering and the sanitizer probe every lane, so they stay
+  /// the independent oracle the elision is checked against.
+  template <Port P>
   class LaneProbe {
    public:
-    LaneProbe(SectorCache& cache, bool elide) : cache_(cache), elide_(elide) {}
-    /// True when `seg` must be fetched (a per-warp cache miss).
-    bool miss(std::uint64_t seg) {
-      if (elide_ && seg == last_) return false;
+    static constexpr std::uint64_t kSector =
+        P == Port::kTexture ? kTexSegment : kGmemSegment;
+
+    LaneProbe(Warp& w, bool elide)
+        : w_(w),
+          cache_(P == Port::kTexture ? w.tex_cache_ : w.gmem_cache_),
+          elide_(elide) {}
+
+    // The probe methods are forced inline: out of line, the probe's
+    // state round-trips through memory on every lane or sector.
+    [[gnu::always_inline]] void touch(std::uint64_t seg) {
+      if (elide_ && seg == last_) return;
       last_ = seg;
-      return !cache_.hit(seg);
+      fetch(seg);
     }
+    /// Sectors s0..s1, ascending: only s0 can repeat the sector before.
+    [[gnu::always_inline]] void touch_range(std::uint64_t s0,
+                                            std::uint64_t s1) {
+      touch(s0);
+      for (std::uint64_t seg = s0 + 1; seg <= s1; ++seg) fetch(seg);
+      last_ = s1;
+    }
+    int nsegs() const { return nsegs_; }
 
    private:
+    [[gnu::always_inline]] void fetch(std::uint64_t seg) {
+      if (cache_.hit(seg)) return;
+      if constexpr (P == Port::kGlobal)
+        nsegs_ += w_.group_miss(seg);
+      else
+        ++nsegs_;
+    }
+
+    Warp& w_;
     SectorCache& cache_;
     bool elide_;
     std::uint64_t last_ = ~std::uint64_t{0};  // never a sector (< 2^59)
+    int nsegs_ = 0;
   };
 
   /// Lane groups — shuffle sub-groups and V-lane groups — are
@@ -1167,17 +1002,15 @@ class Warp {
   /// into its lanes of r and, unless value-only, probes the run's sectors
   /// in lane order: a run's elements are contiguous and at most one
   /// sector apart, so its lanes touch exactly the sector range s0..s1,
-  /// each probed once. A run's s0 is skipped only when it equals the
-  /// sector probed immediately before (the previous run's s1) — a
-  /// guaranteed hit, by the same lemma as LaneProbe. Returns the DRAM
-  /// sectors charged.
+  /// each probed once. The probe elides a run's s0 when it equals the
+  /// previous run's s1 (LaneProbe's lemma). Returns the DRAM sectors
+  /// charged.
   template <class T>
   int gather_runs(DeviceSpan<const T> s, const LaneRuns& runs,
                   LaneArray<T>& r) {
     static_assert(sizeof(T) <= kGmemSegment);
     const T* p = s.data();
-    int nsegs = 0;
-    std::uint64_t last = ~std::uint64_t{0};  // never a sector (< 2^59)
+    LaneProbe<Port::kGlobal> probe(*this, /*elide=*/true);
     for (int g = 0, n = runs.groups(); g < n; ++g) {
       const auto len =
           static_cast<std::size_t>(runs.len[static_cast<std::size_t>(g)]);
@@ -1189,13 +1022,10 @@ class Warp {
       // which a memmove call pays for itself.
       for (std::size_t j = 0; j < len; ++j) r.v[lane + j] = p[first + j];
       if (env_.value_only) [[unlikely]] continue;
-      const std::uint64_t s0 = s.addr_of(first) / kGmemSegment;
-      const std::uint64_t s1 = s.addr_of(first + len - 1) / kGmemSegment;
-      for (std::uint64_t seg = s0 == last ? s0 + 1 : s0; seg <= s1; ++seg)
-        if (!gmem_cache_.hit(seg)) nsegs += group_miss(seg);
-      last = s1;
+      probe.touch_range(s.addr_of(first) / kGmemSegment,
+                        s.addr_of(first + len - 1) / kGmemSegment);
     }
-    return nsegs;
+    return probe.nsegs();
   }
 
   /// Affine fast path eligibility: byte addresses must advance by at most
@@ -1209,169 +1039,127 @@ class Warp {
                             kGmemSegment;
   }
 
-  /// Analytic gather for idx[l] = base + l*step over the n-lane active
-  /// prefix: one range bounds check, a memcpy-style lane fill, one cache
-  /// probe per distinct sector. In the reference loop, consecutive lanes
-  /// landing in the same sector re-probe it and hit — no counter or state
-  /// effect — so probing each distinct sector once is bit-identical.
-  template <class T>
-  LaneArray<T> gather_affine(DeviceSpan<const T> s, long long base,
-                             long long step, int n, bool allow_group) {
-    LaneArray<T> r{};
-    const auto [first, last] = affine_touch_range<long long>(base, step, n);
-    s.check_range(first, last);
-    const T* p = s.data();
-    if (step == 1) {
-      std::copy(p + base, p + base + n, r.v.begin());
+  /// Whether the fast path may serve idx over m analytically: the active
+  /// lanes are a prefix and idx[l] = base + l*step across it. Inlined:
+  /// out of line, the call spills base and step to memory.
+  template <class I>
+  [[gnu::always_inline]] bool affine_lanes(const LaneArray<I>& idx, Mask m,
+                                           long long* base,
+                                           long long* step) const {
+    return env_.fast_path && m != 0 && is_prefix_mask(m) &&
+           affine_prefix(idx, active_lanes(m), base, step);
+  }
+
+  /// Moves one element between memory and a lane: a store writes the
+  /// lane's value to memory, a load reads the element into the lane.
+  template <bool Write, class E, class L>
+  static void move_lane(E& elem, L& lane) {
+    if constexpr (Write)
+      elem = lane;
+    else
+      lane = elem;
+  }
+
+  /// The core behind load, load_gather_uncached, load_tex, store and
+  /// load_pair: moves the active lanes of m between s[idx[lane]] and
+  /// v[lane] (Write: v to memory; else memory to v, whose other lanes the
+  /// caller has zeroed) through port P, on one of three routes:
+  ///   sanitizer  per-element checked moves, each noted to the sanitizer,
+  ///              every lane probed (no elision)
+  ///   affine     the fast path's affine lanes with an eligible stride:
+  ///              one range check, a copy, one probe per distinct sector
+  ///   per-lane   one range check, then per lane the index, the move and
+  ///              a LaneProbe probe
+  /// A value-only replay (Meter = false) takes the same routes and skips
+  /// only the probes and the charges.
+  template <Port P, bool Write, class T, class I, class V>
+  void access(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
+    if (env_.value_only) [[unlikely]]
+      route<P, Write, /*Meter=*/false>(s, idx, m, v);
+    else
+      route<P, Write, /*Meter=*/true>(s, idx, m, v);
+  }
+
+  template <Port P, bool Write, bool Meter, class T, class I, class V>
+  void route(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
+    long long base = 0, step = 0;
+    if (m == 0) {
+      if constexpr (Meter) charge<P>(s, 0, 0);
+    } else if (env_.sanitize) {
+      sanitized<P, Write, Meter>(s, idx, m, v);
+    } else if (affine_lanes(idx, m, &base, &step) &&
+               affine_stride_ok(step, sizeof(T))) {
+      affine<P, Write, Meter>(s, base, step, active_lanes(m), v);
     } else {
-      for (int l = 0; l < n; ++l) r[l] = p[base + step * l];
+      const auto [lo, hi] = lane_index_range(idx, m);
+      per_lane<P, Write, Meter>(s, idx, m, v, lo, hi);
     }
-    int nsegs = 0;
-    const std::uint64_t s0 =
-        s.addr_of(static_cast<std::size_t>(base)) / kGmemSegment;
-    const std::uint64_t s1 =
-        s.addr_of(static_cast<std::size_t>(last)) / kGmemSegment;
-    for (std::uint64_t seg = s0; seg <= s1; ++seg)
-      if (!gmem_cache_.hit(seg)) nsegs += allow_group ? group_miss(seg) : 1;
-    account_gmem(n, nsegs, static_cast<std::size_t>(n) * sizeof(T));
-    return r;
   }
 
-  /// Scatter counterpart of gather_affine. For step == 0 the sequential
-  /// per-lane writes leave v[n-1] at the target, which the ascending fill
-  /// loop reproduces.
-  template <class T>
-  void scatter_affine(DeviceSpan<T> s, long long base, long long step, int n,
-                      const LaneArray<T>& v) {
-    const auto [first, last] = affine_touch_range<long long>(base, step, n);
-    s.check_range(first, last);
-    T* p = s.data();
-    if (step == 1) {
-      std::copy(v.v.begin(), v.v.begin() + n, p + base);
-    } else {
-      for (int l = 0; l < n; ++l) p[base + step * l] = v[l];
-    }
-    int nsegs = 0;
-    const std::uint64_t s0 =
-        s.addr_of(static_cast<std::size_t>(base)) / kGmemSegment;
-    const std::uint64_t s1 =
-        s.addr_of(static_cast<std::size_t>(last)) / kGmemSegment;
-    for (std::uint64_t seg = s0; seg <= s1; ++seg)
-      if (!gmem_cache_.hit(seg)) nsegs += group_miss(seg);
-    account_gmem(n, nsegs, static_cast<std::size_t>(n) * sizeof(T));
-  }
-
-  /// Texture-path analogue of gather_affine (no concurrent-group filter on
-  /// the texture path, matching the reference loop).
-  template <class T>
-  LaneArray<T> tex_affine(DeviceSpan<const T> s, long long base,
-                          long long step, int n) {
-    LaneArray<T> r{};
-    const auto [first, last] = affine_touch_range<long long>(base, step, n);
-    s.check_range(first, last);
-    const T* p = s.data();
-    if (step == 1) {
-      std::copy(p + base, p + base + n, r.v.begin());
-    } else {
-      for (int l = 0; l < n; ++l) r[l] = p[base + step * l];
-    }
-    int nsegs = 0;
-    const std::uint64_t s0 =
-        s.addr_of(static_cast<std::size_t>(base)) / kTexSegment;
-    const std::uint64_t s1 =
-        s.addr_of(static_cast<std::size_t>(last)) / kTexSegment;
-    for (std::uint64_t seg = s0; seg <= s1; ++seg)
-      if (!tex_cache_.hit(seg)) ++nsegs;
-    account_tex(s, n, nsegs);
-    return r;
-  }
-
-  /// Value-only gather: one range check, a lane fill, nothing else. Keeps
-  /// the unit-stride memcpy of the affine path (the dominant gather shape)
-  /// but skips every probe and charge — the metering for this launch is
-  /// replayed from the memo cache.
-  template <class T, class I>
-  LaneArray<T> gather_plain(DeviceSpan<const T> s, const LaneArray<I>& idx,
-                            Mask m) {
-    LaneArray<T> r{};
-    if (m == 0) return r;
-    // Affine probe first: the unit-stride case range-checks [base, base+n)
-    // directly and never pays the per-lane min/max scan.
-    if (is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) && step == 1) {
-        s.check_range(base, base + n - 1);
-        const T* p = s.data();
-        std::copy(p + base, p + base + n, r.v.begin());
-        return r;
-      }
-    }
-    const auto [lo, hi] = lane_index_range(idx, m);
-    s.check_range(lo, hi);
-    const T* p = s.data();
-    for (Mask rem = m; rem != 0; rem &= rem - 1) {
-      const int lane = std::countr_zero(rem);
-      r[lane] = p[static_cast<std::size_t>(idx[lane])];
-    }
-    return r;
-  }
-
-  /// Value-only fused gather: one mask decode and one affine probe serve
-  /// both spans of the CSR col_idx + vals pattern.
-  template <class A, class B, class I>
-  void gather_pair_plain(DeviceSpan<const A> a, DeviceSpan<const B> b,
-                         const LaneArray<I>& idx, Mask m, LaneArray<A>& ra,
-                         LaneArray<B>& rb) {
-    ra = {};
-    rb = {};
-    if (m == 0) return;
-    if (is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) && step == 1) {
-        a.check_range(base, base + n - 1);
-        b.check_range(base, base + n - 1);
-        std::copy(a.data() + base, a.data() + base + n, ra.v.begin());
-        std::copy(b.data() + base, b.data() + base + n, rb.v.begin());
-        return;
-      }
-    }
-    const auto [lo, hi] = lane_index_range(idx, m);
-    a.check_range(lo, hi);
-    b.check_range(lo, hi);
-    const A* pa = a.data();
-    const B* pb = b.data();
-    for (Mask rem = m; rem != 0; rem &= rem - 1) {
-      const int lane = std::countr_zero(rem);
+  /// Sanitizer route: operator[]'s per-element check, a shadow-state note
+  /// per lane (a store's is a non-atomic write), every lane's probe.
+  template <Port P, bool Write, bool Meter, class T, class I, class V>
+  void sanitized(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
+    LaneProbe<P> probe(*this, /*elide=*/false);
+    for_lanes(m, [&](int lane) {
       const auto i = static_cast<std::size_t>(idx[lane]);
-      ra[lane] = pa[i];
-      rb[lane] = pb[i];
+      move_lane<Write>(s[i], v[lane]);
+      if constexpr (Write)
+        Sanitizer::instance().note_write(s.addr_of(i), sizeof(T), block_idx_,
+                                         warp_in_block_, lane,
+                                         /*atomic=*/false);
+      else
+        Sanitizer::instance().note_read(s.addr_of(i), sizeof(T), block_idx_,
+                                        warp_in_block_, lane);
+      if constexpr (Meter) probe.touch(s.addr_of(i) / probe.kSector);
+    });
+    if constexpr (Meter) charge<P>(s, active_lanes(m), probe.nsegs());
+  }
+
+  /// Affine route for idx[l] = base + l*step over the n-lane prefix. The
+  /// per-lane loop would re-probe a sector shared by consecutive lanes
+  /// and hit, with no counter or state effect, so probing each distinct
+  /// sector once is bit-identical. Lanes move in ascending order, so a
+  /// step-0 store leaves v[n-1] at the target, as the per-lane loop does.
+  template <Port P, bool Write, bool Meter, class T, class V>
+  void affine(DeviceSpan<T> s, long long base, long long step, int n,
+              V& v) {
+    const auto [first, last] = affine_touch_range<long long>(base, step, n);
+    s.check_range(first, last);
+    T* p = s.data() + base;
+    if (step == 1) {
+      if constexpr (Write)
+        std::copy_n(v.v.begin(), n, p);
+      else
+        std::copy_n(p, n, v.v.begin());
+    } else {
+      for (int l = 0; l < n; ++l) move_lane<Write>(p[step * l], v[l]);
+    }
+    if constexpr (Meter) {
+      LaneProbe<P> probe(*this, /*elide=*/true);
+      probe.touch_range(
+          s.addr_of(static_cast<std::size_t>(base)) / probe.kSector,
+          s.addr_of(static_cast<std::size_t>(last)) / probe.kSector);
+      charge<P>(s, n, probe.nsegs());
     }
   }
 
-  /// Value-only scatter counterpart of gather_plain. Ascending lane order
-  /// matches both metered paths, so step-0 overwrites land identically.
-  template <class T, class I>
-  void scatter_plain(DeviceSpan<T> s, const LaneArray<I>& idx,
-                     const LaneArray<T>& v, Mask m) {
-    if (m == 0) return;
-    if (is_prefix_mask(m)) {
-      long long base, step;
-      const int n = active_lanes(m);
-      if (affine_prefix(idx, n, &base, &step) && step == 1) {
-        s.check_range(base, base + n - 1);
-        std::copy(v.v.begin(), v.v.begin() + n, s.data() + base);
-        return;
-      }
-    }
-    const auto [lo, hi] = lane_index_range(idx, m);
+  /// Per-lane route over the lanes of m, whose indices span [lo, hi]:
+  /// one range check, then raw moves with no per-element branch (same
+  /// failure class as per-element checks). Set bits only, in ascending
+  /// lane order: a sparse mask costs popcount(m) iterations, not 32.
+  template <Port P, bool Write, bool Meter, class T, class I, class V>
+  void per_lane(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v,
+                long long lo, long long hi) {
     s.check_range(lo, hi);
     T* p = s.data();
-    for (Mask rem = m; rem != 0; rem &= rem - 1) {
-      const int lane = std::countr_zero(rem);
-      p[static_cast<std::size_t>(idx[lane])] = v[lane];
-    }
+    LaneProbe<P> probe(*this, env_.fast_path);
+    for_lanes(m, [&](int lane) {
+      const auto i = static_cast<std::size_t>(idx[lane]);
+      move_lane<Write>(p[i], v[lane]);
+      if constexpr (Meter) probe.touch(s.addr_of(i) / probe.kSector);
+    });
+    if constexpr (Meter) charge<P>(s, active_lanes(m), probe.nsegs());
   }
 
   static void note_segment(std::uint64_t* segs, int& n, std::uint64_t seg) {
@@ -1407,21 +1195,36 @@ class Warp {
     }
   }
 
+  /// Texture counterpart of account_gmem for `requests` memory
+  /// instructions, each active lane fetching `elems` elements of s.
   template <class T>
-  void account_tex(DeviceSpan<const T> s, int active, int nsegs) {
-    env_.counters.tex_requests += 1;
+  void account_tex(DeviceSpan<const T> s, int active, int nsegs,
+                   int elems = 1, int requests = 1) {
+    const auto req = static_cast<std::uint64_t>(requests);
+    env_.counters.tex_requests += req;
     env_.counters.tex_transactions += static_cast<std::uint64_t>(nsegs);
     env_.counters.tex_bytes += static_cast<std::uint64_t>(nsegs) * kTexSegment;
     if (s.size() * sizeof(T) > env_.tex_footprint_bytes)
       env_.tex_footprint_bytes = s.size() * sizeof(T);
-    issue_ += 1;
-    mem_instr_ += 1;
+    issue_ += req;
+    mem_instr_ += req;
     if (env_.lane_prof != nullptr) [[unlikely]] {
-      env_.lane_prof->mem_lane_slots += kWarpSize;
-      env_.lane_prof->mem_active_lanes += static_cast<std::uint64_t>(active);
-      env_.lane_prof->useful_tex_bytes +=
-          static_cast<std::uint64_t>(active) * sizeof(T);
+      env_.lane_prof->mem_lane_slots += req * kWarpSize;
+      env_.lane_prof->mem_active_lanes +=
+          req * static_cast<std::uint64_t>(active);
+      env_.lane_prof->useful_tex_bytes += static_cast<std::uint64_t>(active) *
+                                          static_cast<std::uint64_t>(elems) *
+                                          sizeof(T);
     }
+  }
+
+  /// One memory instruction's charges on port P.
+  template <Port P, class T>
+  void charge(DeviceSpan<T> s, int active, int nsegs) {
+    if constexpr (P == Port::kTexture)
+      account_tex(s, active, nsegs);
+    else
+      account_gmem(active, nsegs, static_cast<std::size_t>(active) * sizeof(T));
   }
 
   KernelEnv& env_;

@@ -6,6 +6,8 @@
 #include "core/factory.hpp"
 #include "graph/powerlaw.hpp"
 
+#include "memo_guard.hpp"
+
 namespace {
 
 using namespace acsr;
@@ -105,6 +107,8 @@ TEST(EngineFactory, RejectsUnknownName) {
 }
 
 TEST(EngineFactory, CsrAliasIsWarpPerRow) {
+  // Memo off: with it on, make_engine wraps the engine in MemoEngine.
+  const test::MemoGuard memo_off(/*memo_on=*/false);
   vgpu::Device dev(vgpu::DeviceSpec::gtx_titan());
   auto e = core::make_engine<float>("csr", dev, test_matrix());
   // cuSPARSE-style: full warp per row regardless of mu.

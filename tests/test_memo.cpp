@@ -24,11 +24,12 @@
 #include "core/resilient.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/powerlaw.hpp"
-#include "prof/prof.hpp"
 #include "slo/trace.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
+
+#include "memo_guard.hpp"
 
 namespace {
 
@@ -45,33 +46,7 @@ using acsr::vgpu::memo::MemoCache;
 using acsr::vgpu::memo::MemoStats;
 using acsr::vgpu::memo::Memoizer;
 using acsr::vgpu::memo::spec_fingerprint;
-
-/// RAII: the profiler owns kernel execution when on, so the memo plane
-/// bypasses itself under it by design (memo::plane_bypassed). Memo tests
-/// run with the profiler off and restore the process's setting on exit.
-struct ProfilerOff {
-  ProfilerOff() { acsr::prof::set_profiler_enabled(false); }
-  ~ProfilerOff() { acsr::prof::set_profiler_enabled(was_on); }
-  ProfilerOff(const ProfilerOff&) = delete;
-  ProfilerOff& operator=(const ProfilerOff&) = delete;
-  const bool was_on = acsr::prof::profiler_enabled();
-};
-
-/// RAII: enable the memo plane with a clean cache, restore a clean
-/// disabled state on exit (tests must not leak global mode).
-struct MemoGuard {
-  ProfilerOff profiler_off;
-  MemoGuard() {
-    MemoCache::instance().clear();
-    MemoCache::instance().reset_stats();
-    acsr::vgpu::memo::set_memo_enabled(true);
-  }
-  ~MemoGuard() {
-    acsr::vgpu::memo::set_memo_enabled(false);
-    MemoCache::instance().clear();
-    MemoCache::instance().reset_stats();
-  }
-};
+using acsr::test::MemoGuard;
 
 Csr<double> powerlaw(int rows, double mu, std::uint64_t seed) {
   acsr::graph::PowerLawSpec s;
@@ -294,10 +269,7 @@ TEST(MemoEngine, RepeatSimulateReplaysBitIdentical) {
 }
 
 TEST(MemoEngine, DisabledPlaneTouchesNoCache) {
-  ProfilerOff profiler_off;
-  MemoCache::instance().clear();
-  MemoCache::instance().reset_stats();
-  acsr::vgpu::memo::set_memo_enabled(false);
+  MemoGuard guard(/*memo_on=*/false);
 
   const Csr<double> a = powerlaw(150, 4.0, 31);
   const auto x = random_x(static_cast<std::size_t>(a.cols), 7);

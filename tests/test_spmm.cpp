@@ -30,6 +30,8 @@
 #include "serve/scheduler.hpp"
 #include "vgpu/memo.hpp"
 
+#include "memo_guard.hpp"
+
 namespace {
 
 using acsr::core::EngineConfig;
@@ -39,6 +41,7 @@ using acsr::mat::DenseBlock;
 using acsr::vgpu::Device;
 using acsr::vgpu::DeviceSpec;
 using acsr::vgpu::memo::MemoCache;
+using acsr::test::MemoGuard;
 
 Csr<double> powerlaw(acsr::mat::index_t rows, double mean, unsigned seed) {
   acsr::graph::PowerLawSpec s;
@@ -62,19 +65,6 @@ DenseBlock<double> random_block(acsr::mat::index_t rows, int k,
     }
   return b;
 }
-
-struct MemoGuard {
-  MemoGuard() {
-    MemoCache::instance().clear();
-    MemoCache::instance().reset_stats();
-    acsr::vgpu::memo::set_memo_enabled(true);
-  }
-  ~MemoGuard() {
-    acsr::vgpu::memo::set_memo_enabled(false);
-    MemoCache::instance().clear();
-    MemoCache::instance().reset_stats();
-  }
-};
 
 const char* kAllEngines[] = {"csr-scalar", "csr-vector", "csr",
                              "csr-cusparse", "ell", "coo", "hyb", "brc",

@@ -59,37 +59,6 @@ TEST_F(WarpPrimitives, ShflUpSemantics) {
   });
 }
 
-TEST_F(WarpPrimitives, ShflXorButterfly) {
-  run_warp([&](Warp& w) {
-    const auto v = LaneArray<int>::iota();
-    const auto s = w.shfl_xor(v, 1);
-    EXPECT_EQ(s[0], 1);
-    EXPECT_EQ(s[1], 0);
-    EXPECT_EQ(s[30], 31);
-    const auto s16 = w.shfl_xor(v, 16);
-    EXPECT_EQ(s16[0], 16);
-    EXPECT_EQ(s16[20], 4);
-  });
-}
-
-TEST_F(WarpPrimitives, InclusiveScanAdd) {
-  run_warp([&](Warp& w) {
-    const auto v = LaneArray<double>::filled(1.0);
-    const auto s = w.inclusive_scan_add(v, kFullMask);
-    for (int l = 0; l < kWarpSize; ++l)
-      EXPECT_DOUBLE_EQ(s[l], static_cast<double>(l + 1)) << "lane " << l;
-  });
-}
-
-TEST_F(WarpPrimitives, InclusiveScanSkipsInactive) {
-  run_warp([&](Warp& w) {
-    auto v = LaneArray<double>::filled(2.0);
-    const auto s = w.inclusive_scan_add(v, first_lanes(5));
-    EXPECT_DOUBLE_EQ(s[4], 10.0);
-    EXPECT_DOUBLE_EQ(s[10], 10.0);  // inactive contribute zero
-  });
-}
-
 TEST_F(WarpPrimitives, SegmentedScanStopsAtHeads) {
   run_warp([&](Warp& w) {
     const auto v = LaneArray<double>::filled(1.0);
@@ -133,7 +102,8 @@ TEST_F(WarpPrimitives, SegmentedScanMatchesSequentialReference) {
 
 TEST_F(WarpPrimitives, ScanChargesShuffleInstructions) {
   const KernelRun run = run_warp([&](Warp& w) {
-    (void)w.inclusive_scan_add(LaneArray<double>::filled(1.0), kFullMask);
+    (void)w.segmented_scan_add(LaneArray<double>::filled(1.0), lane_bit(0),
+                               kFullMask);
   });
   EXPECT_EQ(run.counters.shuffle_ops, 5u);  // log2(32) Hillis-Steele steps
   EXPECT_GT(run.counters.dp_flops, 0u);
