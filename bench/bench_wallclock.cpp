@@ -33,6 +33,7 @@
 #include "apps/rwr_batch.hpp"
 #include "core/factory.hpp"
 #include "core/ooc_engine.hpp"
+#include "core/resilient.hpp"
 #include "graph/corpus.hpp"
 #include "mat/dense_block.hpp"
 #include "prof/capture.hpp"
@@ -41,6 +42,7 @@
 #include "serve/scheduler.hpp"
 #include "storage/tier.hpp"
 #include "vgpu/device.hpp"
+#include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
 
 namespace {
@@ -462,6 +464,44 @@ struct MemoBenchGuard {
   }
 };
 
+/// The out-of-core executor under the fault plane, through the resilient
+/// driver: each iteration re-arms a plan with one io_transient on the
+/// op's second slab read (the tier re-reads) and one launch transient on
+/// its third launch (the driver retries the whole op), then streams one
+/// SpMV. The memo variant replays metering under that plan — the fault
+/// still fires at the same ordinals — instead of re-metering every op.
+void BM_OocFaulted(benchmark::State& state, bool memo) {
+  MemoBenchGuard guard(memo);
+  const Csr<double>& a = corpus_matrix("WIK");
+  Device dev(titan_spec());
+  const std::size_t footprint =
+      (static_cast<std::size_t>(a.rows) + 1) * sizeof(acsr::mat::offset_t) +
+      a.nnz() * (sizeof(acsr::mat::index_t) + sizeof(double));
+  EngineConfig cfg;
+  cfg.ooc.budget_bytes = std::max<std::size_t>(footprint / 4, 16 * 1024);
+  acsr::core::ResilientEngine<double> engine({&dev}, a, "ooc-csr", cfg);
+  std::vector<double> x(static_cast<std::size_t>(a.cols), 1.0);
+  std::vector<double> y;
+  engine.simulate(x, y);  // memo: capture outside the timed loop
+  auto& faults = acsr::vgpu::FaultInjector::instance();
+  const auto& memo_stats = acsr::vgpu::memo::MemoCache::instance().stats();
+  const std::uint64_t hits0 = memo_stats.hits;
+  std::size_t fired = 0;
+  for (auto _ : state) {
+    faults.configure("io_transient@read#2;transient@launch#3");
+    benchmark::DoNotOptimize(engine.simulate(x, y));
+    fired = faults.events().size();
+  }
+  faults.disable();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(a.nnz()));
+  state.counters["faults_per_op"] = static_cast<double>(fired);
+  state.counters["memo_hits_per_op"] =
+      static_cast<double>(memo_stats.hits - hits0) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          1, state.iterations()));
+}
+
 /// End-to-end solver benchmark: one full fixed-work PageRank run (20
 /// device-loop iterations of the ACSR engine over WIK) per bench
 /// iteration. The memo variant measures the ACSR_MEMO=1 capture/replay
@@ -556,6 +596,12 @@ void register_benches() {
         (std::string("ooc_executor/ooc-csr/WIK/b") + std::to_string(divisor))
             .c_str(),
         [divisor](benchmark::State& st) { BM_OocExecutor(st, divisor); })
+        ->Unit(benchmark::kMillisecond);
+  }
+  for (const bool memo : {false, true}) {
+    benchmark::RegisterBenchmark(
+        memo ? "ooc_faulted/ooc-csr/WIK/b4/memo" : "ooc_faulted/ooc-csr/WIK/b4",
+        [memo](benchmark::State& st) { BM_OocFaulted(st, memo); })
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::RegisterBenchmark("storage_tier/read_chunk",

@@ -111,6 +111,8 @@ fi
 # tests also run with the slo plane and the profiler switched on from the
 # environment: the slo span annotation must not count cache hits or
 # misses, and the tests must not depend on the process's profiler state.
+# Memo replays under every fault plan that flips no device bytes, so the
+# fault and out-of-core suites also run with the cache on.
 echo "== memo plane (metering invariance + memo tests, ACSR_MEMO=0 and 1)"
 for memo in 0 1; do
   echo "   ACSR_MEMO=$memo"
@@ -122,6 +124,9 @@ for plane in ACSR_SLO ACSR_PROF; do
   echo "   $plane=1"
   env "$plane=1" "$build/tests/test_memo" --gtest_brief=1
 done
+echo "   ACSR_MEMO=1: test_faults, test_ooc"
+ACSR_MEMO=1 "$build/tests/test_faults" --gtest_brief=1
+ACSR_MEMO=1 "$build/tests/test_ooc" --gtest_brief=1
 
 # The batched SpMM + serving plane (docs/SERVING.md): exactness across all
 # engines, the width-1/8/32 sector-byte amortization ladder, scheduler

@@ -76,17 +76,21 @@ class MemoEngine final : public spmv::SpmvEngine<T> {
   const vgpu::memo::Memoizer& memoizer() const { return memo_; }
 
  private:
-  /// Tracing hook: mark the enclosing execution span capture vs replay.
+  /// Tracing hook: mark the enclosing execution span with what
+  /// Memoizer::run is about to do — capture, replay, or bypass (another
+  /// plane owns the run, or a session is already active on the device).
   /// Annotate-ONLY — the memo plane must never create spans, or span
   /// trees (and their histograms) would differ between ACSR_MEMO=0/1
   /// (tests/test_slo.cpp pins that determinism).
   void annotate_span(const std::string& subkey) const {
     if (slo::slo_enabled()) [[unlikely]] {
       if (!vgpu::memo::memo_enabled()) return;
-      const bool hit =
-          vgpu::memo::MemoCache::instance().contains(memo_.tag() + subkey);
-      slo::Tracer::instance().annotate_open("memo",
-                                            hit ? "replay" : "capture");
+      const char* what = "bypass";
+      if (vgpu::memo::Memoizer::would_memoize(inner_->device()))
+        what = vgpu::memo::MemoCache::instance().contains(memo_.key(subkey))
+                   ? "replay"
+                   : "capture";
+      slo::Tracer::instance().annotate_open("memo", what);
     }
   }
 

@@ -162,12 +162,11 @@ class EngineBase : public SpmvEngine<T> {
   /// field — are iteration-stationary. That is a hard requirement of the
   /// memo layer (vgpu/memo.hpp): a captured launch record must equal what
   /// re-simulation would produce at *any* later iteration. Under the
-  /// sanitizer or fault injection a fresh buffer is allocated per call,
-  /// preserving precise shadow state and flip-target registration
-  /// (memoization is bypassed on those planes anyway).
+  /// sanitizer or a byte-flipping fault plan (restage()) a fresh buffer is
+  /// allocated per call, preserving precise shadow state and flip-target
+  /// registration; memoization is bypassed on both.
   vgpu::DeviceSpan<const T> stage_x(const std::vector<T>& x) {
-    if (!x_scratch_.valid() || x_scratch_.size() != x.size() ||
-        vgpu::sanitizer_enabled() || vgpu::fault_injection_enabled())
+    if (!x_scratch_.valid() || x_scratch_.size() != x.size() || restage())
       x_scratch_ = dev_.template alloc<T>(x.size(), "x");
     x_scratch_.host() = x;
     return x_scratch_.cspan();
@@ -176,8 +175,7 @@ class EngineBase : public SpmvEngine<T> {
   /// Output counterpart of stage_x: the returned span starts zero-filled
   /// host-side, exactly as a freshly allocated buffer would.
   vgpu::DeviceSpan<T> stage_y(std::size_t n) {
-    if (!y_scratch_.valid() || y_scratch_.size() != n ||
-        vgpu::sanitizer_enabled() || vgpu::fault_injection_enabled()) {
+    if (!y_scratch_.valid() || y_scratch_.size() != n || restage()) {
       y_scratch_ = dev_.template alloc<T>(n, "y");
     } else {
       auto& h = y_scratch_.host();
@@ -210,8 +208,7 @@ class EngineBase : public SpmvEngine<T> {
     const auto n = static_cast<std::size_t>(x_block.rows);
     const auto k = static_cast<std::size_t>(x_block.width);
     auto& buf = xp_scratch_[x_block.width];
-    if (!buf.valid() || buf.size() != n * k ||
-        vgpu::sanitizer_enabled() || vgpu::fault_injection_enabled())
+    if (!buf.valid() || buf.size() != n * k || restage())
       buf = dev_.template alloc<T>(n * k, "xpack");
     auto& h = buf.host();
     for (std::size_t c = 0; c < k; ++c)
@@ -224,8 +221,7 @@ class EngineBase : public SpmvEngine<T> {
   /// Zero-filled output block scratch of `elems` = ld * width elements.
   vgpu::DeviceSpan<T> stage_y_block(std::size_t elems, int width) {
     auto& buf = yb_scratch_[width];
-    if (!buf.valid() || buf.size() != elems ||
-        vgpu::sanitizer_enabled() || vgpu::fault_injection_enabled()) {
+    if (!buf.valid() || buf.size() != elems || restage()) {
       buf = dev_.template alloc<T>(elems, "yb");
     } else {
       auto& h = buf.host();
@@ -242,6 +238,11 @@ class EngineBase : public SpmvEngine<T> {
   EngineReport report_;
 
  private:
+  /// Whether staging allocates fresh scratch on every call (see stage_x).
+  static bool restage() {
+    return vgpu::sanitizer_enabled() || vgpu::fault_flips_bytes();
+  }
+
   vgpu::DeviceBuffer<T> x_scratch_;
   vgpu::DeviceBuffer<T> y_scratch_;
   std::map<int, vgpu::DeviceBuffer<T>> xp_scratch_;

@@ -85,17 +85,12 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
                      cfg.block_dim <= spec_.max_threads_per_block,
                  "bad block_dim " << cfg.block_dim << " for " << cfg.name);
 
-  // Memoized replay (vgpu/memo.hpp): the metering for this launch is
-  // cached — re-run the kernel value-only and return the cached record.
-  // A session is never active while the sanitizer, profiler, reference
-  // metering or fault injection own the run (memo::plane_bypassed()).
-  if (memo_session_ != nullptr &&
-      memo_session_->kind == memo::Session::Kind::kReplay) [[unlikely]]
-    return memo_replay(cfg, fn);
-
-  // Fault hook, before the sanitizer's begin_launch so a throw here cannot
-  // leave an unbalanced sanitizer epoch. Counts only host-side launches:
-  // dynamic-parallelism children below are part of this one logical launch.
+  // Fault hook, before the memo replay branch so a replayed launch
+  // consults the injector at the same ordinal and throws the same typed
+  // fault as a metered one, and before the sanitizer's begin_launch so a
+  // throw here cannot leave an unbalanced sanitizer epoch. Counts only
+  // host-side launches: dynamic-parallelism children below are part of
+  // this one logical launch.
   if (fault_injection_enabled()) [[unlikely]] {
     if (lost_) fail_lost("launch of '" + cfg.name + "'");
     const LaunchFault f =
@@ -112,6 +107,15 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
         break;  // no fault, or a silent bit flip already applied
     }
   }
+
+  // Memoized replay (vgpu/memo.hpp): the metering for this launch is
+  // cached — re-run the kernel value-only and return the cached record.
+  // A session is never active while the sanitizer, profiler, reference
+  // metering or a byte-flipping fault plan own the run
+  // (memo::plane_bypassed()).
+  if (memo_session_ != nullptr &&
+      memo_session_->kind == memo::Session::Kind::kReplay) [[unlikely]]
+    return memo_replay(cfg, fn);
 
   KernelEnv env;
   env.spec = &spec_;

@@ -174,6 +174,10 @@ void FaultInjector::configure(const std::string& plan) {
   plan_ = std::move(parsed);
   events_.clear();
   alloc_ops_ = launch_ops_ = transfer_ops_ = read_ops_ = 0;
+  flips_bytes_ = false;
+  for (const FaultClause& c : plan_)
+    flips_bytes_ |= c.kind == FaultKind::kEccFlip ||
+                    c.kind == FaultKind::kTransferCorrupt;
   enabled_ = !plan_.empty();
   detail::g_fault_injection_enabled = enabled_;
 }
@@ -182,6 +186,7 @@ void FaultInjector::disable() {
   plan_.clear();
   events_.clear();
   alloc_ops_ = launch_ops_ = transfer_ops_ = read_ops_ = 0;
+  flips_bytes_ = false;
   enabled_ = false;
   detail::g_fault_injection_enabled = false;
 }

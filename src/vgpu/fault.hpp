@@ -231,6 +231,12 @@ class FaultInjector {
   void disable();
 
   const std::vector<FaultClause>& plan() const { return plan_; }
+  /// True when the plan has an `ecc` or `corrupt` clause: a fault that
+  /// flips device-resident bytes. A flip in an index buffer moves gather
+  /// addresses and with them the metering, so the memo plane bypasses such
+  /// plans and the engines re-stage their scratch per call (keeping it a
+  /// registered flip target). Every other plan leaves device bytes alone.
+  bool flips_bytes() const { return flips_bytes_; }
   const std::vector<FaultEvent>& events() const { return events_; }
   void clear_events() { events_.clear(); }
   /// Events of one kind (test convenience).
@@ -290,6 +296,7 @@ class FaultInjector {
               const std::string& buffer, const std::string& detail);
 
   bool enabled_ = false;
+  bool flips_bytes_ = false;
   std::vector<FaultClause> plan_;
   std::vector<FaultEvent> events_;
   std::map<std::uint64_t, Target> targets_;
@@ -308,6 +315,11 @@ inline bool g_fault_injection_enabled = FaultInjector::instance().enabled();
 
 inline bool fault_injection_enabled() {
   return detail::g_fault_injection_enabled;
+}
+
+/// fault_injection_enabled() && the plan flips device bytes (flips_bytes).
+inline bool fault_flips_bytes() {
+  return fault_injection_enabled() && FaultInjector::instance().flips_bytes();
 }
 
 }  // namespace acsr::vgpu

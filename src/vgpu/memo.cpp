@@ -11,7 +11,7 @@ namespace acsr::vgpu::memo {
 
 bool plane_bypassed() {
   return sanitizer_enabled() || reference_metering() ||
-         prof::profiler_enabled() || fault_injection_enabled();
+         prof::profiler_enabled() || fault_flips_bytes();
 }
 
 std::string spec_fingerprint(const DeviceSpec& s) {

@@ -19,12 +19,19 @@
 // Replay additionally validates each launch against the captured record
 // (kernel name, grid_dim, block_dim) and that the launch count matches.
 //
-// Memoization is a pure-performance plane: it must neither capture nor
-// replay while any other instrumentation plane owns the run — sanitizer,
-// reference metering, profiler, fault injection — because those planes
-// observe (or perturb) per-launch state that a replay would skip.
+// Replay runs under the fault plane too: Device::launch consults the
+// injector before it takes the replay branch, so a plan fires at the same
+// launch ordinal, with the same typed fault, whether the launch is
+// metered or replayed; alloc, transfer and read faults sit outside
+// Device::launch and fire live either way. Memoization is bypassed only
+// while another instrumentation plane owns the run — the sanitizer,
+// reference metering or the profiler, which observe per-launch state a
+// replay skips — or under a plan that flips device bytes (`ecc`,
+// `corrupt`: FaultInjector::flips_bytes), since a flipped index moves
+// gather addresses and with them the metering.
 // tests/test_metering_invariance.cpp pins the memoized mode bit-identical
-// to all four other modes.
+// to the metered ones, and tests/test_memo.cpp pins replay under every
+// non-flip fault plan.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +65,9 @@ inline bool memo_enabled() { return detail::g_memo_enabled; }
 inline void set_memo_enabled(bool on) { detail::g_memo_enabled = on; }
 
 /// True while another instrumentation plane owns kernel execution
-/// (sanitizer, reference metering, profiler, fault injection). The memo
-/// layer neither captures nor replays under any of them.
+/// (sanitizer, reference metering, profiler) or the fault plan flips
+/// device bytes. The memo layer neither captures nor replays under any
+/// of them.
 bool plane_bypassed();
 
 /// Every model-relevant DeviceSpec parameter folded into a string, so two
@@ -156,16 +164,24 @@ class Memoizer {
   Memoizer(const Memoizer&) = delete;
   Memoizer& operator=(const Memoizer&) = delete;
 
-  const std::string& tag() const { return tag_; }
+  /// The cache key run() uses for `subkey`.
+  std::string key(const std::string& subkey) const { return tag_ + subkey; }
+
+  /// Whether run(dev, ...) would capture or replay now, rather than run
+  /// its body bypassed (another plane owns the run, or a session is
+  /// already active on `dev`).
+  static bool would_memoize(const Device& dev) {
+    return !plane_bypassed() && !session_active(dev);
+  }
 
   template <class Fn>
   double run(Device& dev, const std::string& subkey, Fn&& fn) {
     if (!memo_enabled()) return fn();
-    if (plane_bypassed() || session_active(dev)) {
+    if (!would_memoize(dev)) {
       MemoCache::instance().note_bypass();
       return fn();
     }
-    const std::string key = tag_ + subkey;
+    const std::string key = this->key(subkey);
     MemoCache& cache = MemoCache::instance();
     if (MemoEntry* e = cache.find(key)) {
       Session s(Session::Kind::kReplay, e);

@@ -66,6 +66,8 @@
 #include "vgpu/memo.hpp"
 #include "vgpu/sanitizer.hpp"
 
+#include "memo_guard.hpp"
+
 namespace {
 
 using acsr::Rng;
@@ -778,8 +780,11 @@ TEST(DifferentialFuzz, MemoizedUpdateSolveInterleavingsMatchExactly) {
 //      retry/checksum machinery absorbed the faults) or escapes as a
 //      typed IoError with drive attribution — never a crash, never a
 //      silent wrong vector;
-//   2. memoized: a fault-free 3-iteration streamed solve sequence is
-//      bit-identical (results and durations) with ACSR_MEMO off and on;
+//   2. memoized: a 3-iteration streamed solve sequence through the
+//      resilient driver, under the case's `read` plan plus a seeded
+//      launch transient, is bit-identical with ACSR_MEMO off and on in
+//      results, durations, escaped errors, recovery log and fired
+//      faults (memo replays under every plan that flips no bytes);
 //   3. transition: on a device too small for any in-core format, a
 //      memoized ResilientEngine must land on ooc-csr and still match the
 //      memo-off run bitwise — the fallback rebuild invalidates the
@@ -800,6 +805,7 @@ TEST(DifferentialFuzz, OutOfCoreStorageFaultsMatchInCore) {
   const Rng root(seed ^ 0x00c517);
   std::size_t recovered = 0;
   std::size_t typed_escapes = 0;
+  std::uint64_t memo_replays = 0;
   for (std::size_t i = 0; i < n_cases; ++i) {
     Rng rng = root.split(i + 1);
     acsr::graph::PowerLawSpec s;
@@ -861,29 +867,69 @@ TEST(DifferentialFuzz, OutOfCoreStorageFaultsMatchInCore) {
     }
     FaultInjector::instance().disable();
 
-    // 2. Memo differential on the clean streamed path: 3 iterations,
-    // replay from iteration 2 on, observationally indistinguishable.
-    auto streamed_trace = [&](bool memo) {
-      acsr::vgpu::memo::set_memo_enabled(memo);
-      Device dev(DeviceSpec::gtx_titan());
-      EngineConfig cfg;
-      cfg.ooc.budget_bytes = opt.budget_bytes;
-      const auto engine = make_engine<double>("ooc-csr", dev, a, cfg);
+    // 2. Memo differential on the faulted streamed path: 3 iterations
+    // through the resilient driver under the case's read-site plan plus a
+    // seeded launch transient, replay from iteration 2 on. Memo replays
+    // under every plan that flips no device bytes, and must be
+    // observationally indistinguishable from metering: results, seconds,
+    // escaped errors, the recovery log and the fired faults. MemoGuard
+    // switches off the planes memo bypasses (sanitizer, reference
+    // metering, profiler), so the oracle replays under any environment.
+    Rng lrng = rng.split(0x7a);
+    const std::string memo_plan =
+        plan + ";transient@launch#" +
+        std::to_string(1 + lrng.next_below(12)) +
+        (lrng.next_bool(0.3) ? "*2" : "");
+    struct Streamed {
       std::vector<double> ts;
       std::vector<std::vector<double>> ys;
-      for (int it = 0; it < 3; ++it) {
-        std::vector<double> y;
-        ts.push_back(engine->simulate(x, y));
-        ys.push_back(std::move(y));
-      }
-      acsr::vgpu::memo::set_memo_enabled(false);
-      acsr::vgpu::memo::MemoCache::instance().clear();
-      return std::make_pair(std::move(ts), std::move(ys));
+      std::vector<std::string> escapes;
+      std::vector<std::string> log;
+      std::vector<std::string> events;
+      std::uint64_t hits = 0;
     };
-    const auto off = streamed_trace(false);
-    const auto on = streamed_trace(true);
-    EXPECT_EQ(off.first, on.first) << "streamed durations diverge under memo";
-    EXPECT_EQ(off.second, on.second) << "streamed results diverge under memo";
+    auto streamed_trace = [&](bool memo) {
+      acsr::test::MemoGuard guard(memo);
+      FaultInjector::instance().configure(memo_plan);
+      Streamed out;
+      {
+        Device dev(DeviceSpec::gtx_titan());
+        EngineConfig cfg;
+        cfg.ooc.budget_bytes = opt.budget_bytes;
+        ResilientEngine<double> engine({&dev}, a, "ooc-csr", cfg);
+        for (int it = 0; it < 3; ++it) {
+          std::vector<double> y;
+          double t = -1.0;
+          std::string escape;
+          try {
+            t = engine.simulate(x, y);
+          } catch (const acsr::vgpu::DeviceFault& e) {
+            escape = e.what();
+          }
+          out.ts.push_back(t);
+          out.ys.push_back(std::move(y));
+          out.escapes.push_back(std::move(escape));
+        }
+        out.log = engine.recovery_log();
+      }
+      out.hits = acsr::vgpu::memo::MemoCache::instance().stats().hits;
+      for (const acsr::vgpu::FaultEvent& e : FaultInjector::instance().events())
+        out.events.push_back(std::string(acsr::vgpu::to_string(e.kind)) +
+                             "#" + std::to_string(e.op_index) + "@" + e.where);
+      FaultInjector::instance().disable();
+      return out;
+    };
+    {
+      SCOPED_TRACE("memo plan '" + memo_plan + "'");
+      const Streamed off = streamed_trace(false);
+      const Streamed on = streamed_trace(true);
+      EXPECT_EQ(off.ts, on.ts) << "streamed durations diverge under memo";
+      EXPECT_EQ(off.ys, on.ys) << "streamed results diverge under memo";
+      EXPECT_EQ(off.escapes, on.escapes) << "escaped errors diverge";
+      EXPECT_EQ(off.log, on.log) << "recovery logs diverge under memo";
+      EXPECT_EQ(off.events, on.events) << "fired faults diverge under memo";
+      memo_replays += on.hits;
+    }
 
     // 3. Occasionally: natural-OOM fallback with the memo plane on. The
     // csr-vector rung is built (and possibly captured) first; its OOM
@@ -931,9 +977,11 @@ TEST(DifferentialFuzz, OutOfCoreStorageFaultsMatchInCore) {
   FaultInjector::instance().disable();
 
   EXPECT_GT(recovered, 0u);  // the plans must not all be fatal
+  EXPECT_GT(memo_replays, 0u);  // sub-oracle 2 replayed under its plans
   std::cout << "[ooc-fuzz] " << n_cases << " plans, " << recovered
             << " recovered within 1e-9, " << typed_escapes
-            << " typed escapes (seed " << seed << ")\n";
+            << " typed escapes, " << memo_replays
+            << " faulted memo replays (seed " << seed << ")\n";
 }
 
 }  // namespace

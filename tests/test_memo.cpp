@@ -7,13 +7,16 @@
 // teardown erases the owner's entries, which is how the resilient
 // driver's scrub/fallback/failover paths — all of which rebuild the
 // engine through make_engine — guarantee stale metering is never
-// replayed. The fault plane bypasses memoization outright.
+// replayed. Fault plans that flip device bytes (ecc, corrupt) bypass
+// memoization outright; every other plan replays, and fires at the same
+// ordinals with the same outcome as a metered run.
 //
 // The bit-identity of replayed metering across all engines is pinned
 // separately by tests/test_metering_invariance.cpp (fifth mode).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "vgpu/device.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
+#include "vgpu/sanitizer.hpp"
 
 #include "memo_guard.hpp"
 
@@ -38,6 +42,7 @@ using acsr::core::IncrementalCsr;
 using acsr::core::make_engine;
 using acsr::core::ResilientEngine;
 using acsr::mat::Csr;
+using acsr::slo::Tracer;
 using acsr::vgpu::Device;
 using acsr::vgpu::DeviceSpec;
 using acsr::vgpu::FaultInjector;
@@ -313,6 +318,51 @@ TEST(MemoEngine, SloAnnotationCountsNoHitOrMiss) {
   EXPECT_EQ(on.invalidations, off.invalidations);
 }
 
+TEST(MemoEngine, SloAnnotationLabelsCaptureReplayAndBypass) {
+  // The enclosing span names what Memoizer::run does: capture on a miss,
+  // replay on a hit, bypass while another plane owns the run (here the
+  // sanitizer) or a memo session is already active on the device.
+  const Csr<double> a = powerlaw(200, 5.0, 67);
+  const auto x = random_x(static_cast<std::size_t>(a.cols), 17);
+  const bool slo_was = acsr::slo::slo_enabled();
+  acsr::slo::set_slo_enabled(true);
+  Tracer::instance().clear();
+  {
+    MemoGuard guard;
+    Device dev(DeviceSpec::gtx_titan());
+    auto engine = make_engine<double>("acsr", dev, a);
+    std::vector<double> y;
+    const auto traced = [&](const char* name, auto&& body) {
+      Tracer::instance().open(acsr::slo::SpanKind::kBatch, name, "serve",
+                              0.0);
+      body();
+      Tracer::instance().close(0.0);
+    };
+    traced("first", [&] { engine->simulate(x, y); });
+    traced("second", [&] { engine->simulate(x, y); });
+    acsr::vgpu::Sanitizer::instance().set_enabled(true);
+    traced("sanitized", [&] { engine->simulate(x, y); });
+    acsr::vgpu::Sanitizer::instance().set_enabled(false);
+    acsr::vgpu::Sanitizer::instance().clear();
+    Memoizer outer(spec_fingerprint(dev.spec()) + "|outer");
+    traced("nested", [&] {
+      outer.run(dev, "nested", [&] { return engine->simulate(x, y); });
+    });
+    EXPECT_EQ(MemoCache::instance().stats().misses, 2u);  // first, outer
+    EXPECT_EQ(MemoCache::instance().stats().hits, 1u);    // second
+    EXPECT_EQ(MemoCache::instance().stats().bypasses, 2u);
+  }
+  std::vector<std::string> names;
+  for (const acsr::slo::Span& sp : Tracer::instance().spans())
+    if (sp.kind == acsr::slo::SpanKind::kBatch) names.push_back(sp.name);
+  acsr::slo::set_slo_enabled(slo_was);
+  Tracer::instance().clear();
+  const std::vector<std::string> want = {
+      "first [memo=capture]", "second [memo=replay]",
+      "sanitized [memo=bypass]", "nested [memo=bypass]"};
+  EXPECT_EQ(names, want);
+}
+
 // ---------------------------------------------------------------------------
 // Fault plane: recovery must never replay stale metering.
 
@@ -362,6 +412,170 @@ TEST(MemoFaultPlane, InjectionBypassesAndRecoveryStartsCold) {
   EXPECT_EQ(MemoCache::instance().stats().misses, 3u);
   for (std::size_t r = 0; r < y.size(); ++r)
     EXPECT_NEAR(y[r], y_truth[r], 1e-9) << "row " << r;
+}
+
+TEST(MemoFaultPlane, StagingReallocatesOnlyUnderFlipPlans) {
+  // Staged x/y scratch stays at fixed addresses under every plan that
+  // flips no device bytes — the iteration stationarity replay relies
+  // on — and is re-allocated per call only under ecc/corrupt plans,
+  // which keep it a registered flip target (and bypass memo).
+  MemoGuard guard(false);
+  const Csr<double> a = powerlaw(200, 5.0, 71);
+  const auto x = random_x(static_cast<std::size_t>(a.cols), 3);
+  FaultInjector& inj = FaultInjector::instance();
+  const auto allocs_per_call = [&](const char* plan) {
+    inj.configure(plan);  // never reached: only counts ops
+    Device dev(DeviceSpec::gtx_titan());
+    auto engine = make_engine<double>("csr-vector", dev, a);
+    std::vector<double> y;
+    engine->simulate(x, y);  // first use allocates the scratch
+    const long long before = inj.alloc_ops();
+    engine->simulate(x, y);
+    const long long n = inj.alloc_ops() - before;
+    inj.disable();
+    return n;
+  };
+  EXPECT_EQ(allocs_per_call("stall@transfer#1000000"), 0);
+  EXPECT_EQ(allocs_per_call("transient@launch#1000000"), 0);
+  EXPECT_EQ(allocs_per_call("oom@alloc#1000000"), 0);
+  EXPECT_EQ(allocs_per_call("ecc@launch#1000000"), 2);      // x and y
+  EXPECT_EQ(allocs_per_call("corrupt@transfer#1000000"), 2);
+}
+
+/// Everything a caller of a faulted ResilientEngine can observe over a
+/// few SpMVs, plus the memo hits the run scored.
+struct FaultedTrace {
+  std::vector<std::vector<double>> ys;
+  std::vector<double> seconds;
+  std::vector<std::string> escapes;  // typed error per op ("" when clean)
+  std::vector<std::string> log;      // ResilientEngine::recovery_log()
+  std::vector<std::string> events;   // kind/op_index/where per fired fault
+  std::uint64_t hits = 0;
+};
+
+constexpr int kFaultedOps = 5;
+
+FaultedTrace faulted_trace(const Csr<double>& a, const char* engine_name,
+                           const EngineConfig& cfg, const std::string& plan,
+                           bool memo) {
+  MemoGuard guard(memo);
+  FaultInjector& inj = FaultInjector::instance();
+  inj.configure(plan);  // before the build: alloc/transfer ordinals count it
+  FaultedTrace tr;
+  {
+    Device dev(DeviceSpec::gtx_titan());
+    ResilientEngine<double> engine({&dev}, a, engine_name, cfg);
+    for (int op = 0; op < kFaultedOps; ++op) {
+      const auto x = random_x(static_cast<std::size_t>(a.cols),
+                              1000 + static_cast<std::uint64_t>(op));
+      std::vector<double> y;
+      double t = -1.0;
+      std::string escape;
+      try {
+        t = engine.simulate(x, y);
+      } catch (const acsr::vgpu::DeviceFault& e) {
+        escape = e.what();
+      } catch (const acsr::vgpu::DeviceOom& e) {
+        escape = e.what();
+      }
+      tr.ys.push_back(std::move(y));
+      tr.seconds.push_back(t);
+      tr.escapes.push_back(std::move(escape));
+    }
+    tr.log = engine.recovery_log();
+  }
+  for (const acsr::vgpu::FaultEvent& e : inj.events()) {
+    std::ostringstream os;
+    os << acsr::vgpu::to_string(e.kind) << '#' << e.op_index << '@'
+       << e.where;
+    tr.events.push_back(os.str());
+  }
+  inj.disable();
+  tr.hits = MemoCache::instance().stats().hits;
+  return tr;
+}
+
+TEST(MemoFaultPlane, NonFlipPlansReplayAtSameOrdinals) {
+  // A plan that cannot change device bytes leaves metering untouched, so
+  // memoized runs replay under it: each launch consults the injector
+  // before the replay branch, and alloc/transfer/read faults fire live.
+  // Replayed and metered runs must agree bit for bit in results, in
+  // simulated seconds, in the recovery log and in the fired faults.
+  const Csr<double> a = powerlaw(300, 6.0, 53);
+  for (const char* engine_name : {"csr-vector", "acsr", "ooc-csr"}) {
+    SCOPED_TRACE(engine_name);
+    const bool ooc = std::string(engine_name) == "ooc-csr";
+    EngineConfig cfg;
+    cfg.ooc.budget_bytes = 8192;  // several slabs
+
+    // Calibrate the plans' ordinals on a clean run: a clause that is never
+    // reached enables the op counters without firing.
+    struct Ops {
+      long long launch, alloc, transfer, read;
+    };
+    const auto ops_now = [] {
+      const FaultInjector& inj = FaultInjector::instance();
+      return Ops{inj.launch_ops(), inj.alloc_ops(), inj.transfer_ops(),
+                 inj.read_ops()};
+    };
+    Ops built{}, op1{}, op2{};
+    {
+      MemoGuard guard(false);
+      FaultInjector::instance().configure("io_degrade@read#1000000000");
+      Device dev(DeviceSpec::gtx_titan());
+      ResilientEngine<double> engine({&dev}, a, engine_name, cfg);
+      built = ops_now();
+      std::vector<double> y;
+      const auto x = random_x(static_cast<std::size_t>(a.cols), 5);
+      engine.simulate(x, y);
+      op1 = ops_now();
+      engine.simulate(x, y);
+      op2 = ops_now();
+      FaultInjector::instance().disable();
+    }
+    const long long launches = op2.launch - op1.launch;
+    const long long transfers = op2.transfer - op1.transfer;
+    const long long reads = op2.read - op1.read;
+    ASSERT_GT(launches, 0);
+    const auto at = [](long long n) { return std::to_string(n); };
+
+    std::vector<std::string> plans = {
+        // First launch of op 3: a replayed launch under memo.
+        "transient@launch#" + at(op1.launch + launches + 1),
+        // Op 2, twice in a row: the retry's replay faults again.
+        "transient@launch#" + at(op1.launch + std::min(2LL, launches)) + "*2",
+        // First alloc after the build: the first SpMV's staging (in-core:
+        // falls back down the chain; ooc-csr: the terminal rung escapes).
+        "oom@alloc#" + at(built.alloc + 1),
+        // A stalled transfer in op 2 (ooc-csr streams slabs every op); the
+        // in-core engines only transfer at build time.
+        "stall@transfer#" +
+            at(transfers > 0 ? op1.transfer + transfers + 1 : 1) + ":ms=5",
+    };
+    if (ooc) {
+      ASSERT_GT(reads, 0);
+      plans.push_back("io_transient@read#" + at(op1.read + reads + 1));
+      plans.push_back("io_timeout@read#" + at(op1.read + 2) + ":ms=5");
+      plans.push_back("io_checksum@read#" + at(op1.read + 2 * reads + 1) +
+                      ":seed=9");
+      plans.push_back("io_degrade@read#" + at(op1.read + 1) + "*3:x=4");
+      plans.push_back("io_transient@read#" + at(op1.read + 1) +
+                      ";transient@launch#" +
+                      at(op1.launch + 3 * launches + 1));
+    }
+    for (const std::string& plan : plans) {
+      SCOPED_TRACE(plan);
+      const FaultedTrace off = faulted_trace(a, engine_name, cfg, plan, false);
+      const FaultedTrace on = faulted_trace(a, engine_name, cfg, plan, true);
+      EXPECT_FALSE(off.events.empty()) << "the plan never fired";
+      EXPECT_GT(on.hits, 0u) << "memo never replayed while the plan was live";
+      EXPECT_EQ(off.ys, on.ys);
+      EXPECT_EQ(off.seconds, on.seconds);
+      EXPECT_EQ(off.escapes, on.escapes);
+      EXPECT_EQ(off.log, on.log);
+      EXPECT_EQ(off.events, on.events);
+    }
+  }
 }
 
 }  // namespace

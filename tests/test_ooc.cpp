@@ -266,6 +266,40 @@ TEST_F(Ooc, NaturalOomDegradesToOocWithLogEvidence) {
   EXPECT_EQ(got, want);
 }
 
+/// Index of the first timeline tag containing `needle` (log size if none).
+std::size_t first_tag(const acsr::vgpu::StreamTimeline& tl,
+                      const std::string& needle) {
+  const auto& log = tl.log();
+  for (std::size_t i = 0; i < log.size(); ++i)
+    if (log[i].tag.find(needle) != std::string::npos) return i;
+  return log.size();
+}
+
+/// The solve ran in-core past a checkpoint, then fell back to the
+/// out-of-core rung and restarted from that checkpoint, not from scratch.
+void expect_fallback_after_checkpoint(const ResilientEngine<double>& engine) {
+  const auto& tl = engine.timeline();
+  const std::size_t ckpt = first_tag(tl, "checkpoint@iter");
+  const std::size_t fall = first_tag(tl, "recovery:fallback to ooc-csr");
+  const std::size_t restart =
+      first_tag(tl, "(spmv spanned format fallback to ooc-csr)");
+  ASSERT_LT(fall, tl.log().size());
+  EXPECT_LT(ckpt, fall) << "no in-core checkpoint before the fallback";
+  ASSERT_LT(restart, tl.log().size());
+  EXPECT_LT(fall, restart);
+  EXPECT_EQ(tl.log()[restart].tag.rfind("restart:iter0 ", 0),
+            std::string::npos)
+      << tl.log()[restart].tag;
+  // The ECC error struck first; both OOMs hit the rebuilds it caused.
+  const auto& ev = FaultInjector::instance().events();
+  ASSERT_EQ(ev.size(), 3u);
+  EXPECT_EQ(ev[0].kind, acsr::vgpu::FaultKind::kEccFlip);
+  EXPECT_EQ(ev[1].kind, acsr::vgpu::FaultKind::kAllocOom);
+  EXPECT_EQ(ev[1].where, "CSR-vector.row_off");
+  EXPECT_EQ(ev[2].kind, acsr::vgpu::FaultKind::kAllocOom);
+  EXPECT_EQ(ev[2].where, "CSR-scalar.row_off");
+}
+
 TEST_F(Ooc, CheckpointedPagerankSpansOocFallback) {
   const Csr<double> m = pagerank_test_matrix();
   acsr::apps::PageRankConfig cfg;
@@ -278,11 +312,14 @@ TEST_F(Ooc, CheckpointedPagerankSpansOocFallback) {
   const auto want = acsr::apps::pagerank_checkpointed(clean_engine, cfg, ck);
   ASSERT_TRUE(want.converged);
 
-  // Persistent-enough OOM: the striking SpMV's staging alloc and the
-  // csr-scalar rebuild both fail, landing the solve on the terminal
-  // out-of-core rung mid-run; the solver restarts from its checkpoint
-  // and finishes there.
-  FaultInjector::instance().configure("oom@alloc#12*2");
+  // Mid-run fallback: a detected ECC error in the 6th SpMV (after the
+  // checkpoint at iteration 4) triggers a scrub, and persistent-enough
+  // OOM fails both the scrub's csr-vector rebuild and the csr-scalar
+  // rebuild, landing the solve on the terminal out-of-core rung; the
+  // solver restarts from its checkpoint and finishes there. Staged
+  // scratch is re-allocated per SpMV under a byte-flipping plan, so the
+  // rebuild's first alloc follows 3 CSR arrays and 6 x/y pairs.
+  FaultInjector::instance().configure("ecc@launch#6;oom@alloc#16*2");
   Device d0(DeviceSpec::gtx_titan());
   ResilientEngine<double> engine({&d0}, m, "csr-vector");
   const auto got = acsr::apps::pagerank_checkpointed(engine, cfg, ck);
@@ -290,11 +327,7 @@ TEST_F(Ooc, CheckpointedPagerankSpansOocFallback) {
   ASSERT_TRUE(got.converged);
   EXPECT_EQ(engine.active_format(), "ooc-csr");
   EXPECT_GE(engine.fallbacks(), 2);
-  bool saw_restart = false;
-  for (const std::string& tag : engine.recovery_log())
-    if (tag.find("recovery:fallback to ooc-csr") != std::string::npos)
-      saw_restart = true;
-  EXPECT_TRUE(saw_restart);
+  expect_fallback_after_checkpoint(engine);
   ASSERT_EQ(got.scores.size(), want.scores.size());
   for (std::size_t i = 0; i < want.scores.size(); ++i)
     EXPECT_NEAR(got.scores[i], want.scores[i], 1e-9) << "rank " << i;
@@ -314,13 +347,17 @@ TEST_F(Ooc, CheckpointedCgSpansOocFallback) {
       clean_engine, b, {}, ck);
   ASSERT_TRUE(want.converged);
 
-  FaultInjector::instance().configure("oom@alloc#10*2");
+  // As above, after the checkpoint at iteration 8: a detected ECC error
+  // in the 10th SpMV (alloc #24 follows 3 CSR arrays and 10 x/y pairs),
+  // and OOM on the scrub's rebuild and the next rung's.
+  FaultInjector::instance().configure("ecc@launch#10;oom@alloc#24*2");
   Device d0(DeviceSpec::gtx_titan());
   ResilientEngine<double> engine({&d0}, a, "csr");
   const auto got =
       acsr::apps::conjugate_gradient_checkpointed(engine, b, {}, ck);
   ASSERT_TRUE(got.converged);
   EXPECT_EQ(engine.active_format(), "ooc-csr");
+  expect_fallback_after_checkpoint(engine);
   for (std::size_t i = 0; i < want.x.size(); ++i)
     EXPECT_NEAR(got.x[i], want.x[i], 1e-9) << "x[" << i << "]";
 }
