@@ -14,7 +14,9 @@
 #
 # Baseline and current sections are stamped with the mode they were measured
 # in; the script refuses to emit speedups across modes (quick-vs-full diffs
-# once produced a phantom 14% acsr regression — see docs/PERF.md).
+# once produced a phantom 14% acsr regression — see docs/PERF.md). They are
+# also stamped with the commit; `current` reads "<HEAD>-dirty" when the
+# tree has uncommitted changes other than BENCH_wallclock.json itself.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,8 +57,14 @@ current = {
 try:
     commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
                             capture_output=True, text=True).stdout.strip()
+    status = subprocess.run(["git", "status", "--porcelain"],
+                            capture_output=True, text=True).stdout
 except OSError:
-    commit = ""
+    commit, status = "", ""
+# A record taken from an uncommitted tree measures the change, not HEAD:
+# stamp `current` "<HEAD>-dirty" unless the only change is this record.
+dirty = any(line[3:] != out_path for line in status.splitlines())
+current_commit = commit + "-dirty" if commit and dirty else commit
 
 doc = {}
 if os.path.exists(out_path):
@@ -69,7 +77,8 @@ doc.setdefault("unit", "ms (real time per simulated SpMV / launch)")
 doc.setdefault("spec", "GTX Titan preset, default corpus scale")
 if "baseline" not in doc or os.environ.get("REBASELINE") == "1":
     doc["baseline"] = {"commit": commit, "mode": mode, "benchmarks": current}
-doc["current"] = {"commit": commit, "mode": mode, "benchmarks": current}
+doc["current"] = {"commit": current_commit, "mode": mode,
+                  "benchmarks": current}
 
 # A quick-mode current diffed against a full-mode baseline (or vice versa)
 # compares different measurement windows, not different code. Refuse to

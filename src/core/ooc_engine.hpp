@@ -4,10 +4,12 @@
 // live in device memory. It is partitioned at build time into row-slabs
 // sized to a device-memory budget; each simulate() streams the slabs
 // from a fault-tolerant simulated storage tier (storage/tier.hpp)
-// through host staging into a double-buffered pair of device slab
-// buffers, overlapping the next slab's drive read and bin-metadata
-// upload with the current slab's compute on a private StreamTimeline
-// (drive streams + h2d stream + compute stream).
+// straight into a double-buffered pair of device slab sets — each drive
+// read delivers into the set it fills, one copy per slab, verified
+// against the checksum stored with the slab at partition time —
+// overlapping the next slab's drive read and bin-metadata upload with
+// the current slab's compute on a private StreamTimeline (drive streams
+// + h2d stream + compute stream).
 //
 // The slab kernel is csr_vector_warp with a *per-row* vector size: slab
 // rows are binned by choose_vector_size(row length) — the ACSR binning
@@ -26,8 +28,7 @@
 #pragma once
 
 #include <array>
-#include <cstring>
-#include <deque>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -144,27 +145,29 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
 
     const std::size_t n = slabs_.size();
     std::vector<double> read_done(n, 0.0), comp_done(n, 0.0);
-    std::vector<Stage> staged(n);
-    std::deque<SlabDev> live;
+    std::vector<SlabDev> sets(n);
     double stall_s = 0.0;
     vgpu::KernelRun agg{};
     std::uint64_t launches = 0;
 
     try {
-    read_done[0] = submit_read(tier, staged, 0);
+    read_done[0] = submit_read(tier, sets, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      // Prefetch the next slab's drive read: the tier's drive streams
-      // advance independently of h2d/compute, bounded by its in-flight
-      // window.
-      if (i + 1 < n) read_done[i + 1] = submit_read(tier, staged, i + 1);
+      // Prefetch the next slab: its device set is allocated and its drive
+      // read delivered into it now. The tier's drive streams advance
+      // independently of h2d/compute, bounded by its in-flight window.
+      // Double buffer: at most two device slab sets live, so slab i-1's
+      // set is released first.
+      if (i + 1 < n) {
+        if (i >= 1) sets[i - 1] = SlabDev{};
+        read_done[i + 1] = submit_read(tier, sets, i + 1);
+      }
 
-      // Double buffer: at most two device slab sets live; re-using the
-      // oldest set's space means its compute must have finished before
-      // this slab's upload starts.
-      if (live.size() == 2) live.pop_front();
+      // Re-using the oldest set's space means its compute must have
+      // finished before this slab's upload starts.
       if (i >= 2)
         tl.wait(h2d, vgpu::StreamTimeline::Event{comp_done[i - 2]});
-      SlabDev bufs = make_buffers(i, staged[i]);
+      SlabDev& bufs = sets[i];
 
       // Bin metadata is preprocessing state, not tier data: prefetch its
       // upload ahead of the slab's arrival.
@@ -175,7 +178,6 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       const double up_done =
           tl.enqueue(h2d, charge_transfer(slabs_[i].bytes),
                      "h2d:slab" + std::to_string(i));
-      staged[i] = Stage{};  // staging freed once on the device
 
       const double before = tl.now(compute);
       if (up_done > before) stall_s += up_done - before;
@@ -187,7 +189,6 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       const auto& yh = bufs.y.host();
       std::copy(yh.begin(), yh.end(),
                 y.begin() + static_cast<std::ptrdiff_t>(slabs_[i].row_begin));
-      live.push_back(std::move(bufs));
       tier.poll(tl.now(compute));
     }
     tier.drain();
@@ -216,23 +217,17 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
  private:
   /// One row-slab of the on-"disk" slab-packed layout: the slab's
   /// row_off slice, col_idx slice and vals slice stored contiguously at
-  /// file_offset.
+  /// file_offset, with the checksum stored when the slab was written.
   struct Slab {
     mat::index_t row_begin = 0;
     mat::index_t row_end = 0;
     std::size_t file_offset = 0;
     std::size_t bytes = 0;       ///< row_off + col_idx + vals slices
     std::size_t meta_bytes = 0;  ///< bin row maps
+    std::uint64_t checksum = 0;  ///< storage::stored_checksum of the slices
     /// Slab-local row ids binned by vector size: bin b holds rows run
     /// with V = 2 << b lanes (the ACSR discipline at slab granularity).
     std::array<std::vector<mat::index_t>, 5> bins;
-  };
-
-  /// Host staging a drive read delivers into (storage -> host -> device).
-  struct Stage {
-    std::vector<mat::offset_t> row_off;
-    std::vector<mat::index_t> col_idx;
-    std::vector<T> vals;
   };
 
   /// The double-buffered device-resident set for one slab.
@@ -275,6 +270,16 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       const mat::offset_t nz = host_.row_off[static_cast<std::size_t>(e)] -
                                host_.row_off[static_cast<std::size_t>(r)];
       s.bytes = slab_data_bytes(e - r, nz);
+      // The checksum the slab is written with, chained over its slices in
+      // the order submit_read delivers them.
+      const auto first = static_cast<std::size_t>(r);
+      const auto nz0 = static_cast<std::size_t>(host_.row_off[first]);
+      const auto n_nz = static_cast<std::size_t>(nz);
+      s.checksum = storage::stored_checksum(
+          host_.row_off, first, static_cast<std::size_t>(e - r) + 1);
+      s.checksum =
+          storage::stored_checksum(host_.col_idx, nz0, n_nz, s.checksum);
+      s.checksum = storage::stored_checksum(host_.vals, nz0, n_nz, s.checksum);
       for (mat::index_t row = r; row < e; ++row) {
         const mat::offset_t len =
             host_.row_off[static_cast<std::size_t>(row) + 1] -
@@ -293,47 +298,47 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     }
   }
 
-  /// Issue slab i's chunk read on the tier, delivering into fresh host
-  /// staging. Returns the simulated completion time.
-  double submit_read(storage::StorageTier& tier, std::vector<Stage>& staged,
+  /// Allocate slab i's device set into sets[i] and issue its chunk read
+  /// on the tier, delivering straight into the set's buffers; the row
+  /// offsets are then rebased in place to the slab's value window.
+  /// Returns the simulated completion time.
+  double submit_read(storage::StorageTier& tier, std::vector<SlabDev>& sets,
                      std::size_t i) {
     const Slab& s = slabs_[i];
-    Stage& st = staged[i];
+    SlabDev& d = sets[i] = make_buffers(i);
     const auto nrows = static_cast<std::size_t>(s.row_end - s.row_begin);
     const auto base = static_cast<std::size_t>(s.row_begin);
     const auto nz0 = static_cast<std::size_t>(host_.row_off[base]);
-    const auto nz = static_cast<std::size_t>(
-                        host_.row_off[base + nrows]) - nz0;
-    st.row_off.resize(nrows + 1);
-    st.col_idx.resize(nz);
-    st.vals.resize(nz);
+    const std::size_t nz = d.vals.size();
+    auto& row_off = d.row_off.host();
     std::vector<storage::Segment> segs;
     auto add = [&segs](storage::Segment seg) {
       if (seg.bytes > 0) segs.push_back(seg);
     };
-    add(storage::make_segment(host_.row_off, base, st.row_off, nrows + 1));
-    add(storage::make_segment(host_.col_idx, nz0, st.col_idx, nz));
-    add(storage::make_segment(host_.vals, nz0, st.vals, nz));
-    return tier.read_chunk("slab" + std::to_string(i), s.file_offset,
-                           std::move(segs));
+    add(storage::make_segment(host_.row_off, base, row_off, nrows + 1));
+    add(storage::make_segment(host_.col_idx, nz0, d.col_idx.host(), nz));
+    add(storage::make_segment(host_.vals, nz0, d.vals.host(), nz));
+    const double done = tier.read_chunk("slab" + std::to_string(i),
+                                        s.file_offset, std::move(segs),
+                                        s.checksum);
+    const mat::offset_t rebase = row_off.front();
+    for (mat::offset_t& o : row_off) o -= rebase;
+    return done;
   }
 
-  /// Allocate slab i's device set and fill it from the delivered staging
-  /// (rebasing the row offsets to the slab's value window).
-  SlabDev make_buffers(std::size_t i, Stage& st) {
+  /// Allocate slab i's device set; the tier read fills its matrix slices.
+  SlabDev make_buffers(std::size_t i) {
     const Slab& s = slabs_[i];
     const std::string tag = "ooc.slab" + std::to_string(i);
-    const mat::offset_t rebase = st.row_off.front();
-    for (mat::offset_t& o : st.row_off) o -= rebase;
+    const auto nrows = static_cast<std::size_t>(s.row_end - s.row_begin);
+    const auto nz = static_cast<std::size_t>(
+        host_.row_off[static_cast<std::size_t>(s.row_end)] -
+        host_.row_off[static_cast<std::size_t>(s.row_begin)]);
     SlabDev d;
-    d.row_off = this->dev_.template alloc<mat::offset_t>(st.row_off.size(),
+    d.row_off = this->dev_.template alloc<mat::offset_t>(nrows + 1,
                                                          tag + ".row_off");
-    d.row_off.host() = st.row_off;
-    d.col_idx = this->dev_.template alloc<mat::index_t>(st.col_idx.size(),
-                                                        tag + ".col_idx");
-    d.col_idx.host() = st.col_idx;
-    d.vals = this->dev_.template alloc<T>(st.vals.size(), tag + ".vals");
-    d.vals.host() = st.vals;
+    d.col_idx = this->dev_.template alloc<mat::index_t>(nz, tag + ".col_idx");
+    d.vals = this->dev_.template alloc<T>(nz, tag + ".vals");
     for (std::size_t b = 0; b < s.bins.size(); ++b) {
       if (s.bins[b].empty()) continue;
       d.bins[b] = this->dev_.template alloc<mat::index_t>(

@@ -145,20 +145,27 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
   // Value plane only (memo replay): the same arithmetic in the same order
   // as the SIMT walk below — per-lane stride-V accumulation, then the
   // butterfly, of which the group head's sum depends only on lanes
-  // j < d at step d — without the per-step bookkeeping. Bit-identity with
-  // the metered path is pinned by the memoized mode of
+  // j < d at step d — without the per-step bookkeeping. A row's entries
+  // are range-checked once (col_idx, then vals, as the metered gather
+  // checks them) and then read raw; each x gather keeps its own check.
+  // Bit-identity with the metered path is pinned by the memoized mode of
   // test_metering_invariance.cpp and the differential fuzz.
   if (w.value_only()) [[unlikely]] {
     for (Mask rem = grp.live; rem != 0; rem &= rem - 1) {
       const auto g = static_cast<std::size_t>(std::countr_zero(rem));
-      T part[vgpu::kWarpSize] = {};
+      const mat::offset_t start = grp.start[g], end = grp.end[g];
+      const mat::index_t* ci = nullptr;
+      const T* va = nullptr;
+      if (start < end) {
+        ci = col_idx.checked_base(start, end - 1);
+        va = vals.checked_base(start, end - 1);
+      }
+      T part[vgpu::kWarpSize];  // lanes 0..V-1 only, each written below
       for (int j = 0; j < vec_size; ++j) {
         T acc{};
-        for (mat::offset_t e = grp.start[g] + j; e < grp.end[g];
+        for (mat::offset_t e = start + j; e < end;
              e += static_cast<mat::offset_t>(vec_size))
-          acc += vals[static_cast<std::size_t>(e)] *
-                 x[static_cast<std::size_t>(
-                     col_idx[static_cast<std::size_t>(e)])];
+          acc += va[e] * x[static_cast<std::size_t>(ci[e])];
         part[j] = acc;
       }
       for (int d = vec_size / 2; d > 0; d /= 2)

@@ -10,12 +10,14 @@
 // plane stays exact while the time plane pays drive service, stripe
 // rounding, queueing, and fault penalties.
 //
-// Robustness is first-class. Every chunk is checksummed (chunk_checksum:
-// FNV-style word steps in four lanes) over its source bytes before
-// service and verified over the *delivered* bytes on arrival. Each step
-// is a bijection of the hash state, so any corruption confined to one
-// 8-byte word (or one tail byte) of a segment — every single-bit flip
-// included — always changes the checksum. The ACSR_FAULTS `read` site
+// Robustness is first-class. Every chunk carries the checksum stored with
+// it when it was written (stored_checksum over its source bytes:
+// chunk_checksum, FNV-style word steps in four lanes), and every delivery
+// is verified against that stored value on arrival, so a corruption on
+// the wire or at rest is caught without re-hashing the source per read.
+// Each step is a bijection of the hash state, so any corruption confined
+// to one 8-byte word (or one tail byte) of a segment — every single-bit
+// flip included — always changes the checksum. The ACSR_FAULTS `read` site
 // can fail a request (io_transient), hang it (io_timeout), corrupt the
 // delivered bytes (io_checksum — caught by the arrival checksum), or
 // degrade a drive (io_degrade). Failed or corrupt reads are re-issued up to
@@ -108,6 +110,23 @@ inline std::uint64_t chunk_checksum(const unsigned char* p, std::size_t n,
   return (h ^ n) * kPrime;
 }
 
+/// The checksum a chunk is stored with when it is written: chunk_checksum
+/// over `count` elements of `src` from `first`, chained through `h` across
+/// the chunk's source ranges in segment order. An empty range leaves `h`
+/// as it is, as make_segment drops an empty segment. A writer computes
+/// this once per chunk and passes it with every read; the tier verifies
+/// each delivery against it and never re-hashes the source.
+template <class U>
+std::uint64_t stored_checksum(const std::vector<U>& src, std::size_t first,
+                              std::size_t count,
+                              std::uint64_t h = kChecksumSeed) {
+  if (count == 0) return h;
+  ACSR_REQUIRE(first + count <= src.size(), "storage segment out of range");
+  return chunk_checksum(
+      reinterpret_cast<const unsigned char*>(src.data() + first),
+      count * sizeof(U), h);
+}
+
 struct TierConfig {
   int num_drives = 4;
   std::size_t stripe_bytes = 256 * 1024;
@@ -123,6 +142,9 @@ class StorageTier {
     std::string what;         ///< chunk name, for fault/log attribution
     std::size_t offset = 0;   ///< logical byte offset in the striped file
     std::vector<Segment> segments;
+    /// Stored with the chunk when it was written (stored_checksum over the
+    /// segments' sources); every delivery is verified against it.
+    std::uint64_t checksum = 0;
     /// Fired (from poll/drain/queue pressure) with the completion time.
     std::function<void(double complete_s)> on_complete;
   };
@@ -156,11 +178,12 @@ class StorageTier {
 
   /// Synchronous convenience: submit and immediately retire.
   double read_chunk(std::string what, std::size_t offset,
-                    std::vector<Segment> segments) {
+                    std::vector<Segment> segments, std::uint64_t checksum) {
     ReadRequest r;
     r.what = std::move(what);
     r.offset = offset;
     r.segments = std::move(segments);
+    r.checksum = checksum;
     const double done = submit(std::move(r));
     poll(done);
     return done;
@@ -204,12 +227,8 @@ class StorageTier {
     return cfg_.drive.name + std::to_string(index);
   }
 
-  static std::uint64_t checksum_src(const std::vector<Segment>& segs) {
-    std::uint64_t h = kChecksumSeed;
-    for (const Segment& s : segs) h = chunk_checksum(s.src, s.bytes, h);
-    return h;
-  }
-
+  /// The arrival checksum: stored_checksum's chain over the delivered
+  /// bytes.
   static std::uint64_t checksum_dst(const std::vector<Segment>& segs) {
     std::uint64_t h = kChecksumSeed;
     for (const Segment& s : segs) h = chunk_checksum(s.dst, s.bytes, h);
@@ -227,13 +246,13 @@ class StorageTier {
   }
 
   /// The retry loop: per attempt, consult the fault plane, charge drive
-  /// service for the stripe-rounded extents, deliver, verify.
+  /// service for the stripe-rounded extents, deliver, verify against the
+  /// chunk's stored checksum.
   double service(const ReadRequest& r) {
     std::size_t demand = 0;
     for (const Segment& s : r.segments) demand += s.bytes;
     ACSR_CHECK(demand > 0);
     stats_.demand_bytes += demand;
-    const std::uint64_t want = checksum_src(r.segments);
     const std::vector<Extent> extents = mapper_.map(r.offset, demand);
     const int first_drive = extents.front().drive;
 
@@ -290,7 +309,7 @@ class StorageTier {
           pos -= s.bytes;
         }
       }
-      if (checksum_dst(r.segments) != want) {
+      if (checksum_dst(r.segments) != r.checksum) {
         stats_.checksum_failures += 1;
         if (last_try)
           throw vgpu::ChunkChecksumMismatch(

@@ -61,6 +61,15 @@ class DeviceSpan {
       fail_out_of_bounds(lo, hi);
   }
 
+  /// check_range(lo, hi), then the raw base pointer, for a loop that
+  /// reads only elements lo..hi: one validation in place of an operator[]
+  /// check per element, with the same failure mode. The value-only row
+  /// walk of csr_vector_warp (memo replay) reads each row this way.
+  T* checked_base(long long lo, long long hi) const {
+    check_range(lo, hi);
+    return data_;
+  }
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   T* data() const { return data_; }

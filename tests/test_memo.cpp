@@ -28,6 +28,7 @@
 #include "graph/dynamic.hpp"
 #include "graph/powerlaw.hpp"
 #include "slo/trace.hpp"
+#include "spmv/csr_vector.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
@@ -576,6 +577,74 @@ TEST(MemoFaultPlane, NonFlipPlansReplayAtSameOrdinals) {
       EXPECT_EQ(off.events, on.events);
     }
   }
+}
+
+TEST(MemoReplay, ValueOnlyRowWalkFailsLikeTheMeteredWalk) {
+  // The replayed csr_vector walk range-checks each row's extent once and
+  // then reads col_idx/vals raw. A row_end past both buffers must still
+  // fail there, with the metered walk's typed error naming the same
+  // buffer, not read past it.
+  MemoGuard guard;
+  Device dev(DeviceSpec::gtx_titan());
+  const Csr<double> a = powerlaw(64, 6.0, 3);
+  const auto n = static_cast<std::size_t>(a.rows);
+  auto row_off = dev.alloc<acsr::mat::offset_t>(n + 1, "row_off");
+  row_off.host() = a.row_off;
+  auto col_idx = dev.alloc<acsr::mat::index_t>(a.col_idx.size(), "col_idx");
+  col_idx.host() = a.col_idx;
+  auto vals = dev.alloc<double>(a.vals.size(), "vals");
+  vals.host() = a.vals;
+  auto x = dev.alloc<double>(static_cast<std::size_t>(a.cols), "x");
+  x.host() = random_x(static_cast<std::size_t>(a.cols), 9);
+  auto y = dev.alloc<double>(n, "y");
+
+  constexpr int kVec = 4;
+  constexpr int kRowsPerWarp = acsr::vgpu::kWarpSize / kVec;
+  const auto launch = [&] {
+    acsr::vgpu::LaunchConfig cfg;
+    cfg.name = "vector_probe";
+    cfg.block_dim = 128;
+    cfg.grid_dim = (a.rows + 4 * kRowsPerWarp - 1) / (4 * kRowsPerWarp);
+    const auto rs = row_off.cspan().subspan(0, n);
+    const auto re = row_off.cspan().subspan(1, n);
+    return dev
+        .launch_warps(cfg,
+                      [&](acsr::vgpu::Warp& w) {
+                        const long long first =
+                            w.global_warp() * kRowsPerWarp;
+                        if (first >= a.rows) return;
+                        acsr::spmv::csr_vector_warp<double>(
+                            w, kVec, rs, re, col_idx.cspan(), vals.cspan(),
+                            x.cspan(), y.span(),
+                            acsr::vgpu::DeviceSpan<const acsr::mat::index_t>(),
+                            a.rows, first);
+                      })
+        .duration_s;
+  };
+  Memoizer memo(spec_fingerprint(dev.spec()) + "|vector_probe");
+  memo.run(dev, "walk", launch);  // capture over valid extents
+
+  // A value change, so the key still hits: the last row now ends past the
+  // end of col_idx and vals.
+  row_off.host().back() += 40;
+  const auto failure = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const acsr::InvariantError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string metered = failure(launch);
+  const std::uint64_t hits = MemoCache::instance().stats().hits;
+  const std::string replayed =
+      failure([&] { return memo.run(dev, "walk", launch); });
+  EXPECT_EQ(MemoCache::instance().stats().hits, hits + 1)
+      << "the second run did not replay";
+  EXPECT_NE(metered.find("(buffer 'col_idx')"), std::string::npos)
+      << metered;
+  EXPECT_NE(replayed.find("(buffer 'col_idx')"), std::string::npos)
+      << replayed;
 }
 
 }  // namespace

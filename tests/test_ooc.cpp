@@ -199,6 +199,46 @@ TEST_F(Ooc, StreamsEverySlabWithOverlapInsideBudget) {
   EXPECT_GT(m->compute(io), 0.0);
 }
 
+TEST_F(Ooc, StreamingHoldsAtMostTwoSlabSets) {
+  // Each drive read delivers into the slab set it fills, so the next
+  // set is allocated at prefetch; the previous one must be gone by then.
+  // Every row holds 24 entries, so a set is nearly all matrix slices: its
+  // overhead (a y element per row, 256-byte rounding of each of its at
+  // most nine buffers) stays below half a set, and a device with room for
+  // two sets plus that overhead has no room for a third.
+  constexpr index_t n = 512;
+  constexpr index_t per_row = 24;
+  acsr::mat::Coo<double> c;
+  c.rows = n;
+  c.cols = n;
+  for (index_t r = 0; r < n; ++r)
+    for (index_t j = 0; j < per_row; ++j)
+      c.push(r, (r * 7 + j * 13) % n, 0.5 + 0.01 * j);
+  const Csr<double> a = Csr<double>::from_coo(c);
+
+  Device dev(DeviceSpec::gtx_titan());
+  OocOptions opt;
+  opt.budget_bytes = 16 * 1024;
+  OocCsrEngine<double> engine(dev, a, opt);
+  ASSERT_GE(engine.num_slabs(), 3u);
+  const auto x = ones(static_cast<std::size_t>(n));
+  std::vector<double> want, got;
+  engine.apply(x, want);
+  engine.simulate(x, got);  // allocates the engine's x scratch
+
+  const std::size_t row_bytes =
+      sizeof(acsr::mat::offset_t) +
+      static_cast<std::size_t>(per_row) * (sizeof(index_t) + sizeof(double));
+  const std::size_t slab_rows = opt.budget_bytes / 2 / row_bytes + 1;
+  const std::size_t set_slack = 9 * 256 + slab_rows * sizeof(double);
+  const std::size_t two_sets = engine.report().device_bytes;
+  ASSERT_LT(2 * set_slack, two_sets / 2);
+  dev.set_memory_capacity(dev.arena().allocated() + two_sets + 2 * set_slack);
+  got.clear();
+  engine.simulate(x, got);
+  EXPECT_EQ(got, want);
+}
+
 TEST_F(Ooc, FactoryBuildsOocAndHeadroomTracksAllocations) {
   const Csr<double> a = test_matrix(64);
   Device dev(DeviceSpec::gtx_titan());

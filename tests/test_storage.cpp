@@ -3,10 +3,11 @@
 // invariants the out-of-core executor depends on are each pinned here:
 // reads deliver exact bytes (data plane) while charging stripe-rounded
 // drive time (time plane), striped reads proceed in parallel across
-// drives, the async window is bounded and retires oldest-first, and
-// every ACSR_FAULTS `read` class either recovers within the retry budget
-// (with backoff charged to the clock and io.* evidence) or escapes as
-// its typed IoError.
+// drives, the async window is bounded and retires oldest-first, every
+// delivery is verified against the checksum stored with its chunk (so
+// corruption at rest escapes typed too), and every ACSR_FAULTS `read`
+// class either recovers within the retry budget (with backoff charged to
+// the clock and io.* evidence) or escapes as its typed IoError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,6 +55,11 @@ std::vector<Segment> whole(const std::vector<double>& src,
                            std::vector<double>& dst) {
   dst.assign(src.size(), 0.0);
   return {acsr::storage::make_segment(src, 0, dst, src.size())};
+}
+
+/// The checksum `src` is stored with when written as one chunk.
+std::uint64_t stored(const std::vector<double>& src) {
+  return acsr::storage::stored_checksum(src, 0, src.size());
 }
 
 // --- drive model -----------------------------------------------------------
@@ -125,7 +131,8 @@ TEST_F(Storage, ReadDeliversExactBytesAndAccounts) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(1000);
   std::vector<double> dst;
-  const double done = tier.read_chunk("chunk0", 0, whole(src, dst));
+  const double done =
+      tier.read_chunk("chunk0", 0, whole(src, dst), stored(src));
   EXPECT_GT(done, 0.0);
   EXPECT_EQ(dst, src);  // the data plane is exact
   const acsr::prof::IoAgg& s = tier.stats();
@@ -148,7 +155,7 @@ TEST_F(Storage, StripedReadRunsDrivesInParallel) {
   StorageTier tier(tl, cfg);
   const std::vector<double> src = pattern(32 * 4096 / sizeof(double));
   std::vector<double> dst;
-  const double done = tier.read_chunk("wide", 0, whole(src, dst));
+  const double done = tier.read_chunk("wide", 0, whole(src, dst), stored(src));
   const double work = tier.stats().read_s;
   EXPECT_LT(done, work);          // parallel: span < work
   EXPECT_GT(done, work / 4.001);  // but no better than 4-way
@@ -168,6 +175,7 @@ TEST_F(Storage, InflightWindowIsBoundedAndRetiresOldestFirst) {
     r.what = "req" + std::to_string(i);
     r.offset = static_cast<std::size_t>(i) * 64;
     r.segments = whole(src, dst[static_cast<std::size_t>(i)]);
+    r.checksum = stored(src);
     r.on_complete = [&completed, i](double) { completed.push_back(i); };
     tier.submit(std::move(r));
     EXPECT_LE(tier.inflight(), cfg.max_inflight);
@@ -214,7 +222,7 @@ TEST_F(Storage, TransientReadRetriesWithBackoffAndDelivers) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(500);
   std::vector<double> dst;
-  tier.read_chunk("slab0", 0, whole(src, dst));
+  tier.read_chunk("slab0", 0, whole(src, dst), stored(src));
   EXPECT_EQ(dst, src);  // the re-issue delivered the real bytes
   const acsr::prof::IoAgg& s = tier.stats();
   EXPECT_EQ(s.retries, 1u);
@@ -232,7 +240,7 @@ TEST_F(Storage, PersistentTransientEscapesTyped) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst)),
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst), stored(src)),
                acsr::vgpu::IoTransientError);
   // max_retries re-issues on top of the first attempt, all faulted.
   EXPECT_EQ(tier.stats().retries,
@@ -245,7 +253,7 @@ TEST_F(Storage, TimeoutChargesHangThenRecovers) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  const double done = tier.read_chunk("slab0", 0, whole(src, dst));
+  const double done = tier.read_chunk("slab0", 0, whole(src, dst), stored(src));
   EXPECT_EQ(dst, src);
   EXPECT_GE(tier.stats().penalty_s, 0.020);  // the hang is simulated time
   EXPECT_GE(done, 0.020);
@@ -257,7 +265,7 @@ TEST_F(Storage, PersistentTimeoutEscapesTyped) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst)),
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst), stored(src)),
                acsr::vgpu::IoTimeout);
 }
 
@@ -267,7 +275,7 @@ TEST_F(Storage, ChecksumCatchesCorruptDeliveryAndRereads) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(400);
   std::vector<double> dst;
-  tier.read_chunk("slab0", 0, whole(src, dst));
+  tier.read_chunk("slab0", 0, whole(src, dst), stored(src));
   // The arrival checksum caught the flip; the re-read delivered truth.
   EXPECT_EQ(dst, src);
   EXPECT_EQ(tier.stats().checksum_failures, 1u);
@@ -280,10 +288,48 @@ TEST_F(Storage, PersistentCorruptionEscapesTyped) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst)),
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst), stored(src)),
                acsr::vgpu::ChunkChecksumMismatch);
   EXPECT_EQ(tier.stats().checksum_failures,
             static_cast<std::uint64_t>(TierConfig{}.max_retries) + 1);
+}
+
+TEST_F(Storage, AtRestCorruptionEscapesTyped) {
+  // The source no longer matches the checksum stored with it when it was
+  // written: every delivery is exact, and every one fails verification
+  // against the stored value, so re-reads cannot help.
+  StreamTimeline tl;
+  StorageTier tier(tl, TierConfig{});
+  std::vector<double> src = pattern(300);
+  const std::uint64_t written = stored(src);
+  src[17] = -src[17];  // corrupted at rest, after the write
+  std::vector<double> dst;
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst), written),
+               acsr::vgpu::ChunkChecksumMismatch);
+  const auto budget = static_cast<std::uint64_t>(TierConfig{}.max_retries);
+  EXPECT_EQ(tier.stats().reads, budget + 1);
+  EXPECT_EQ(tier.stats().checksum_failures, budget + 1);
+  EXPECT_EQ(tier.stats().retries, budget);
+  EXPECT_EQ(dst, src);  // delivered as stored: the wire was not at fault
+}
+
+TEST_F(Storage, StoredChecksumChainsLikeTheArrivalCheck) {
+  // stored_checksum over typed ranges equals chunk_checksum chained over
+  // the bytes make_segment delivers, and an empty range is dropped from
+  // the chain as make_segment drops an empty segment.
+  const std::vector<double> a = pattern(9);
+  const std::vector<int> b = {3, 1, 4, 1, 5};
+  std::uint64_t want = acsr::storage::kChecksumSeed;
+  want = acsr::storage::chunk_checksum(
+      reinterpret_cast<const unsigned char*>(&a[2]), 5 * sizeof(double), want);
+  want = acsr::storage::chunk_checksum(
+      reinterpret_cast<const unsigned char*>(&b[0]), 5 * sizeof(int), want);
+  const std::uint64_t got = acsr::storage::stored_checksum(
+      b, 0, 5,
+      acsr::storage::stored_checksum(a, 3, 0,
+                                     acsr::storage::stored_checksum(a, 2, 5)));
+  EXPECT_EQ(got, want);
+  EXPECT_THROW(acsr::storage::stored_checksum(a, 6, 4), acsr::InputError);
 }
 
 TEST_F(Storage, ChunkChecksumDetectsEverySingleBitFlip) {
@@ -326,7 +372,7 @@ TEST_F(Storage, BackoffStaysDefinedPastSixtyThreeRetries) {
   StorageTier tier(tl, cfg);
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst)),
+  EXPECT_THROW(tier.read_chunk("slab0", 0, whole(src, dst), stored(src)),
                acsr::vgpu::IoTransientError);
   EXPECT_EQ(tier.stats().reads, 65u);
   EXPECT_EQ(tier.stats().retries, 64u);
@@ -342,13 +388,13 @@ TEST_F(Storage, DegradedDriveScalesServiceTime) {
 
   StreamTimeline clean_tl;
   StorageTier clean(clean_tl, TierConfig{});
-  clean.read_chunk("slab0", 0, whole(src, dst));
+  clean.read_chunk("slab0", 0, whole(src, dst), stored(src));
   const double clean_s = clean.stats().read_s;
 
   FaultInjector::instance().configure("io_degrade@read#1:x=4");
   StreamTimeline slow_tl;
   StorageTier slow(slow_tl, TierConfig{});
-  const double done = slow.read_chunk("slab0", 0, whole(src, dst));
+  const double done = slow.read_chunk("slab0", 0, whole(src, dst), stored(src));
   EXPECT_EQ(dst, src);  // degraded, not wrong
   EXPECT_DOUBLE_EQ(slow.stats().read_s, clean_s * 4.0);
   EXPECT_GT(done, 0.0);
@@ -362,7 +408,7 @@ TEST_F(Storage, DerivedIoMetricsComputeFromAgg) {
   StorageTier tier(tl, cfg);
   const std::vector<double> src = pattern(1000);  // 8000 B: 2 stripes
   std::vector<double> dst;
-  tier.read_chunk("slab0", 0, whole(src, dst));
+  tier.read_chunk("slab0", 0, whole(src, dst), stored(src));
   const acsr::prof::IoAgg& s = tier.stats();
   bool saw_amp = false;
   for (const auto& m : acsr::prof::metrics<acsr::prof::IoAgg>()) {
