@@ -84,8 +84,10 @@ echo "check.sh: tier-1 suite took $((SECONDS - tier1_start))s"
 # The executor's two oracle routes (docs/PERF.md): every Warp memory access
 # takes the per-lane route with every probe under reference metering and
 # the sanitizer route under ACSR_SANITIZE. The tier-1 suite must pass with
-# either plane switched on from the environment.
-for plane in ACSR_REFERENCE_METERING ACSR_SANITIZE; do
+# either plane switched on from the environment. Under ACSR_MEMO a replayed
+# launch computes y through its engine's exact-order value kernel instead
+# of the grid, so the whole suite with memo on is that route's broad gate.
+for plane in ACSR_REFERENCE_METERING ACSR_SANITIZE ACSR_MEMO; do
   echo "== tier-1 tests under $plane=1"
   env "$plane=1" ctest --test-dir "$build" -L tier1 --output-on-failure
 done

@@ -71,11 +71,11 @@ class AcsrLauncher {
     // (their row sweeps are aligned); serialised mode forgoes both.
     vgpu::ConcurrentGroup group(dev_);
     const bool conc = opt_.concurrent_streams;
-    auto do_launch = [&](const vgpu::LaunchConfig& cfg, auto&& body) {
-      runs.push_back(conc ? group.launch_warps(cfg, body)
-                          : dev_.launch_warps(cfg, body));
+    auto do_launch = [&](const vgpu::LaunchConfig& cfg, auto&& body,
+                         vgpu::ValueRef value) {
+      runs.push_back(conc ? group.launch_warps(cfg, body, value)
+                          : dev_.launch_warps(cfg, body, nullptr, value));
     };
-
 
     // --- Bin-specific grids (Algorithm 2). --------------------------------
     for (std::size_t i = 1; i < binning_.bins.size(); ++i) {
@@ -95,13 +95,20 @@ class AcsrLauncher {
             " rows=" + std::to_string(rows_in_bin.size()) +
             " vector_size=" + std::to_string(v));
       auto row_map = bin_rows_dev_[i].cspan();
-      do_launch(cfg, [&](vgpu::Warp& w) {
-        const long long first = w.global_warp() * rows_per_warp;
-        if (first >= n_slots) return;
-        spmv::csr_vector_warp<T>(w, v, row_start, row_end, col_idx, vals,
-                                 xs, ys, row_map, n_slots, first,
-                                 opt_.use_texture);
-      });
+      do_launch(
+          cfg,
+          [&](vgpu::Warp& w) {
+            const long long first = w.global_warp() * rows_per_warp;
+            if (first >= n_slots) return;
+            spmv::csr_vector_warp<T>(w, v, row_start, row_end, col_idx, vals,
+                                     xs, ys, row_map, n_slots, first,
+                                     opt_.use_texture);
+          },
+          [&] {
+            spmv::csr_vector_rows<T>(v, row_start, row_end, col_idx, vals,
+                                     row_map, n_slots, spmv::x_reader(xs),
+                                     ys);
+          });
     }
 
     // --- Dynamic-parallelism parent grid (Algorithm 3). -------------------
@@ -116,6 +123,10 @@ class AcsrLauncher {
             "dp_rows=" + std::to_string(n_dp));
       auto dp_rows = dp_rows_dev_.cspan();
       const int thread_load = opt_.thread_load;
+      const auto value = [&] {
+        dp_rows_values(dp_rows, row_start, row_end, col_idx, vals,
+                       spmv::x_reader(xs), ys, thread_load);
+      };
       do_launch(cfg, [&](vgpu::Warp& w) {
         using vgpu::LaneArray;
         using vgpu::Mask;
@@ -135,7 +146,7 @@ class AcsrLauncher {
           launch_row_child(w, row[l], start[l], end[l], col_idx, vals, xs,
                            ys, thread_load, opt_.use_texture);
         }
-      });
+      }, value);
     }
 
     if (agg != nullptr) {
@@ -208,8 +219,16 @@ class AcsrLauncher {
                         xslab, use_tex);
         });
       };
-      runs.push_back(conc ? group.launch(cfg, vgpu::KernelRef(body))
-                          : dev_.launch(cfg, vgpu::KernelRef(body)));
+      const auto value = [&] {
+        for (int c = 0; c < k; ++c)
+          spmv::csr_vector_rows<T>(v, row_start, row_end, col_idx, vals,
+                                   row_map, n_slots,
+                                   spmv::x_reader(xp, k, c),
+                                   spmv::y_column(yb, ldy, n_rows, c));
+      };
+      runs.push_back(conc ? group.launch(cfg, vgpu::KernelRef(body), value)
+                          : dev_.launch(cfg, vgpu::KernelRef(body), nullptr,
+                                        value));
     }
 
     // --- Batched dynamic-parallelism parent (Algorithm 3 x columns). ------
@@ -225,9 +244,15 @@ class AcsrLauncher {
       auto dp_rows = dp_rows_dev_.cspan();
       const int thread_load = opt_.thread_load;
       const bool use_tex = opt_.use_texture;
+      const auto value = [&] {
+        for (int c = 0; c < k; ++c)
+          dp_rows_values(dp_rows, row_start, row_end, col_idx, vals,
+                         spmv::x_reader(xp, k, c),
+                         spmv::y_column(yb, ldy, n_rows, c), thread_load);
+      };
       auto do_launch = [&](const vgpu::LaunchConfig& c, auto&& b) {
-        runs.push_back(conc ? group.launch_warps(c, b)
-                            : dev_.launch_warps(c, b));
+        runs.push_back(conc ? group.launch_warps(c, b, value)
+                            : dev_.launch_warps(c, b, nullptr, value));
       };
       do_launch(cfg, [&](vgpu::Warp& w) {
         using vgpu::LaneArray;
@@ -268,7 +293,89 @@ class AcsrLauncher {
     return conc ? group.seconds() : vgpu::combine_sequential(runs);
   }
 
+  /// Value kernel of the whole launch sequence run() issues — bin i's
+  /// rows, then the tail rows — over the host copies of the bin maps:
+  /// what run() stores into ys, in its order. AcsrEngine::apply.
+  template <class XAt>
+  void values(vgpu::DeviceSpan<const mat::offset_t> row_start,
+              vgpu::DeviceSpan<const mat::offset_t> row_end,
+              vgpu::DeviceSpan<const mat::index_t> col_idx,
+              vgpu::DeviceSpan<const T> vals, const XAt& x_at,
+              vgpu::DeviceSpan<T> ys) const {
+    for (std::size_t i = 1; i < binning_.bins.size(); ++i) {
+      const auto& rows_in_bin = binning_.bins[i];
+      spmv::csr_vector_rows<T>(Binning::vector_size_for_bin(i), row_start,
+                               row_end, col_idx, vals,
+                               vgpu::host_span(rows_in_bin),
+                               static_cast<long long>(rows_in_bin.size()),
+                               x_at, ys);
+    }
+    dp_rows_values(vgpu::host_span(binning_.dp_rows), row_start, row_end,
+                   col_idx, vals, x_at, ys, opt_.thread_load);
+  }
+
  private:
+  /// Algorithm 3's sizing of one tail row's child grid (Algorithm 4):
+  /// ceil(nnz / thread_load) threads in blocks of at most 256, a warp
+  /// multiple. Caller guarantees nnz > 0.
+  static vgpu::LaunchConfig child_config(long long nnz, int thread_load) {
+    const long long want_threads = (nnz + thread_load - 1) / thread_load;
+    vgpu::LaunchConfig child;
+    child.block_dim = static_cast<int>(
+        std::min<long long>(256, ((want_threads + 31) / 32) * 32));
+    child.grid_dim = std::max<long long>(
+        1, (want_threads + child.block_dim - 1) / child.block_dim);
+    return child;
+  }
+
+  /// The value a tail row's parent store and child grid leave in y,
+  /// Algorithms 3-4 bit for bit: per warp, lanes sum the entries
+  /// start + tid, start + tid + total_threads, ... and fold by the 32-lane
+  /// butterfly; each block folds its warp sums in warp order from 0; the
+  /// block totals accumulate onto the parent's 0 in block order (the
+  /// simulator runs a grid's blocks in order, so the children's atomics
+  /// land in that order). The row's col/val range is checked once.
+  template <class XAt>
+  static T dp_row_value(vgpu::DeviceSpan<const mat::index_t> col_idx,
+                        vgpu::DeviceSpan<const T> vals, mat::offset_t start,
+                        mat::offset_t end, int thread_load,
+                        const XAt& x_at) {
+    T y{0};
+    if (end <= start) return y;  // no child grid: the parent's 0 stays
+    const vgpu::LaunchConfig child = child_config(end - start, thread_load);
+    const mat::index_t* ci = col_idx.checked_base(start, end - 1);
+    const T* va = vals.checked_base(start, end - 1);
+    const long long total_threads = child.grid_dim * child.block_dim;
+    const int warps = child.block_dim / vgpu::kWarpSize;
+    for (long long b = 0; b < child.grid_dim; ++b) {
+      T block_total{0};
+      for (int wi = 0; wi < warps; ++wi)
+        block_total += spmv::lane_tree_sum(
+            ci, va,
+            static_cast<mat::offset_t>(start + b * child.block_dim +
+                                       wi * vgpu::kWarpSize),
+            end, static_cast<mat::offset_t>(total_threads), vgpu::kWarpSize,
+            x_at);
+      y += block_total;
+    }
+    return y;
+  }
+
+  /// Value kernel of the DP parent grid: every tail row's dp_row_value.
+  template <class XAt>
+  static void dp_rows_values(vgpu::DeviceSpan<const mat::index_t> dp_rows,
+                             vgpu::DeviceSpan<const mat::offset_t> row_start,
+                             vgpu::DeviceSpan<const mat::offset_t> row_end,
+                             vgpu::DeviceSpan<const mat::index_t> col_idx,
+                             vgpu::DeviceSpan<const T> vals, const XAt& x_at,
+                             vgpu::DeviceSpan<T> ys, int thread_load) {
+    for (std::size_t t = 0; t < dp_rows.size(); ++t) {
+      const auto row = static_cast<std::size_t>(dp_rows[t]);
+      ys[row] = dp_row_value(col_idx, vals, row_start[row], row_end[row],
+                             thread_load, x_at);
+    }
+  }
+
   /// Algorithm 3 body for one parent lane: size and launch the
   /// row-specific child grid (Algorithm 4).
   static void launch_row_child(vgpu::Warp& w, mat::index_t row,
@@ -280,14 +387,8 @@ class AcsrLauncher {
                                bool use_tex) {
     const long long nnz = end - start;
     if (nnz <= 0) return;
-    const long long want_threads = (nnz + thread_load - 1) / thread_load;
-    const int block_dim = static_cast<int>(
-        std::min<long long>(256, ((want_threads + 31) / 32) * 32));
-    vgpu::LaunchConfig child;
+    vgpu::LaunchConfig child = child_config(nnz, thread_load);
     child.name = "acsr_row" + std::to_string(row);
-    child.block_dim = block_dim;
-    child.grid_dim =
-        std::max<long long>(1, (want_threads + block_dim - 1) / block_dim);
     const long long total_threads = child.grid_dim * child.block_dim;
 
     w.launch_child(child, [row, start, end, col_idx, vals, xs, ys,
@@ -440,14 +541,8 @@ class AcsrLauncher {
       int thread_load, bool use_tex) {
     const long long nnz = end - start;
     if (nnz <= 0) return;
-    const long long want_threads = (nnz + thread_load - 1) / thread_load;
-    const int block_dim = static_cast<int>(
-        std::min<long long>(256, ((want_threads + 31) / 32) * 32));
-    vgpu::LaunchConfig child;
+    vgpu::LaunchConfig child = child_config(nnz, thread_load);
     child.name = "acsr_spmm_row" + std::to_string(row);
-    child.block_dim = block_dim;
-    child.grid_dim =
-        std::max<long long>(1, (want_threads + block_dim - 1) / block_dim);
     const long long total_threads = child.grid_dim * child.block_dim;
     const int n_tiles = (k + spmv::kSpmmTile - 1) / spmv::kSpmmTile;
 
@@ -596,8 +691,17 @@ class AcsrEngine final : public spmv::EngineBase<T> {
   int row_grids() const { return launcher_->row_grids(); }
   bool dynamic_parallelism_active() const { return row_grids() > 0; }
 
+  /// The simulated launch sequence's value, bit for bit
+  /// (AcsrLauncher::values over the host arrays).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    host_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    const auto nrows = static_cast<std::size_t>(host_.rows);
+    y.assign(nrows, T{0});
+    launcher_->values(vgpu::host_span(host_.row_off, 0, nrows),
+                      vgpu::host_span(host_.row_off, 1, nrows),
+                      vgpu::host_span(host_.col_idx),
+                      vgpu::host_span(host_.vals),
+                      spmv::x_reader(vgpu::host_span(x)), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {

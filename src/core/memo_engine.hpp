@@ -3,13 +3,15 @@
 // make_engine wraps every engine it builds in a MemoEngine when the memo
 // plane is on. The first simulate() captures the engine's launch sequence
 // (per-launch Counters, roofline terms and duration); every later
-// simulate() replays it — kernels re-run value-only for the numeric y,
-// metering comes from the cache. Static engines have a fixed structure, so
-// the only key material beyond the identity is the per-instance tag: a
-// rebuilt engine (e.g. the resilient driver's scrub/fallback/failover
-// paths recreate engines through make_engine) starts cold and its
-// predecessor's entries are erased by the Memoizer destructor — stale
-// metering cannot be replayed. apply() and every query delegate untouched.
+// simulate() replays it — each launch computes the numeric y through its
+// exact-order value kernel (or, for an engine without one, a value-only
+// grid walk), metering comes from the cache. Static engines have a fixed
+// structure, so the only key material beyond the identity is the
+// per-instance tag: a rebuilt engine (e.g. the resilient driver's
+// scrub/fallback/failover paths recreate engines through make_engine)
+// starts cold and its predecessor's entries are erased by the Memoizer
+// destructor — stale metering cannot be replayed. apply() and every query
+// delegate untouched.
 #pragma once
 
 #include <memory>

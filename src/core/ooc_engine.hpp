@@ -60,14 +60,22 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
                                      : dev.arena().capacity() / 8;
     ACSR_REQUIRE(budget_ > 0, "out-of-core budget must be positive");
     partition();
-    std::size_t peak = 0;
-    for (const Slab& s : slabs_)
-      peak = std::max(peak, s.bytes + s.meta_bytes);
-    // Resident footprint: two slab sets in flight (double buffer).
-    this->report_.device_bytes = 2 * peak;
+    // Resident footprint: what the largest two consecutive slab sets take
+    // from the arena, since sets i and i+1 are live together while
+    // streaming (double buffer).
+    this->report_.device_bytes = two_set_peak(
+        [this](std::size_t i) { return set_footprint(i); });
   }
 
   std::size_t budget_bytes() const { return budget_; }
+  /// What the budget caps: the matrix slices and bin maps of the largest
+  /// two consecutive slab sets. report().device_bytes adds each set's y
+  /// buffer and the arena's rounding.
+  std::size_t streamed_bytes() const {
+    return two_set_peak([this](std::size_t i) {
+      return slabs_[i].bytes + slabs_[i].meta_bytes;
+    });
+  }
   std::size_t num_slabs() const { return slabs_.size(); }
   /// Storage/streaming accounting of the last simulate() (io.* metrics).
   const prof::IoAgg& io_stats() const { return last_io_; }
@@ -90,35 +98,22 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   mat::offset_t nnz() const override { return host_.nnz(); }
 
   /// Host-side functional SpMV in exactly the kernel's reduction order:
-  /// per row, V = choose_vector_size(length) lanes accumulate stride-V
-  /// partials, then the butterfly folds them. simulate() == apply()
-  /// element-for-element, independent of the slab partition.
+  /// each row's spmv::vector_row_value on V = choose_vector_size(length)
+  /// lanes. simulate() == apply() element-for-element, independent of the
+  /// slab partition.
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    for (mat::index_t r = 0; r < host_.rows; ++r) {
-      const mat::offset_t start = host_.row_off[static_cast<std::size_t>(r)];
-      const mat::offset_t end =
-          host_.row_off[static_cast<std::size_t>(r) + 1];
-      if (start == end) continue;
-      const int v = spmv::choose_vector_size(
-          static_cast<double>(end - start));
-      T part[32] = {};
-      for (int l = 0; l < v; ++l) {
-        T acc{};
-        for (mat::offset_t j = start + l; j < end;
-             j += static_cast<mat::offset_t>(v))
-          acc += host_.vals[static_cast<std::size_t>(j)] *
-                 x[static_cast<std::size_t>(
-                     host_.col_idx[static_cast<std::size_t>(j)])];
-        part[l] = acc;
-      }
-      for (int d = v / 2; d > 0; d /= 2) {
-        T o[32];
-        for (int l = 0; l < v; ++l) o[l] = (l + d < v) ? part[l + d] : part[l];
-        for (int l = 0; l < v; ++l) part[l] = part[l] + o[l];
-      }
-      y[static_cast<std::size_t>(r)] = part[0];
+    const auto ci = vgpu::host_span(host_.col_idx);
+    const auto va = vgpu::host_span(host_.vals);
+    const auto x_at = spmv::x_reader(vgpu::host_span(x));
+    for (std::size_t r = 0; r < y.size(); ++r) {
+      const mat::offset_t start = host_.row_off[r];
+      const mat::offset_t end = host_.row_off[r + 1];
+      if (start == end) continue;  // unbinned: the slab's y stays 0
+      const int v =
+          spmv::choose_vector_size(static_cast<double>(end - start));
+      y[r] = spmv::vector_row_value<T>(v, ci, va, start, end, x_at);
     }
   }
 
@@ -326,6 +321,35 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     return done;
   }
 
+  /// Largest bytes(i) + bytes(i + 1) over consecutive slabs (one slab:
+  /// bytes(0)).
+  template <class F>
+  std::size_t two_set_peak(F bytes) const {
+    std::size_t peak = 0;
+    for (std::size_t i = 0; i < slabs_.size(); ++i)
+      peak = std::max(peak, bytes(i) + (i + 1 < slabs_.size() ? bytes(i + 1)
+                                                              : 0));
+    return peak;
+  }
+
+  /// Arena bytes of the set make_buffers(i) allocates.
+  std::size_t set_footprint(std::size_t i) const {
+    const Slab& s = slabs_[i];
+    const auto nrows = static_cast<std::size_t>(s.row_end - s.row_begin);
+    const auto nz = static_cast<std::size_t>(
+        host_.row_off[static_cast<std::size_t>(s.row_end)] -
+        host_.row_off[static_cast<std::size_t>(s.row_begin)]);
+    auto fp = [](std::size_t bytes) {
+      return vgpu::MemoryArena::footprint(bytes);
+    };
+    std::size_t total = fp((nrows + 1) * sizeof(mat::offset_t)) +
+                        fp(nz * sizeof(mat::index_t)) + fp(nz * sizeof(T)) +
+                        fp(nrows * sizeof(T));
+    for (const auto& bin : s.bins)
+      if (!bin.empty()) total += fp(bin.size() * sizeof(mat::index_t));
+    return total;
+  }
+
   /// Allocate slab i's device set; the tier read fills its matrix slices.
   SlabDev make_buffers(std::size_t i) {
     const Slab& s = slabs_[i];
@@ -395,12 +419,17 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       cfg.grid_dim = std::max<long long>(1, (warps + 3) / 4);
       auto row_map = d.bins[b].cspan();
       const bool tex = opt_.use_texture;
-      const vgpu::KernelRun run =
-          group.launch_warps(cfg, [&](vgpu::Warp& w) {
+      const vgpu::KernelRun run = group.launch_warps(
+          cfg,
+          [&](vgpu::Warp& w) {
             const long long first = w.global_warp() * rows_per_warp;
             if (first >= n_slots) return;
             spmv::csr_vector_warp<T>(w, v, rs, re, ci, va, x_dev, ys,
                                      row_map, n_slots, first, tex);
+          },
+          [&] {
+            spmv::csr_vector_rows<T>(v, rs, re, ci, va, row_map, n_slots,
+                                     spmv::x_reader(x_dev), ys);
           });
       if (launches == 0) {
         agg = run;

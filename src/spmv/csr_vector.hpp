@@ -121,6 +121,94 @@ struct VectorGroups {
   }
 };
 
+// --- exact-order host value kernels ------------------------------------------
+// One host kernel per simulated kernel, reproducing its floating-point
+// order bit for bit: it is both the engine's `apply` and, as the launch's
+// ValueRef, the way a replayed launch computes y (vgpu/memo.hpp).
+
+/// x readers of the value kernels, each read bounds-checked: a vector, or
+/// column c of the packed row-major block of the SpMM kernels
+/// (xp[col*k + c], EngineBase::stage_x_pack).
+template <class T>
+auto x_reader(vgpu::DeviceSpan<const T> x) {
+  return [x](mat::index_t col) { return x[static_cast<std::size_t>(col)]; };
+}
+template <class T>
+auto x_reader(vgpu::DeviceSpan<const T> xp, int k, int c) {
+  return [xp, k, c](mat::index_t col) {
+    return xp[static_cast<std::size_t>(static_cast<long long>(col) * k + c)];
+  };
+}
+
+/// Column c of a column-major y block with leading dimension ldy.
+template <class T>
+vgpu::DeviceSpan<T> y_column(vgpu::DeviceSpan<T> yb, long long ldy,
+                             long long n_rows, int c) {
+  return yb.subspan(
+      static_cast<std::size_t>(c) * static_cast<std::size_t>(ldy),
+      static_cast<std::size_t>(n_rows));
+}
+
+/// The warp-sum order every kernel here shares: lane j < lanes sums the
+/// entries first + j, first + j + stride, ... below end in order (a lane
+/// with none holds +0, as a zero-initialised register does), then the
+/// butterfly part[j] += part[j + d], d = lanes/2 ... 1, leaves the sum in
+/// lane 0. ci/va are the row's raw col/val arrays, already range-checked
+/// over [first, end); x_at performs each x read with its own check.
+template <class T, class XAt>
+T lane_tree_sum(const mat::index_t* ci, const T* va, mat::offset_t first,
+                mat::offset_t end, mat::offset_t stride, int lanes,
+                const XAt& x_at) {
+  T part[vgpu::kWarpSize];
+  for (int j = 0; j < lanes; ++j) {
+    T acc{};
+    for (mat::offset_t e = first + j; e < end; e += stride)
+      acc += va[e] * x_at(ci[e]);
+    part[j] = acc;
+  }
+  for (int d = lanes / 2; d > 0; d /= 2)
+    for (int j = 0; j < d; ++j) part[j] = part[j] + part[j + d];
+  return part[0];
+}
+
+/// The row sum csr_vector_warp publishes for a row on V lanes. The row's
+/// col/val range is checked once — col_idx, then vals, as the kernel's
+/// gather checks them — and then read raw (an empty or inverted range
+/// reads nothing and sums to +0, as the kernel's walk does).
+template <class T, class XAt>
+T vector_row_value(int vec, vgpu::DeviceSpan<const mat::index_t> col_idx,
+                   vgpu::DeviceSpan<const T> vals, mat::offset_t start,
+                   mat::offset_t end, const XAt& x_at) {
+  const mat::index_t* ci = nullptr;
+  const T* va = nullptr;
+  if (start < end) {
+    ci = col_idx.checked_base(start, end - 1);
+    va = vals.checked_base(start, end - 1);
+  }
+  return lane_tree_sum(ci, va, start, end, static_cast<mat::offset_t>(vec),
+                       vec, x_at);
+}
+
+/// Value kernel of a csr_vector_warp grid over slots 0 .. n_slots-1 (row
+/// = row_map[slot], or the slot itself when row_map is empty): stores
+/// each row's vector_row_value into y, as the grid's group heads do.
+/// Every extent and row-map read is bounds-checked.
+template <class T, class XAt>
+void csr_vector_rows(int vec, vgpu::DeviceSpan<const mat::offset_t> row_start,
+                     vgpu::DeviceSpan<const mat::offset_t> row_end,
+                     vgpu::DeviceSpan<const mat::index_t> col_idx,
+                     vgpu::DeviceSpan<const T> vals,
+                     vgpu::DeviceSpan<const mat::index_t> row_map,
+                     long long n_slots, const XAt& x_at,
+                     vgpu::DeviceSpan<T> y) {
+  for (long long s = 0; s < n_slots; ++s) {
+    const auto row = static_cast<std::size_t>(
+        row_map.empty() ? s : row_map[static_cast<std::size_t>(s)]);
+    y[row] = vector_row_value<T>(vec, col_idx, vals, row_start[row],
+                                 row_end[row], x_at);
+  }
+}
+
 /// Warp body: processes 32/V consecutive rows starting at warp_first_row.
 /// Shared with the ACSR bin-specific kernels (Algorithm 2 is exactly this
 /// with a per-bin V).
@@ -142,38 +230,6 @@ void csr_vector_warp(vgpu::Warp& w, int vec_size,
                 warp_first_slot))
     return;
 
-  // Value plane only (memo replay): the same arithmetic in the same order
-  // as the SIMT walk below — per-lane stride-V accumulation, then the
-  // butterfly, of which the group head's sum depends only on lanes
-  // j < d at step d — without the per-step bookkeeping. A row's entries
-  // are range-checked once (col_idx, then vals, as the metered gather
-  // checks them) and then read raw; each x gather keeps its own check.
-  // Bit-identity with the metered path is pinned by the memoized mode of
-  // test_metering_invariance.cpp and the differential fuzz.
-  if (w.value_only()) [[unlikely]] {
-    for (Mask rem = grp.live; rem != 0; rem &= rem - 1) {
-      const auto g = static_cast<std::size_t>(std::countr_zero(rem));
-      const mat::offset_t start = grp.start[g], end = grp.end[g];
-      const mat::index_t* ci = nullptr;
-      const T* va = nullptr;
-      if (start < end) {
-        ci = col_idx.checked_base(start, end - 1);
-        va = vals.checked_base(start, end - 1);
-      }
-      T part[vgpu::kWarpSize];  // lanes 0..V-1 only, each written below
-      for (int j = 0; j < vec_size; ++j) {
-        T acc{};
-        for (mat::offset_t e = start + j; e < end;
-             e += static_cast<mat::offset_t>(vec_size))
-          acc += va[e] * x[static_cast<std::size_t>(ci[e])];
-        part[j] = acc;
-      }
-      for (int d = vec_size / 2; d > 0; d /= 2)
-        for (int j = 0; j < d; ++j) part[j] = part[j] + part[j + d];
-      y[static_cast<std::size_t>(grp.row[g])] = part[0];
-    }
-    return;
-  }
   w.count_alu(3);
 
   // Each step, group g's lanes read the next run of its row's entries
@@ -304,8 +360,17 @@ class CsrVectorEngine final : public EngineBase<T> {
   mat::index_t cols() const override { return host_.cols; }
   mat::offset_t nnz() const override { return host_.nnz(); }
 
+  /// The simulated kernel's value, bit for bit (csr_vector_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    host_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    const auto nrows = static_cast<std::size_t>(host_.rows);
+    y.assign(nrows, T{0});
+    csr_vector_rows<T>(vec_size_, vgpu::host_span(host_.row_off, 0, nrows),
+                       vgpu::host_span(host_.row_off, 1, nrows),
+                       vgpu::host_span(host_.col_idx),
+                       vgpu::host_span(host_.vals),
+                       vgpu::DeviceSpan<const mat::index_t>(), host_.rows,
+                       x_reader(vgpu::host_span(x)), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -333,13 +398,17 @@ class CsrVectorEngine final : public EngineBase<T> {
     auto ys = y_dev;
     const long long n = host_.rows;
     const int v = vec_size_;
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
+    const vgpu::DeviceSpan<const mat::index_t> no_map;
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
           const long long first = w.global_warp() * rows_per_warp;
           if (first >= n) return;
-          csr_vector_warp<T>(w, v, rs, re, ci, va, xs, ys,
-                             vgpu::DeviceSpan<const mat::index_t>(), n,
-                             first);
+          csr_vector_warp<T>(w, v, rs, re, ci, va, xs, ys, no_map, n, first);
+        },
+        nullptr,
+        [&] {
+          csr_vector_rows<T>(v, rs, re, ci, va, no_map, n, x_reader(xs), ys);
         });
     this->report_.last_run = run;
     y = this->staged_y();
@@ -382,13 +451,20 @@ class CsrVectorEngine final : public EngineBase<T> {
     auto va = dev_csr_.vals.cspan();
     const long long n = host_.rows;
     const int v = vec_size_;
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
+    const vgpu::DeviceSpan<const mat::index_t> no_map;
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
           const long long first = w.global_warp() * rows_per_warp;
           if (first >= n) return;
-          csr_vector_spmm_warp<T>(w, v, rs, re, ci, va, xp, yb, ldy, n,
-                                  vgpu::DeviceSpan<const mat::index_t>(), n,
-                                  first, k);
+          csr_vector_spmm_warp<T>(w, v, rs, re, ci, va, xp, yb, ldy, n, no_map,
+                                  n, first, k);
+        },
+        nullptr,
+        [&] {
+          for (int c = 0; c < k; ++c)
+            csr_vector_rows<T>(v, rs, re, ci, va, no_map, n,
+                               x_reader(xp, k, c), y_column(yb, ldy, n, c));
         });
     this->report_.last_run = run;
     y_block.resize(host_.rows, k);

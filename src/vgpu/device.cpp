@@ -79,7 +79,7 @@ KernelRun finalize(const LaunchConfig& cfg, const DeviceSpec& spec,
 }  // namespace
 
 KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
-                         SectorSet* group_l2) {
+                         SectorSet* group_l2, ValueRef value) {
   ACSR_CHECK_MSG(cfg.grid_dim >= 1, "empty grid for kernel " << cfg.name);
   ACSR_CHECK_MSG(cfg.block_dim >= 1 &&
                      cfg.block_dim <= spec_.max_threads_per_block,
@@ -109,13 +109,13 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   }
 
   // Memoized replay (vgpu/memo.hpp): the metering for this launch is
-  // cached — re-run the kernel value-only and return the cached record.
-  // A session is never active while the sanitizer, profiler, reference
-  // metering or a byte-flipping fault plan own the run
-  // (memo::plane_bypassed()).
+  // cached — compute y through the launch's value kernel and return the
+  // cached record. A metered launch never calls `value`. A session is
+  // never active while the sanitizer, profiler, reference metering or a
+  // byte-flipping fault plan own the run (memo::plane_bypassed()).
   if (memo_session_ != nullptr &&
       memo_session_->kind == memo::Session::Kind::kReplay) [[unlikely]]
-    return memo_replay(cfg, fn);
+    return memo_replay(cfg, fn, value);
 
   KernelEnv env;
   env.spec = &spec_;
@@ -227,7 +227,8 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   return run;
 }
 
-KernelRun Device::memo_replay(const LaunchConfig& cfg, const KernelRef& fn) {
+KernelRun Device::memo_replay(const LaunchConfig& cfg, const KernelRef& fn,
+                              const ValueRef& value) {
   memo::Session& sess = *memo_session_;
   ACSR_CHECK_MSG(sess.cursor < sess.entry->launches.size(),
                  "memo replay has no record left for kernel '" << cfg.name
@@ -241,9 +242,16 @@ KernelRun Device::memo_replay(const LaunchConfig& cfg, const KernelRef& fn) {
                      << "' (" << cfg.grid_dim << 'x' << cfg.block_dim
                      << ')');
 
-  // Value plane only: the same grid walk as the metered path (including
-  // dynamic-parallelism children, which belong to this logical launch),
-  // with every probe/charge skipped via env.value_only.
+  // The launch's host value kernel stores what the grid (children
+  // included) stores, in the same floating-point order.
+  if (value) {
+    value();
+    return rec.run;
+  }
+
+  // A launch without a value kernel: the same grid walk as the metered
+  // path, dynamic-parallelism children included, with every probe/charge
+  // skipped via env.value_only.
   KernelEnv env;
   env.spec = &spec_;
   // No sm_issue_cycles allocation: Warp::finish / Block::sync return early

@@ -102,25 +102,28 @@ class Device {
   /// ConcurrentGroup below). The launch is fully synchronous, so the
   /// kernel is taken as a non-owning KernelRef: a stack lambda binds with
   /// no std::function materialisation (children the kernel enqueues are
-  /// the only owned copies).
+  /// the only owned copies). `value` is the launch's host value kernel,
+  /// called in place of the grid when the launch is replayed (ValueRef).
   KernelRun launch(const LaunchConfig& cfg, KernelRef fn,
-                   SectorSet* group_l2 = nullptr);
+                   SectorSet* group_l2 = nullptr, ValueRef value = {});
 
   /// Convenience wrapper for warp-granularity kernels: `fn(Warp&)` is run
   /// for every warp of the grid.
   template <class F>
   KernelRun launch_warps(const LaunchConfig& cfg, F&& fn,
-                         SectorSet* group_l2 = nullptr) {
+                         SectorSet* group_l2 = nullptr, ValueRef value = {}) {
     auto body = [&fn](Block& blk) {
       blk.each_warp([&fn](Warp& w) { fn(w); });
     };
-    return launch(cfg, KernelRef(body), group_l2);
+    return launch(cfg, KernelRef(body), group_l2, value);
   }
 
   /// Active memoization session (vgpu/memo.hpp), installed by
   /// memo::SessionScope for the duration of one memoized execution.
   /// Capture appends each launch's finalized KernelRun to the session's
-  /// entry; replay re-runs kernels value-only and returns the cached run.
+  /// entry; replay computes y through the launch's value kernel (or, for
+  /// a launch without one, a value-only grid walk) and returns the cached
+  /// run.
   memo::Session* memo_session() const { return memo_session_; }
   void set_memo_session(memo::Session* s) { memo_session_ = s; }
 
@@ -140,9 +143,11 @@ class Device {
   }
 
   /// Consume the next captured record of the active replay session:
-  /// validate it against `cfg`, re-run the kernel value-only for y, and
-  /// return the cached KernelRun (defined in device.cpp).
-  KernelRun memo_replay(const LaunchConfig& cfg, const KernelRef& fn);
+  /// validate it against `cfg`, compute y through `value` (or a
+  /// value-only walk of `fn` when it is empty), and return the cached
+  /// KernelRun (defined in device.cpp).
+  KernelRun memo_replay(const LaunchConfig& cfg, const KernelRef& fn,
+                        const ValueRef& value);
 
   DeviceSpec spec_;
   MemoryArena arena_;
@@ -162,15 +167,17 @@ class ConcurrentGroup {
  public:
   explicit ConcurrentGroup(Device& dev) : dev_(dev) {}
 
-  KernelRun launch(const LaunchConfig& cfg, KernelRef fn) {
-    KernelRun r = dev_.launch(cfg, fn, &l2_);
+  KernelRun launch(const LaunchConfig& cfg, KernelRef fn,
+                   ValueRef value = {}) {
+    KernelRun r = dev_.launch(cfg, fn, &l2_, value);
     runs_.push_back(r);
     return r;
   }
 
   template <class F>
-  KernelRun launch_warps(const LaunchConfig& cfg, F&& fn) {
-    KernelRun r = dev_.launch_warps(cfg, std::forward<F>(fn), &l2_);
+  KernelRun launch_warps(const LaunchConfig& cfg, F&& fn,
+                         ValueRef value = {}) {
+    KernelRun r = dev_.launch_warps(cfg, std::forward<F>(fn), &l2_, value);
     runs_.push_back(r);
     return r;
   }

@@ -5,8 +5,13 @@
 // field, roofline term and timeline charge are the same — only the vector
 // *values* differ. The memo layer caches the per-launch KernelRun sequence
 // of the first execution (capture) and replays it on later, key-identical
-// executions, re-running the kernels in a value-only mode (KernelEnv::
-// value_only) that computes y but skips all cache probes and accounting.
+// executions. A replayed launch computes y through the value kernel the
+// engine passes with it (ValueRef: the host kernel that reproduces the
+// grid's floating-point order, which is also the engine's `apply`) and
+// never walks the grid. A launch passed without one — an engine that has
+// no value kernel yet — re-runs its grid in a value-only mode
+// (KernelEnv::value_only) that computes y but skips all cache probes and
+// accounting.
 //
 // The cache key is composed of
 //   - the device-spec fingerprint (every model-relevant parameter),
@@ -128,7 +133,8 @@ class MemoCache {
 /// Capture-or-replay state installed on a Device for the duration of one
 /// memoized execution. kCapture appends a LaunchRecord per Device::launch;
 /// kReplay pops the next record, validates it against the launch config,
-/// re-runs the kernel value-only and returns the cached KernelRun.
+/// computes y (the launch's value kernel, else a value-only grid walk)
+/// and returns the cached KernelRun.
 struct Session {
   enum class Kind { kCapture, kReplay };
   Session(Kind k, MemoEntry* e) : kind(k), entry(e) {}

@@ -7,6 +7,7 @@
 // the paper's Ø (out-of-memory) table entries reproduce.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -63,8 +64,9 @@ class DeviceSpan {
 
   /// check_range(lo, hi), then the raw base pointer, for a loop that
   /// reads only elements lo..hi: one validation in place of an operator[]
-  /// check per element, with the same failure mode. The value-only row
-  /// walk of csr_vector_warp (memo replay) reads each row this way.
+  /// check per element, with the same failure mode. The exact-order host
+  /// value kernels (spmv/csr_vector.hpp) read each row's col/val range
+  /// this way.
   T* checked_base(long long lo, long long hi) const {
     check_range(lo, hi);
     return data_;
@@ -113,6 +115,23 @@ class DeviceSpan {
   std::uint64_t addr_ = 0;
 };
 
+/// A span over host data with no device address (elements offset ..
+/// offset + count of v, all of v by default): lets an engine's host
+/// `apply` run the same checked span code as its replayed launches. Not a
+/// sanitizer allocation, so take sub-ranges here rather than by subspan.
+template <class T>
+DeviceSpan<const T> host_span(const std::vector<T>& v,
+                              std::size_t offset = 0,
+                              std::size_t count = SIZE_MAX) {
+  ACSR_CHECK(offset <= v.size());
+  return DeviceSpan<const T>(v.data() + offset,
+                             std::min(count, v.size() - offset), 0);
+}
+template <class T>
+DeviceSpan<T> host_span(std::vector<T>& v) {
+  return DeviceSpan<T>(v.data(), v.size(), 0);
+}
+
 /// Capacity accounting + virtual address assignment for one device.
 ///
 /// Every arena owns a process-unique slice of the virtual address space
@@ -125,8 +144,14 @@ class MemoryArena {
   explicit MemoryArena(std::size_t capacity_bytes)
       : capacity_(capacity_bytes), next_addr_(take_address_slice()) {}
 
+  /// Bytes an allocation of `bytes` takes from the arena: allocations
+  /// are carved in 256-byte granules.
+  static std::size_t footprint(std::size_t bytes) {
+    return (bytes + 255) & ~std::size_t{255};
+  }
+
   std::uint64_t allocate(std::size_t bytes, const std::string& what) {
-    const std::size_t aligned = (bytes + 255) & ~std::size_t{255};
+    const std::size_t aligned = footprint(bytes);
     if (fault_injection_enabled() &&
         FaultInjector::instance().on_alloc(owner_, what, bytes)) [[unlikely]] {
       throw DeviceOom("injected device out of memory allocating " +
@@ -150,7 +175,7 @@ class MemoryArena {
   }
 
   void release(std::size_t bytes) {
-    const std::size_t aligned = (bytes + 255) & ~std::size_t{255};
+    const std::size_t aligned = footprint(bytes);
     ACSR_CHECK(aligned <= allocated_);
     allocated_ -= aligned;
   }

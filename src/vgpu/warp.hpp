@@ -81,6 +81,30 @@ class KernelRef {
   void (*call_)(void*, Block&);
 };
 
+/// Optional non-owning reference to a launch's host value kernel: a
+/// `void()` callable that stores exactly what the grid stores, in the
+/// grid's floating-point order, without walking the grid. A replayed
+/// launch (vgpu/memo.hpp) calls it in place of the grid; a metered launch
+/// never does. An empty ValueRef leaves replay to the value-only walk.
+class ValueRef {
+ public:
+  ValueRef() = default;
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ValueRef>)
+  ValueRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* o) {
+          (*static_cast<std::remove_reference_t<F>*>(o))();
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()() const { call_(obj_); }
+
+ private:
+  void* obj_ = nullptr;
+  void (*call_)(void*) = nullptr;
+};
+
 struct ChildLaunch {
   LaunchConfig cfg;
   KernelFn fn;
@@ -309,10 +333,6 @@ class Warp {
   }
   /// Lanes that correspond to live threads of this block.
   Mask active_mask() const { return initial_mask_; }
-  /// True while a memo replay runs this kernel (vgpu/memo.hpp): metering
-  /// comes from the cache, so kernels may take value-plane shortcuts as
-  /// long as every result stays bit-identical.
-  bool value_only() const { return env_.value_only; }
   LaneArray<int> lanes() const { return LaneArray<int>::iota(); }
   /// Global linear thread id per lane.
   LaneArray<long long> global_threads() const {

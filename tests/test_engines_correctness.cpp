@@ -2,9 +2,12 @@
 // precisions, must produce — from its *simulated device kernels* — exactly
 // the same y as the plain host CSR reference (up to floating-point
 // reassociation tolerance), and its host `apply` fast path must match too.
+// Engines whose `apply` is their kernels' exact-order value kernel must
+// match their simulated y bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/factory.hpp"
 #include "graph/powerlaw.hpp"
@@ -17,6 +20,10 @@ using acsr::core::make_engine;
 using acsr::mat::Csr;
 using acsr::vgpu::Device;
 using acsr::vgpu::DeviceSpec;
+
+/// Engines whose host apply reproduces their kernels' floating-point order.
+const std::set<std::string> kExactApply = {"csr-vector", "acsr",
+                                           "acsr-binning"};
 
 Csr<double> make_matrix(const std::string& kind) {
   if (kind == "powerlaw") {
@@ -99,6 +106,29 @@ Csr<double> make_matrix(const std::string& kind) {
     m.validate();
     return m;
   }
+  if (kind == "long-row") {
+    // One row long enough (6000 entries, 8 x 256 per block at the default
+    // thread load) that its row-specific child grid spans three blocks,
+    // so the order of the children's accumulation into y is exercised.
+    Csr<double> m;
+    m.rows = 6000;
+    m.cols = 6000;
+    m.row_off.assign(1, 0);
+    for (int r = 0; r < m.rows; ++r) {
+      if (r == 7) {
+        for (int c = 0; c < m.cols; ++c) {
+          m.col_idx.push_back(c);
+          m.vals.push_back(0.5 + 0.001 * (c % 97));
+        }
+      } else if (r % 5 == 0) {
+        m.col_idx.push_back((r * 11) % m.cols);
+        m.vals.push_back(1.0 + r % 13);
+      }
+      m.row_off.push_back(static_cast<acsr::mat::offset_t>(m.col_idx.size()));
+    }
+    m.validate();
+    return m;
+  }
   ADD_FAILURE() << "unknown kind " << kind;
   return {};
 }
@@ -152,6 +182,9 @@ void check_engine(const std::string& engine_name, const std::string& kind) {
   else
     EXPECT_GE(t, 0.0);  // engines may launch nothing on empty matrices
   ASSERT_EQ(y_sim.size(), y_ref.size());
+  if (kExactApply.count(engine_name) != 0) {
+    EXPECT_EQ(y_apply, y_sim) << "apply is not the kernels' value";
+  }
 
   const double tol = sizeof(T) == 8 ? 1e-9 : 1e-3;
   for (size_t r = 0; r < y_ref.size(); ++r) {
@@ -185,7 +218,8 @@ INSTANTIATE_TEST_SUITE_P(
                           "brc", "bccoo", "tcoo", "sic", "bcsr", "sell", "merge-csr",
                           "acsr", "acsr-binning"),
         ::testing::Values("powerlaw", "uniform", "rmat", "empty-rows",
-                          "zero", "all-empty", "dense-row")),
+                          "zero", "all-empty", "dense-row",
+                          "long-row")),
     [](const auto& tpi) {
       std::string n = std::get<0>(tpi.param) + "_" + std::get<1>(tpi.param);
       for (auto& c : n)

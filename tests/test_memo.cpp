@@ -579,11 +579,12 @@ TEST(MemoFaultPlane, NonFlipPlansReplayAtSameOrdinals) {
   }
 }
 
-TEST(MemoReplay, ValueOnlyRowWalkFailsLikeTheMeteredWalk) {
-  // The replayed csr_vector walk range-checks each row's extent once and
-  // then reads col_idx/vals raw. A row_end past both buffers must still
-  // fail there, with the metered walk's typed error naming the same
-  // buffer, not read past it.
+TEST(MemoReplay, ValueKernelRejectsMalformedRowsLikeTheMeteredWalk) {
+  // A replayed csr_vector launch computes y through its value kernel,
+  // which range-checks each row's extent once and then reads
+  // col_idx/vals raw. A row_end past both buffers must still fail there,
+  // with the metered walk's typed error naming the same buffer, before
+  // anything is read past it.
   MemoGuard guard;
   Device dev(DeviceSpec::gtx_titan());
   const Csr<double> a = powerlaw(64, 6.0, 3);
@@ -600,6 +601,8 @@ TEST(MemoReplay, ValueOnlyRowWalkFailsLikeTheMeteredWalk) {
 
   constexpr int kVec = 4;
   constexpr int kRowsPerWarp = acsr::vgpu::kWarpSize / kVec;
+  const acsr::vgpu::DeviceSpan<const acsr::mat::index_t> no_map;
+  int value_calls = 0;
   const auto launch = [&] {
     acsr::vgpu::LaunchConfig cfg;
     cfg.name = "vector_probe";
@@ -608,21 +611,32 @@ TEST(MemoReplay, ValueOnlyRowWalkFailsLikeTheMeteredWalk) {
     const auto rs = row_off.cspan().subspan(0, n);
     const auto re = row_off.cspan().subspan(1, n);
     return dev
-        .launch_warps(cfg,
-                      [&](acsr::vgpu::Warp& w) {
-                        const long long first =
-                            w.global_warp() * kRowsPerWarp;
-                        if (first >= a.rows) return;
-                        acsr::spmv::csr_vector_warp<double>(
-                            w, kVec, rs, re, col_idx.cspan(), vals.cspan(),
-                            x.cspan(), y.span(),
-                            acsr::vgpu::DeviceSpan<const acsr::mat::index_t>(),
-                            a.rows, first);
-                      })
+        .launch_warps(
+            cfg,
+            [&](acsr::vgpu::Warp& w) {
+              const long long first = w.global_warp() * kRowsPerWarp;
+              if (first >= a.rows) return;
+              acsr::spmv::csr_vector_warp<double>(
+                  w, kVec, rs, re, col_idx.cspan(), vals.cspan(), x.cspan(),
+                  y.span(), no_map, a.rows, first);
+            },
+            nullptr,
+            [&] {
+              ++value_calls;
+              acsr::spmv::csr_vector_rows<double>(
+                  kVec, rs, re, col_idx.cspan(), vals.cspan(), no_map,
+                  a.rows, acsr::spmv::x_reader(x.cspan()), y.span());
+            })
         .duration_s;
   };
   Memoizer memo(spec_fingerprint(dev.spec()) + "|vector_probe");
   memo.run(dev, "walk", launch);  // capture over valid extents
+  EXPECT_EQ(value_calls, 0) << "a metered launch called its value kernel";
+  const std::vector<double> metered_y = y.host();
+  y.host().assign(n, 0.0);
+  memo.run(dev, "walk", launch);  // replay: the value kernel stores y
+  EXPECT_EQ(value_calls, 1);
+  EXPECT_EQ(y.host(), metered_y);
 
   // A value change, so the key still hits: the last row now ends past the
   // end of col_idx and vals.
@@ -641,6 +655,7 @@ TEST(MemoReplay, ValueOnlyRowWalkFailsLikeTheMeteredWalk) {
       failure([&] { return memo.run(dev, "walk", launch); });
   EXPECT_EQ(MemoCache::instance().stats().hits, hits + 1)
       << "the second run did not replay";
+  EXPECT_EQ(value_calls, 2);
   EXPECT_NE(metered.find("(buffer 'col_idx')"), std::string::npos)
       << metered;
   EXPECT_NE(replayed.find("(buffer 'col_idx')"), std::string::npos)

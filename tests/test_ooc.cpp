@@ -177,9 +177,12 @@ TEST_F(Ooc, StreamsEverySlabWithOverlapInsideBudget) {
   opt.budget_bytes = 16 * 1024;
   OocCsrEngine<double> engine(dev, a, opt);
   ASSERT_GE(engine.num_slabs(), 3u);
-  // Resident footprint: two slab sets, inside the budget (+ alignment
-  // slack for a slab whose last row overshoots the half-budget cap).
-  EXPECT_LE(engine.report().device_bytes, opt.budget_bytes + 4096);
+  // The budget caps the streamed matrix: two resident slab sets' slices
+  // and bin maps stay inside it (+ alignment slack for a slab whose last
+  // row overshoots the half-budget cap). The reported footprint adds each
+  // set's y buffer and the arena's rounding on top.
+  EXPECT_LE(engine.streamed_bytes(), opt.budget_bytes + 4096);
+  EXPECT_GT(engine.report().device_bytes, engine.streamed_bytes());
 
   const auto x = ones(static_cast<std::size_t>(a.cols));
   std::vector<double> y;
@@ -202,10 +205,9 @@ TEST_F(Ooc, StreamsEverySlabWithOverlapInsideBudget) {
 TEST_F(Ooc, StreamingHoldsAtMostTwoSlabSets) {
   // Each drive read delivers into the slab set it fills, so the next
   // set is allocated at prefetch; the previous one must be gone by then.
-  // Every row holds 24 entries, so a set is nearly all matrix slices: its
-  // overhead (a y element per row, 256-byte rounding of each of its at
-  // most nine buffers) stays below half a set, and a device with room for
-  // two sets plus that overhead has no room for a third.
+  // The reported device_bytes is exactly what two resident sets take from
+  // the arena: a device with that much room left streams, and one with a
+  // byte less does not.
   constexpr index_t n = 512;
   constexpr index_t per_row = 24;
   acsr::mat::Coo<double> c;
@@ -226,14 +228,12 @@ TEST_F(Ooc, StreamingHoldsAtMostTwoSlabSets) {
   engine.apply(x, want);
   engine.simulate(x, got);  // allocates the engine's x scratch
 
-  const std::size_t row_bytes =
-      sizeof(acsr::mat::offset_t) +
-      static_cast<std::size_t>(per_row) * (sizeof(index_t) + sizeof(double));
-  const std::size_t slab_rows = opt.budget_bytes / 2 / row_bytes + 1;
-  const std::size_t set_slack = 9 * 256 + slab_rows * sizeof(double);
+  const std::size_t resident = dev.arena().allocated();
   const std::size_t two_sets = engine.report().device_bytes;
-  ASSERT_LT(2 * set_slack, two_sets / 2);
-  dev.set_memory_capacity(dev.arena().allocated() + two_sets + 2 * set_slack);
+  dev.set_memory_capacity(resident + two_sets - 1);
+  EXPECT_THROW(engine.simulate(x, got), acsr::vgpu::DeviceOom);
+  ASSERT_EQ(dev.arena().allocated(), resident);
+  dev.set_memory_capacity(resident + two_sets);
   got.clear();
   engine.simulate(x, got);
   EXPECT_EQ(got, want);

@@ -26,6 +26,7 @@
 #include "core/memo_engine.hpp"
 #include "core/resilient.hpp"
 #include "graph/powerlaw.hpp"
+#include "mat/coo.hpp"
 #include "mat/dense_block.hpp"
 #include "serve/scheduler.hpp"
 #include "vgpu/memo.hpp"
@@ -262,6 +263,49 @@ TEST(SpmmMemo, WidthKeyedEntriesAndSpmvKeySharing) {
   const auto& after = MemoCache::instance().stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(SpmmBitwise, AcsrBatchIsTheHostKernelBitForBit) {
+  // apply_batch runs ACSR's exact-order host kernel per column. The SpMM
+  // grids (bins and the batched dynamic-parallelism tail) must store the
+  // same bits, metered and replayed.
+  MemoGuard guard;
+  // A power-law matrix whose row 3 is full: 6000 entries spread its
+  // child grid over three blocks (8 x 256 entries per block at the
+  // default thread load), so the order of the children's accumulation is
+  // exercised too.
+  const Csr<double> pl = powerlaw(6000, 8.0, 29);
+  acsr::mat::Coo<double> coo;
+  coo.rows = pl.rows;
+  coo.cols = pl.cols;
+  for (acsr::mat::index_t r = 0; r < pl.rows; ++r) {
+    if (r == 3) {
+      for (acsr::mat::index_t c = 0; c < pl.cols; ++c)
+        coo.push(r, c, 0.25 + 0.01 * (c % 31));
+      continue;
+    }
+    for (auto e = pl.row_off[static_cast<std::size_t>(r)];
+         e < pl.row_off[static_cast<std::size_t>(r) + 1]; ++e)
+      coo.push(r, pl.col_idx[static_cast<std::size_t>(e)],
+               pl.vals[static_cast<std::size_t>(e)]);
+  }
+  const Csr<double> a = Csr<double>::from_coo(coo);
+  Device dev(DeviceSpec::gtx_titan());
+  auto inner = std::make_unique<acsr::core::AcsrEngine<double>>(dev, a);
+  ASSERT_TRUE(inner->dynamic_parallelism_active());
+  acsr::core::MemoEngine<double> engine(std::move(inner));
+  for (const int k : {2, 8, 13, 32}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const DenseBlock<double> x = random_block(a.cols, k, 7u + k);
+    DenseBlock<double> y_apply, y_metered, y_replayed;
+    engine.apply_batch(x, y_apply);
+    const auto hits = MemoCache::instance().stats().hits;
+    engine.simulate_batch(x, y_metered);
+    engine.simulate_batch(x, y_replayed);
+    EXPECT_EQ(MemoCache::instance().stats().hits, hits + 1);
+    EXPECT_EQ(y_metered.data, y_apply.data);
+    EXPECT_EQ(y_replayed.data, y_apply.data);
+  }
 }
 
 // --- resilient plane ----------------------------------------------------------
