@@ -18,6 +18,7 @@
 #include <array>
 #include <bit>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,16 @@ struct AcsrOptions {
   /// Read x through the texture path, as the paper (and cuSPARSE/CUSP)
   /// does; false uses plain global loads — the ablation's comparison.
   bool use_texture = true;
+
+  /// Every field, for a memo key (vgpu/memo.hpp).
+  void print_key(std::ostream& os) const {
+    binning.print_key(os);
+    os << ',' << thread_load << ',' << concurrent_streams << ','
+       << use_texture;
+  }
 };
+static_assert(field_count<AcsrOptions>() == 4,
+              "print a new AcsrOptions field in print_key");
 
 template <class T>
 class AcsrLauncher {

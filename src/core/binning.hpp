@@ -10,8 +10,10 @@
 // data: that is the whole point of ACSR versus transformed formats.
 #pragma once
 
+#include <ostream>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "mat/types.hpp"
 #include "vgpu/host_model.hpp"
 
@@ -27,7 +29,14 @@ struct BinningOptions {
   int row_max = 2048;
   /// Master switch; false = binning-only ACSR (Fermi / K10 path).
   bool enable_dp = true;
+
+  /// Every field, for a memo key (vgpu/memo.hpp).
+  void print_key(std::ostream& os) const {
+    os << bin_max << ',' << row_max << ',' << enable_dp;
+  }
 };
+static_assert(field_count<BinningOptions>() == 3,
+              "print a new BinningOptions field in print_key");
 
 struct Binning {
   /// bins[i] = rows with nnz in (2^{i-1}, 2^i], for bins handled by

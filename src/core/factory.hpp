@@ -2,10 +2,14 @@
 // the library stack) because it knows both the baselines and ACSR.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <ostream>
+#include <sstream>
 #include <string>
 
 #include "analysis/verify.hpp"
+#include "common/fields.hpp"
 #include "core/acsr_engine.hpp"
 #include "core/engine_registry.hpp"
 #include "core/memo_engine.hpp"
@@ -36,7 +40,43 @@ struct EngineConfig {
   AcsrOptions acsr;
   /// Out-of-core streaming tier (budget, storage array, retry policy).
   OocOptions ooc;
+
+  /// Every field, for a memo key (vgpu/memo.hpp), ooc's budget as
+  /// resolved on `dev`.
+  void print_key(std::ostream& os, const vgpu::Device& dev) const {
+    os << "hyb" << hyb_breakeven << ",bcsr" << bcsr_block << ",sell"
+       << sell_sigma << "|acsr";
+    acsr.print_key(os);
+    os << "|ooc";
+    ooc.print_key(os, dev);
+  }
 };
+static_assert(field_count<EngineConfig>() == 5,
+              "print a new EngineConfig field in print_key");
+
+/// Everything an engine's metering depends on apart from where its
+/// buffers sit (the memo key's recipe, vgpu/memo.hpp): the canonical
+/// engine name, every EngineConfig field (ooc's budget resolved), the
+/// element width, the device spec, the arena capacity, and a digest of the
+/// operand — its dims, row_off, col_idx and vals. Values move metering
+/// too: bccoo skips the x load of an explicit zero, and its autotuner
+/// picks the block width from trial kernel times. Two builds with
+/// equal recipes that start at the same arena offset lay their buffers
+/// out identically relative to their arenas' bases.
+template <class T>
+std::string memo_recipe(const std::string& canon, const vgpu::Device& dev,
+                        const mat::Csr<T>& a, const EngineConfig& cfg) {
+  std::ostringstream os = vgpu::memo::key_stream();
+  os << canon << "|w" << sizeof(T) << '|'
+     << vgpu::memo::spec_fingerprint(dev.spec()) << "|cap"
+     << dev.arena().capacity() << '|';
+  cfg.print_key(os, dev);
+  std::uint64_t h = storage::stored_checksum(a.row_off, 0, a.row_off.size());
+  h = storage::stored_checksum(a.col_idx, 0, a.col_idx.size(), h);
+  h = storage::stored_checksum(a.vals, 0, a.vals.size(), h);
+  os << '|' << a.rows << 'x' << a.cols << '/' << a.nnz() << '#' << h;
+  return os.str();
+}
 
 /// Known names: csr-scalar, csr (cuSPARSE warp-per-row), csr-vector
 /// (CUSP-adaptive), ell, coo, hyb, brc, bccoo, tcoo, sic, bcsr, sell
@@ -97,12 +137,14 @@ std::unique_ptr<spmv::SpmvEngine<T>> make_engine(const std::string& name,
     ACSR_REQUIRE(false, "engine '" << canon
                                    << "' is registered but has no builder");
   };
+  const std::uint64_t build_offset = dev.arena().offset();
   auto engine = build();
-  // Memo plane (ACSR_MEMO=1): wrap the engine so repeated simulate() calls
-  // replay the first call's metering (vgpu/memo.hpp). One cached-bool
-  // branch when the variable is unset.
+  // Memo plane (ACSR_MEMO=1): wrap the engine so a simulate() whose key is
+  // cached replays its metering (vgpu/memo.hpp). One cached-bool branch
+  // when the variable is unset.
   if (vgpu::memo::memo_enabled()) [[unlikely]]
-    return std::make_unique<MemoEngine<T>>(std::move(engine));
+    return std::make_unique<MemoEngine<T>>(
+        std::move(engine), memo_recipe(canon, dev, a, cfg), build_offset);
   return engine;
 }
 

@@ -9,7 +9,9 @@
 // against the checksum stored with the slab at partition time —
 // overlapping the next slab's drive read and bin-metadata upload with
 // the current slab's compute on a private StreamTimeline (drive streams
-// + h2d stream + compute stream).
+// + h2d stream + compute stream). Every call allocates the slab sets from
+// the same arena mark (MemoryArena::Rewind), so they sit at the same
+// addresses, and meter the same, on every call.
 //
 // The slab kernel is csr_vector_warp with a *per-row* vector size: slab
 // rows are binned by choose_vector_size(row length) — the ACSR binning
@@ -29,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -49,15 +52,28 @@ struct OocOptions {
   std::size_t budget_bytes = 0;
   storage::TierConfig tier{};
   bool use_texture = true;
+
+  /// The budget an engine on `dev` streams under.
+  std::size_t resolved_budget(const vgpu::Device& dev) const {
+    return budget_bytes != 0 ? budget_bytes : dev.arena().capacity() / 8;
+  }
+
+  /// Every field, for a memo key (vgpu/memo.hpp), the budget as
+  /// resolved on `dev`.
+  void print_key(std::ostream& os, const vgpu::Device& dev) const {
+    os << resolved_budget(dev) << ',' << use_texture << ',';
+    tier.print_key(os);
+  }
 };
+static_assert(field_count<OocOptions>() == 3,
+              "print a new OocOptions field in print_key");
 
 template <class T>
 class OocCsrEngine final : public spmv::EngineBase<T> {
  public:
   OocCsrEngine(vgpu::Device& dev, const mat::Csr<T>& a, OocOptions opt = {})
       : spmv::EngineBase<T>(dev, "OOC-CSR"), host_(a), opt_(opt) {
-    budget_ = opt_.budget_bytes != 0 ? opt_.budget_bytes
-                                     : dev.arena().capacity() / 8;
+    budget_ = opt_.resolved_budget(dev);
     ACSR_REQUIRE(budget_ > 0, "out-of-core budget must be positive");
     partition();
     // Resident footprint: what the largest two consecutive slab sets take
@@ -81,6 +97,12 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   const prof::IoAgg& io_stats() const { return last_io_; }
   /// End-to-end streamed makespan of the last simulate().
   double last_makespan() const { return last_makespan_; }
+  /// The staged x, and the arena offset the call's slab sets are
+  /// allocated from.
+  std::string scratch_layout(int width) const override {
+    return spmv::EngineBase<T>::scratch_layout(width) + "sets@" +
+           std::to_string(sets_at_) + ',';
+  }
   /// Every private-timeline entry this engine has enqueued while the slo
   /// plane was enabled, rebased to absolute trace time (each timeline's
   /// origin) — including entries from attempts a fault aborted, whose
@@ -138,6 +160,13 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     const auto h2d = tl.create_stream("h2d");
     const auto compute = tl.create_stream("compute");
 
+    // The slab sets are allocated from the same arena mark on every call
+    // (and on the retry after a fault unwinds one), so each slab's set
+    // sits at the same addresses every call: its collisions with the
+    // staged x in the sector caches, and with them the metering, repeat
+    // exactly. `sets` is declared after the mark, so it is freed first.
+    sets_at_ = this->dev_.arena().offset();
+    vgpu::MemoryArena::Rewind rewind(this->dev_.arena());
     const std::size_t n = slabs_.size();
     std::vector<double> read_done(n, 0.0), comp_done(n, 0.0);
     std::vector<SlabDev> sets(n);
@@ -448,6 +477,7 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   std::vector<Slab> slabs_;
   prof::IoAgg last_io_;
   double last_makespan_ = 0.0;
+  std::uint64_t sets_at_ = 0;  ///< arena offset of the slab-set mark
   std::vector<vgpu::StreamTimeline::LogEntry> trace_log_;
 };
 

@@ -60,6 +60,15 @@ class SpmvEngine {
 
   virtual const EngineReport& report() const = 0;
 
+  /// Where the scratch a call of batch width `width` touches sits,
+  /// relative to the arena's base (width 1: simulate()). The memo key
+  /// folds it in (core/memo_engine.hpp): a call's metering depends on
+  /// where its input and output vectors sit.
+  virtual std::string scratch_layout(int width) const {
+    (void)width;
+    return {};
+  }
+
   /// Batched host-side SpMM: Y = A X, one column per query vector. The
   /// default loops the scalar apply() column by column, so every engine is
   /// correct by construction and bit-identical to k scalar applies; the
@@ -148,6 +157,30 @@ class EngineBase : public SpmvEngine<T> {
   vgpu::Device& device() override { return dev_; }
   const EngineReport& report() const override { return report_; }
 
+  /// The staged buffers a call of `width` touches: the block scratch of
+  /// that width once an SpMM kernel has staged it, else x and y (an SpMV,
+  /// or the column loop). Other widths' buffers stay out, so staging a new
+  /// width leaves every other width's key as it was.
+  std::string scratch_layout(int width) const override {
+    std::string s;
+    const auto add = [&](const char* what, const vgpu::DeviceBuffer<T>& b) {
+      if (!b.valid()) return;
+      s += what;
+      s += '@' + std::to_string(dev_.arena().relative(b.cspan().addr())) +
+           ',';
+    };
+    const auto xp = xp_scratch_.find(width);
+    const auto yb = yb_scratch_.find(width);
+    if (width > 1 && xp != xp_scratch_.end() && yb != yb_scratch_.end()) {
+      add("xp", xp->second);
+      add("yb", yb->second);
+    } else {
+      add("x", x_scratch_);
+      add("y", y_scratch_);
+    }
+    return s;
+  }
+
  protected:
   /// Record a matrix upload: bytes over PCIe into the report.
   void charge_upload(std::size_t bytes) {
@@ -159,9 +192,8 @@ class EngineBase : public SpmvEngine<T> {
   /// on first use, reused afterwards). Reuse keeps the device addresses of
   /// x and y fixed across simulate() calls, so sector-cache collision
   /// patterns against the resident matrix — and with them every Counters
-  /// field — are iteration-stationary. That is a hard requirement of the
-  /// memo layer (vgpu/memo.hpp): a captured launch record must equal what
-  /// re-simulation would produce at *any* later iteration. Under the
+  /// field — are iteration-stationary; the memo key records where the
+  /// staged buffers sit (scratch_layout). Under the
   /// sanitizer or a byte-flipping fault plan (restage()) a fresh buffer is
   /// allocated per call, preserving precise shadow state and flip-target
   /// registration; memoization is bypassed on both.
@@ -189,9 +221,9 @@ class EngineBase : public SpmvEngine<T> {
 
   /// Block counterparts of stage_x/stage_y for the SpMM kernels. Scratch
   /// is kept per batch width so that interleaving widths (the scheduler
-  /// mixes batch sizes; the memo cache keys entries by width) never
-  /// relocates an already-captured width's buffers — the same
-  /// iteration-stationarity requirement stage_x documents, per width.
+  /// mixes batch sizes; the memo key holds each width's own buffers) never
+  /// relocates an already-staged width's buffers — the iteration
+  /// stationarity stage_x documents, per width.
   ///
   /// The input block is staged *packed row-major*: xpack[col*width + c] =
   /// X(col, c). A warp gathering matrix column `col` for a tile of batch

@@ -10,7 +10,10 @@
 #pragma once
 
 #include <cstddef>
+#include <ostream>
 #include <string>
+
+#include "common/fields.hpp"
 
 namespace acsr::storage {
 
@@ -25,6 +28,14 @@ struct DriveSpec {
     return seek_s + 1.0 / iops +
            static_cast<double>(bytes) / (bandwidth_gbs * 1e9);
   }
+
+  /// Every field, for a memo key (vgpu/memo.hpp; doubles print at the
+  /// stream's precision).
+  void print_key(std::ostream& os) const {
+    os << name << ',' << bandwidth_gbs << ',' << iops << ',' << seek_s;
+  }
 };
+static_assert(field_count<DriveSpec>() == 4,
+              "print a new DriveSpec field in print_key");
 
 }  // namespace acsr::storage

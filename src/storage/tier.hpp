@@ -43,11 +43,13 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/fields.hpp"
 #include "prof/metrics.hpp"
 #include "storage/drive.hpp"
 #include "storage/mapper.hpp"
@@ -134,7 +136,17 @@ struct TierConfig {
   int max_retries = 3;           ///< re-issues per chunk before escaping
   double backoff_s = 1e-3;       ///< base retry backoff, doubles per retry
   DriveSpec drive{};             ///< per-drive model (name gets an index)
+
+  /// Every field, for a memo key (vgpu/memo.hpp; doubles print at the
+  /// stream's precision).
+  void print_key(std::ostream& os) const {
+    os << num_drives << ',' << stripe_bytes << ',' << max_inflight << ','
+       << max_retries << ',' << backoff_s << ',';
+    drive.print_key(os);
+  }
 };
+static_assert(field_count<TierConfig>() == 6,
+              "print a new TierConfig field in print_key");
 
 class StorageTier {
  public:

@@ -85,6 +85,12 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
                      cfg.block_dim <= spec_.max_threads_per_block,
                  "bad block_dim " << cfg.block_dim << " for " << cfg.name);
 
+  // A memo session resolves its key at its run's first launch, once the
+  // run has staged its scratch (vgpu/memo.hpp).
+  if (memo_session_ != nullptr &&
+      memo_session_->kind == memo::Session::Kind::kPending) [[unlikely]]
+    memo_session_->resolve();
+
   // Fault hook, before the memo replay branch so a replayed launch
   // consults the injector at the same ordinal and throws the same typed
   // fault as a metered one, and before the sanitizer's begin_launch so a

@@ -31,6 +31,7 @@ class Device {
 
   const DeviceSpec& spec() const { return spec_; }
   MemoryArena& arena() { return arena_; }
+  const MemoryArena& arena() const { return arena_; }
 
   /// True once an injected whole-device-loss fault has struck: every
   /// further launch/alloc/transfer throws DeviceLost. Only the fault

@@ -1,7 +1,10 @@
 #include "vgpu/memo.hpp"
 
+#include <iterator>
+#include <limits>
 #include <sstream>
 
+#include "common/fields.hpp"
 #include "prof/prof.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/fault.hpp"
@@ -14,8 +17,17 @@ bool plane_bypassed() {
          prof::profiler_enabled() || fault_flips_bytes();
 }
 
-std::string spec_fingerprint(const DeviceSpec& s) {
+std::ostringstream key_stream() {
   std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
+  return os;
+}
+
+static_assert(field_count<DeviceSpec>() == 33,
+              "print a new DeviceSpec field in spec_fingerprint");
+
+std::string spec_fingerprint(const DeviceSpec& s) {
+  std::ostringstream os = key_stream();
   os << s.name << '/' << s.compute_major << '.' << s.compute_minor << '/'
      << s.sm_count << 'x' << s.cores_per_sm << '@' << s.clock_ghz << '/'
      << s.dram_bandwidth_gbs << ',' << s.pcie_bandwidth_gbs << ','
@@ -34,42 +46,54 @@ std::string spec_fingerprint(const DeviceSpec& s) {
   return os.str();
 }
 
-std::uint64_t next_instance_id() {
-  static std::uint64_t n = 0;
-  return ++n;
-}
-
 MemoCache& MemoCache::instance() {
   static MemoCache cache;
   return cache;
 }
 
-MemoEntry* MemoCache::find(const std::string& key) {
+std::shared_ptr<MemoEntry> MemoCache::find(const std::string& key) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  return &it->second;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->entry;
 }
 
-MemoEntry& MemoCache::put(const std::string& key, MemoEntry entry) {
-  return map_[key] = std::move(entry);
-}
-
-void MemoCache::erase_prefix(const std::string& prefix) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = map_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
+void MemoCache::put(const std::string& key, MemoEntry entry) {
+  if (auto it = map_.find(key); it != map_.end()) erase(it->second);
+  const std::size_t bytes = entry_bytes(key, entry);
+  lru_.push_front(
+      {key, std::make_shared<MemoEntry>(std::move(entry)), bytes});
+  map_.emplace(key, lru_.begin());
+  bytes_ += bytes;
+  while (bytes_ > kMaxBytes && lru_.size() > 1) {
+    erase(std::prev(lru_.end()));
+    ++stats_.evictions;
   }
 }
 
-void MemoCache::clear() { map_.clear(); }
+void MemoCache::erase(Lru::iterator it) {
+  bytes_ -= it->bytes;
+  map_.erase(it->key);
+  lru_.erase(it);
+}
+
+void MemoCache::clear() {
+  map_.clear();
+  lru_.clear();
+  bytes_ = 0;
+}
+
+std::size_t MemoCache::entry_bytes(const std::string& key,
+                                   const MemoEntry& entry) {
+  std::size_t n = sizeof(Slot) + 2 * key.size();  // the slot and map keys
+  for (const LaunchRecord& r : entry.launches)
+    n += sizeof(LaunchRecord) + r.name.size();
+  return n;
+}
 
 SessionScope::SessionScope(Device& dev, Session& s)
     : dev_(dev), prev_(dev.memo_session()) {
@@ -77,6 +101,10 @@ SessionScope::SessionScope(Device& dev, Session& s)
 }
 
 SessionScope::~SessionScope() { dev_.set_memo_session(prev_); }
+
+std::string Memoizer::key(const std::string& tail) const {
+  return recipe_ + "|" + tail;
+}
 
 bool Memoizer::session_active(const Device& dev) {
   return dev.memo_session() != nullptr;

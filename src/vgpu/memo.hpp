@@ -13,16 +13,31 @@
 // (KernelEnv::value_only) that computes y but skips all cache probes and
 // accounting.
 //
-// The cache key is composed of
-//   - the device-spec fingerprint (every model-relevant parameter),
-//   - the owner's identity (engine/launcher name, matrix dims + nnz,
-//     element width, tuning configuration),
-//   - a per-instance tag, so entries die with the engine that captured
-//     them (a rebuilt engine — e.g. after fault recovery — never replays
-//     a predecessor's metering), and
-//   - the matrix structure version (bumped by incremental_csr updates).
-// Replay additionally validates each launch against the captured record
-// (kernel name, grid_dim, block_dim) and that the launch count matches.
+// A memo entry is keyed by what metering depends on: the device spec,
+// the kernels' inputs' structure, and where the buffers they touch sit.
+// Addresses enter only relative to the arena's base: every arena takes its
+// own 2^44-byte address slice, so two arenas with the same allocation
+// history place corresponding buffers at addresses that differ by a
+// multiple of 2^44, which keeps every 32 B sector offset, every cache set
+// index and every sector equality — everything the metering reads of an
+// address (proof in docs/PERF.md). The key is
+//   - the owner's recipe: everything its build and its launches depend on
+//     apart from addresses (spec_fingerprint, engine name and config,
+//     element width, arena capacity, a digest of the operand —
+//     core/factory.hpp's memo_recipe for engines), and
+//   - a tail the owner supplies, read at the run's first launch (after
+//     the run has staged its scratch): the base-relative layout of the
+//     buffers the run touches (an engine's build offset, the scratch the
+//     run stages, and the mark a per-call working set is allocated from)
+//     and the run's subkey (launch geometry, batch width).
+// So any owner with the same recipe and the same base-relative layout
+// replays — an engine built on a fresh device from its first call — and
+// one whose layout differs captures, by construction: a rebuild on the
+// same device (scrub, fallback) starts at a later arena offset. Entries
+// outlive their owners; the cache holds MemoCache::kMaxBytes and evicts
+// the least recently used entry past it. Replay additionally validates
+// each launch against the captured record (kernel name, grid_dim,
+// block_dim) and that the launch count matches.
 //
 // Replay runs under the fault plane too: Device::launch consults the
 // injector before it takes the replay branch, so a plan fires at the same
@@ -41,6 +56,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <list>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -75,12 +93,14 @@ inline void set_memo_enabled(bool on) { detail::g_memo_enabled = on; }
 /// of them.
 bool plane_bypassed();
 
-/// Every model-relevant DeviceSpec parameter folded into a string, so two
-/// devices agree on a key only if their metering would be bit-identical.
-std::string spec_fingerprint(const DeviceSpec& spec);
+/// An ostringstream that prints doubles exactly (max_digits10), for
+/// key material: two values that differ in the last ulp print differently.
+std::ostringstream key_stream();
 
-/// Fresh process-unique id for per-instance key tags.
-std::uint64_t next_instance_id();
+/// Every model-relevant DeviceSpec parameter folded into a string at full
+/// precision, so two devices agree on a key only if their metering would
+/// be bit-identical.
+std::string spec_fingerprint(const DeviceSpec& spec);
 
 /// One captured Device::launch (dynamic-parallelism children are part of
 /// the parent's logical launch, exactly as Device::launch executes them).
@@ -99,48 +119,74 @@ struct MemoEntry {
 struct MemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t invalidations = 0;  // entries erased by owner teardown
-  std::uint64_t bypasses = 0;       // executions another plane owned
+  std::uint64_t evictions = 0;  // least recently used entries past the bound
+  std::uint64_t bypasses = 0;   // executions another plane owned
 };
 
-/// Process-wide key -> launch-sequence store.
+/// Process-wide key -> launch-sequence store, bounded by kMaxBytes with
+/// least-recently-used eviction (entries outlive the owners that captured
+/// them).
 class MemoCache {
  public:
+  /// What the cache holds at most, by entry_bytes. A launch record is
+  /// ~300 B, so an in-core solver SpMV takes a few KB and an ooc-csr
+  /// SpMV over 8 slabs (~40 grids) ~12 KB.
+  static constexpr std::size_t kMaxBytes = std::size_t{16} << 20;
+
   static MemoCache& instance();
 
-  /// nullptr on miss. Counts a hit or a miss.
-  MemoEntry* find(const std::string& key);
+  /// nullptr on miss. Counts a hit or a miss; a hit becomes the most
+  /// recently used entry. The returned handle keeps the entry alive
+  /// through a replay even if a nested capture evicts it.
+  std::shared_ptr<MemoEntry> find(const std::string& key);
   /// Whether `key` is cached, without counting a hit or a miss.
   bool contains(const std::string& key) const { return map_.count(key) != 0; }
-  /// Insert-or-overwrite; returns the stored entry.
-  MemoEntry& put(const std::string& key, MemoEntry entry);
-  /// Drop every entry whose key starts with `prefix` (owner teardown /
-  /// structural invalidation); each dropped entry counts as one
-  /// invalidation.
-  void erase_prefix(const std::string& prefix);
+  /// Insert-or-overwrite as the most recently used entry, then evict
+  /// least recently used ones while the cache holds more than kMaxBytes
+  /// (never the entry just put).
+  void put(const std::string& key, MemoEntry entry);
   void clear();
 
   std::size_t size() const { return map_.size(); }
+  std::size_t bytes() const { return bytes_; }
   const MemoStats& stats() const { return stats_; }
   void note_bypass() { ++stats_.bypasses; }
   void reset_stats() { stats_ = {}; }
 
  private:
-  std::unordered_map<std::string, MemoEntry> map_;
+  /// What an entry counts against kMaxBytes: its key and its records.
+  static std::size_t entry_bytes(const std::string& key,
+                                 const MemoEntry& entry);
+
+  struct Slot {
+    std::string key;
+    std::shared_ptr<MemoEntry> entry;
+    std::size_t bytes = 0;
+  };
+  using Lru = std::list<Slot>;  // front: most recently used
+
+  void erase(Lru::iterator it);
+
+  Lru lru_;
+  std::unordered_map<std::string, Lru::iterator> map_;
+  std::size_t bytes_ = 0;
   MemoStats stats_;
 };
 
 /// Capture-or-replay state installed on a Device for the duration of one
-/// memoized execution. kCapture appends a LaunchRecord per Device::launch;
-/// kReplay pops the next record, validates it against the launch config,
-/// computes y (the launch's value kernel, else a value-only grid walk)
-/// and returns the cached KernelRun.
+/// memoized execution. A session starts pending: the run's key depends on
+/// the scratch its body stages, so Device::launch resolves it at the
+/// body's first launch (Memoizer::run at the end, if the body launches
+/// nothing), into kReplay — pop the next record, validate it against the
+/// launch config, compute y (the launch's value kernel, else a value-only
+/// grid walk) and return the cached KernelRun — or kCapture, which
+/// appends a LaunchRecord per Device::launch.
 struct Session {
-  enum class Kind { kCapture, kReplay };
-  Session(Kind k, MemoEntry* e) : kind(k), entry(e) {}
-  Kind kind;
-  MemoEntry* entry;
+  enum class Kind { kPending, kCapture, kReplay };
+  Kind kind = Kind::kPending;
+  MemoEntry* entry = nullptr;
   std::size_t cursor = 0;  // replay: next record to consume
+  ValueRef resolve;        // sets kind and entry (a non-owning callable)
 };
 
 /// RAII installation of a Session on a Device (restores the previous
@@ -157,21 +203,15 @@ class SessionScope {
   Session* prev_;
 };
 
-/// Owner-side convenience: keys every run under a per-instance tag and
-/// erases the instance's entries on destruction. `run(dev, subkey, fn)`
-/// replays fn's launch sequence when (tag|subkey) is cached, captures it
-/// otherwise; callers fold everything metering depends on — structure
-/// version, launch geometry — into `subkey`.
+/// Owner-side convenience: keys every run by the owner's recipe and a
+/// caller-supplied tail (see the header). `run(dev, tail, fn)` replays
+/// fn's launch sequence when that key is cached and captures it
+/// otherwise; callers fold into the recipe and the tail everything
+/// metering depends on — the operand, the layout of the buffers the run
+/// touches, launch geometry.
 class Memoizer {
  public:
-  explicit Memoizer(const std::string& tag)
-      : tag_(tag + "#" + std::to_string(next_instance_id()) + "|") {}
-  ~Memoizer() { MemoCache::instance().erase_prefix(tag_); }
-  Memoizer(const Memoizer&) = delete;
-  Memoizer& operator=(const Memoizer&) = delete;
-
-  /// The cache key run() uses for `subkey`.
-  std::string key(const std::string& subkey) const { return tag_ + subkey; }
+  explicit Memoizer(std::string recipe) : recipe_(std::move(recipe)) {}
 
   /// Whether run(dev, ...) would capture or replay now, rather than run
   /// its body bypassed (another plane owns the run, or a session is
@@ -180,31 +220,42 @@ class Memoizer {
     return !plane_bypassed() && !session_active(dev);
   }
 
-  template <class Fn>
-  double run(Device& dev, const std::string& subkey, Fn&& fn) {
+  /// `tail()` returns the key's tail; it is called when the key is
+  /// resolved (after the body has staged its scratch). `on_resolve(replay)`
+  /// is told once whether the run replays or captures.
+  template <class Tail, class Fn, class OnResolve = void (*)(bool)>
+  double run(Device& dev, Tail&& tail, Fn&& fn,
+             OnResolve&& on_resolve = [](bool) {}) {
     if (!memo_enabled()) return fn();
     if (!would_memoize(dev)) {
       MemoCache::instance().note_bypass();
       return fn();
     }
-    const std::string key = this->key(subkey);
     MemoCache& cache = MemoCache::instance();
-    if (MemoEntry* e = cache.find(key)) {
-      Session s(Session::Kind::kReplay, e);
-      SessionScope scope(dev, s);
-      const double t = fn();
-      ACSR_CHECK_MSG(s.cursor == e->launches.size(),
-                     "memo replay consumed " << s.cursor << " of "
-                                             << e->launches.size()
-                                             << " launches for " << key);
-      return t;
-    }
+    std::string key;
+    std::shared_ptr<MemoEntry> cached;  // keeps a replayed entry alive
     MemoEntry staged;
-    Session s(Session::Kind::kCapture, &staged);
+    Session s;
+    const auto resolve = [&] {
+      key = this->key(tail());
+      cached = cache.find(key);
+      s.kind = cached ? Session::Kind::kReplay : Session::Kind::kCapture;
+      s.entry = cached ? cached.get() : &staged;
+      on_resolve(cached != nullptr);
+    };
+    s.resolve = resolve;
     double t;
     {
       SessionScope scope(dev, s);
       t = fn();  // a throw discards `staged` (scope pops the session)
+    }
+    if (s.kind == Session::Kind::kPending) resolve();  // launched nothing
+    if (cached) {
+      ACSR_CHECK_MSG(s.cursor == cached->launches.size(),
+                     "memo replay consumed " << s.cursor << " of "
+                                             << cached->launches.size()
+                                             << " launches for " << key);
+      return t;
     }
     cache.put(key, std::move(staged));
     return t;
@@ -212,8 +263,9 @@ class Memoizer {
 
  private:
   static bool session_active(const Device& dev);
+  std::string key(const std::string& tail) const;
 
-  std::string tag_;
+  std::string recipe_;
 };
 
 }  // namespace memo

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -135,14 +136,56 @@ DeviceSpan<T> host_span(std::vector<T>& v) {
 /// Capacity accounting + virtual address assignment for one device.
 ///
 /// Every arena owns a process-unique slice of the virtual address space
-/// (16 TiB apart), so buffer addresses never collide across devices or
-/// across arenas created by successive tests. This is what lets the
-/// sanitizer keep one global shadow registry, and it mirrors real unified
-/// virtual addressing, where each device's allocations are disjoint.
+/// (2^44 bytes = 16 TiB apart), so buffer addresses never collide across
+/// devices or across arenas created by successive tests. This is what
+/// lets the sanitizer keep one global shadow registry, and it mirrors real
+/// unified virtual addressing, where each device's allocations are
+/// disjoint. Addresses are handed out by a bump cursor; two arenas with
+/// the same allocation history place corresponding buffers at the same
+/// offset() from their bases, so their addresses differ by a multiple of
+/// 2^44 — which the metering cannot tell apart (docs/PERF.md, "Memo keyed
+/// by what metering depends on").
 class MemoryArena {
  public:
   explicit MemoryArena(std::size_t capacity_bytes)
-      : capacity_(capacity_bytes), next_addr_(take_address_slice()) {}
+      : capacity_(capacity_bytes),
+        base_(take_address_slice()),
+        next_addr_(base_) {}
+
+  /// Scoped mark and rewind of the address cursor: every pass through
+  /// the scope allocates from the same address, so a per-call working
+  /// set (the out-of-core slab sets) lands at the same addresses on every
+  /// call. The scope must free what it allocated before it ends:
+  /// rewinding over a live allocation is an InvariantError. A scope left
+  /// by an exception rewinds too — an unwinding retry starts from the
+  /// same mark — unless an allocation is still live, when the cursor
+  /// stays put. Rewinds do not nest.
+  class Rewind {
+   public:
+    explicit Rewind(MemoryArena& arena) : arena_(arena) {
+      ACSR_CHECK_MSG(arena.mark_ == kNoMark, "arena rewinds do not nest");
+      arena.mark_ = arena.next_addr_;
+      arena.live_above_mark_ = 0;
+    }
+    ~Rewind() noexcept(false) {
+      const std::uint64_t mark = arena_.mark_;
+      const std::size_t live = arena_.live_above_mark_;
+      arena_.mark_ = kNoMark;
+      if (live == 0) {
+        arena_.next_addr_ = mark;
+        return;
+      }
+      if (std::uncaught_exceptions() == 0)
+        ACSR_CHECK_MSG(false, "arena rewind over " << live
+                                                   << " live bytes on device '"
+                                                   << arena_.owner_ << "'");
+    }
+    Rewind(const Rewind&) = delete;
+    Rewind& operator=(const Rewind&) = delete;
+
+   private:
+    MemoryArena& arena_;
+  };
 
   /// Bytes an allocation of `bytes` takes from the arena: allocations
   /// are carved in 256-byte granules.
@@ -165,6 +208,7 @@ class MemoryArena {
                       std::to_string(capacity_) + " B)");
     }
     allocated_ += aligned;
+    if (mark_ != kNoMark) live_above_mark_ += aligned;
     const std::uint64_t addr = next_addr_;
     next_addr_ += aligned;
     // Register with the sanitizer's allocation registry (always on: it is
@@ -189,9 +233,14 @@ class MemoryArena {
     if (bytes > 0 && !Sanitizer::instance().on_free(addr, bytes, what))
       return;
     release(bytes);
+    if (addr >= mark_) live_above_mark_ -= footprint(bytes);
   }
 
   std::size_t allocated() const { return allocated_; }
+  /// Where the next allocation lands, relative to the arena's base.
+  std::uint64_t offset() const { return next_addr_ - base_; }
+  /// A device address of this arena, relative to its base.
+  std::uint64_t relative(std::uint64_t addr) const { return addr - base_; }
   std::size_t capacity() const { return capacity_; }
   void set_capacity(std::size_t bytes) { capacity_ = bytes; }
 
@@ -202,15 +251,20 @@ class MemoryArena {
 
  private:
   // Start away from zero so address 0 never aliases a real buffer, and
-  // 16 TiB apart per arena so addresses are process-unique.
+  // 2^44 bytes (16 TiB) apart per arena so addresses are process-unique.
   static std::uint64_t take_address_slice() {
     static std::uint64_t next_slice = 0;
     return 0x10000 + 0x100000000000ULL * next_slice++;
   }
 
+  static constexpr std::uint64_t kNoMark = ~std::uint64_t{0};
+
   std::size_t capacity_;
   std::size_t allocated_ = 0;
+  std::uint64_t base_;
   std::uint64_t next_addr_;
+  std::uint64_t mark_ = kNoMark;      ///< the active Rewind's cursor
+  std::size_t live_above_mark_ = 0;  ///< live bytes allocated since it
   std::string owner_ = "?";
 };
 

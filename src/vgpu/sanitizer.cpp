@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/check.hpp"
+
 namespace acsr::vgpu {
 
 namespace {
@@ -91,6 +93,16 @@ void Sanitizer::report(SanKind kind, const Buffer* b, std::uint64_t addr,
 void Sanitizer::on_alloc(std::uint64_t addr, std::size_t bytes,
                          const std::string& name) {
   if (bytes == 0) return;
+  // A rewound arena (MemoryArena::Rewind) hands freed addresses out
+  // again: the new buffer replaces the tombstones it overlaps, so an
+  // access through it resolves to it. Only freed buffers can be there.
+  const auto first = buffers_.lower_bound(addr);
+  const auto last = buffers_.lower_bound(addr + bytes);
+  for (auto it = first; it != last; ++it)
+    ACSR_CHECK_MSG(it->second.freed,
+                   "allocation of '" << name << "' overlaps live buffer '"
+                                     << it->second.name << "'");
+  buffers_.erase(first, last);
   Buffer b;
   b.name = name;
   b.base = addr;

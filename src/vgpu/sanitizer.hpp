@@ -28,8 +28,10 @@
 // buffer even outside sanitizer runs. The per-access shadow checks only run
 // when enabled, so the fast path costs one predictable branch.
 //
-// Addresses are device virtual addresses from MemoryArena, which are never
-// reused; freed ranges keep a tombstone so use-after-free is attributable.
+// Addresses are device virtual addresses from MemoryArena, reused only
+// under a rewound arena (MemoryArena::Rewind), where the new buffer
+// replaces the tombstones it overlaps; freed ranges keep a tombstone so
+// use-after-free is attributable.
 // Shared-memory spans live in a sentinel address range outside the arena
 // and are ignored. The simulator is single-threaded, so no locking.
 #pragma once

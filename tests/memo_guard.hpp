@@ -10,6 +10,9 @@
 // process's plane settings.
 #pragma once
 
+#include <string>
+#include <utility>
+
 #include "prof/prof.hpp"
 #include "vgpu/memo.hpp"
 #include "vgpu/sanitizer.hpp"
@@ -47,5 +50,10 @@ class MemoGuard {
   const bool profiler_ = prof::profiler_enabled();
   const bool memo_ = vgpu::memo::memo_enabled();
 };
+
+/// A Memoizer::run tail that is the same string on every call.
+inline auto fixed_tail(std::string s) {
+  return [s = std::move(s)] { return s; };
+}
 
 }  // namespace acsr::test

@@ -753,7 +753,10 @@ TEST(DifferentialFuzz, MemoizedUpdateSolveInterleavingsMatchExactly) {
         if (is_solve) {
           y_dev.host().assign(n, 0.0);
           const double t = memo.run(
-              dev, "spmv@v" + std::to_string(inc.version()), [&] {
+              dev,
+              acsr::test::fixed_tail("spmv@v" +
+                                     std::to_string(inc.version())),
+              [&] {
                 return launcher->run(inc.row_begin(), inc.row_end(),
                                      inc.col_idx(), inc.vals(),
                                      x_dev.cspan(), y_dev.span());

@@ -16,17 +16,21 @@
 //               to the side — metering must be unaffected
 //   memoized    ACSR_MEMO semantics (set_memo_enabled(true)): the first
 //               simulate captures per-launch metering, the second replays
-//               it and re-runs the kernels value-only; the *replayed*
-//               iteration is what gets compared here
+//               it and computes y through the launches' value kernels;
+//               the *replayed* iteration is what gets compared here
+//   fresh replay  the same plane, across devices: an engine captures on
+//               one device, and a second engine over the same operand,
+//               built on a fresh device, replays from its first call —
+//               that call is what gets compared here
 //   traced      ACSR_SLO semantics (slo::set_slo_enabled(true)): the
 //               request-tracing plane records spans to the side —
 //               spans are a view of the timeline (docs/SLO.md), so
 //               metering must be unaffected
 //
 // and asserts that the numeric result, every Counters field, and every
-// KernelRun roofline term are BIT-identical across the six. A second leg
-// does the same for the batched SpMM kernels (simulate_batch) in the
-// five modes that change how a kernel executes.
+// KernelRun roofline term are BIT-identical across the seven. A second
+// leg does the same for the batched SpMM kernels (simulate_batch) in the
+// six modes that change how a kernel executes.
 //
 // Each run uses a fresh Device: MemoryArena address slices are spaced
 // 2^44 bytes apart, so corresponding buffers in consecutive arenas have
@@ -34,7 +38,8 @@
 // 32 B sector offsets and the sector index modulo any power-of-two cache
 // way count (<= 256). Identical access sequences therefore meter
 // identically on fresh devices, and any divergence observed here is a real
-// fast-path bug, not address noise.
+// fast-path bug, not address noise. The memo key relies on the same fact
+// (docs/PERF.md), which the fresh-replay mode pins.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,7 +187,7 @@ struct ModeResult {
 };
 
 enum class Mode { kFast, kReference, kSanitized, kProfiled, kMemoized,
-                  kTraced };
+                  kMemoFresh, kTraced };
 
 /// One simulated product on an engine: returns simulated seconds and
 /// fills y (a batch's y is its column-major block payload).
@@ -201,7 +206,8 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     acsr::prof::Profiler::instance().clear();
     acsr::prof::set_profiler_enabled(true);
   }
-  if (mode == Mode::kMemoized) {
+  const bool memo = mode == Mode::kMemoized || mode == Mode::kMemoFresh;
+  if (memo) {
     acsr::vgpu::memo::MemoCache::instance().clear();
     acsr::vgpu::memo::MemoCache::instance().reset_stats();
     acsr::vgpu::memo::set_memo_enabled(true);
@@ -212,17 +218,27 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
   }
 
   ModeResult res;
+  EngineConfig cfg;
+  cfg.hyb_breakeven = 64;
+  if (mode == Mode::kMemoFresh) {
+    // The capture, on a device and engine of its own.
+    Device dev(DeviceSpec::gtx_titan());
+    try {
+      auto engine = make_engine<double>(engine_name, dev, a, cfg);
+      std::vector<double> y;
+      simulate(*engine, y);
+    } catch (const acsr::InputError&) {
+    }
+  }
   {
     Device dev(DeviceSpec::gtx_titan());
-    EngineConfig cfg;
-    cfg.hyb_breakeven = 64;
     try {
       auto engine = make_engine<double>(engine_name, dev, a, cfg);
       res.duration = simulate(*engine, res.y);
       if (mode == Mode::kMemoized) {
         // The first simulate captured the launch metering; the second
-        // replays it (kernels re-run value-only, metering comes from the
-        // cache). The replayed iteration is the one under test.
+        // replays it (y from the value kernels, metering from the cache).
+        // The replayed iteration is the one under test.
         res.y.clear();
         res.duration = simulate(*engine, res.y);
       }
@@ -251,14 +267,14 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     acsr::prof::set_profiler_enabled(false);
     acsr::prof::Profiler::instance().clear();
   }
-  if (mode == Mode::kMemoized) {
-    // The second simulate must have been served from the cache — if it
+  if (memo) {
+    // The compared simulate must have been served from the cache — if it
     // missed, this mode silently degenerated into plain re-simulation and
     // the comparison below would prove nothing.
     const auto st = acsr::vgpu::memo::MemoCache::instance().stats();
-    EXPECT_TRUE(res.skipped || st.hits >= 1)
-        << "memoized replay never hit the cache (misses=" << st.misses
-        << " bypasses=" << st.bypasses << ")";
+    EXPECT_TRUE(res.skipped || (st.hits >= 1 && st.misses == 1))
+        << "memoized replay never hit the cache (hits=" << st.hits
+        << " misses=" << st.misses << " bypasses=" << st.bypasses << ")";
     acsr::vgpu::memo::set_memo_enabled(false);
     acsr::vgpu::memo::MemoCache::instance().clear();
   }
@@ -271,7 +287,8 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
 
 const Mode kAllModes[] = {Mode::kFast,     Mode::kReference,
                           Mode::kSanitized, Mode::kProfiled,
-                          Mode::kMemoized, Mode::kTraced};
+                          Mode::kMemoized, Mode::kMemoFresh,
+                          Mode::kTraced};
 
 const char* mode_name(Mode m) {
   switch (m) {
@@ -280,6 +297,7 @@ const char* mode_name(Mode m) {
     case Mode::kSanitized: return "sanitized";
     case Mode::kProfiled: return "profiled";
     case Mode::kMemoized: return "memoized replay";
+    case Mode::kMemoFresh: return "fresh replay";
     case Mode::kTraced: return "traced";
   }
   return "?";
@@ -339,18 +357,20 @@ TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
   // The contract must have been exercised broadly, not vacuously skipped.
   EXPECT_GE(compared, matrices.size() * 14);
   std::cout << "[invariance] " << compared << " engine/matrix cells over "
-            << matrices.size() << " matrices, 6 modes each\n";
+            << matrices.size() << " matrices, 7 modes each\n";
 }
 
 /// The batched SpMM kernels (simulate_batch) of the three engines with
 /// real column-blocked kernels, at widths on both sides of the
 /// kSpmmTile = 8 column tile (1 routes through the scalar SpMV), in the
-/// five modes that change how a kernel executes: fast, reference,
-/// sanitized, profiled and memoized replay. The matrices include ACSR's
-/// dynamic-parallelism rows, so the batched child grids run too.
+/// six modes that change how a kernel executes: fast, reference,
+/// sanitized, profiled, memoized replay and fresh replay. The matrices
+/// include ACSR's dynamic-parallelism rows, so the batched child grids
+/// run too.
 TEST(MeteringInvariance, BatchedSpmmIsBitIdenticalAcrossModes) {
-  const Mode kModes[] = {Mode::kFast, Mode::kReference, Mode::kSanitized,
-                         Mode::kProfiled, Mode::kMemoized};
+  const Mode kModes[] = {Mode::kFast,     Mode::kReference,
+                         Mode::kSanitized, Mode::kProfiled,
+                         Mode::kMemoized, Mode::kMemoFresh};
   const auto matrices = make_matrices(/*seed=*/2014);
   const Rng root(0xb47c);
 
@@ -388,7 +408,7 @@ TEST(MeteringInvariance, BatchedSpmmIsBitIdenticalAcrossModes) {
   EXPECT_GT(acsr_child_launches, 0u)
       << "no batched dynamic-parallelism child grid ran";
   std::cout << "[invariance] " << compared
-            << " batched engine/matrix/width cells, 5 modes each\n";
+            << " batched engine/matrix/width cells, 6 modes each\n";
 }
 
 /// The raw warp-level primitives, pinned directly: affine loads/stores at
@@ -461,7 +481,7 @@ TEST(MeteringInvariance, WarpPrimitivesMatchAtEveryStride) {
         }
         // Same subkey on both memo passes: the first (mode 2) captures,
         // the second (mode 3) replays value-only on a fresh device.
-        const double t = memo.run(dev, "stride",
+        const double t = memo.run(dev, acsr::test::fixed_tail("stride"),
                                   [&] { return launch().duration_s; });
         if (mode == 3) {
           replay_duration = t;

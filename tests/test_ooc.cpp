@@ -20,6 +20,8 @@
 #include "vgpu/fault.hpp"
 #include "vgpu/memo.hpp"
 
+#include "memo_guard.hpp"
+
 namespace {
 
 using acsr::core::EngineConfig;
@@ -511,6 +513,57 @@ TEST_F(Ooc, MemoReplayMatchesCaptureAndSurvivesFallback) {
   std::vector<double> host;
   resilient.apply(xb, host);
   EXPECT_EQ(got, host);
+}
+
+TEST_F(Ooc, RepeatedCallsMeterIdentically) {
+  // Every call allocates its slab sets from the same arena mark, so each
+  // set sits at the same addresses on every call and collides with the
+  // staged x in the sector caches the same way: five calls meter
+  // bitwise alike, through the texture path and plain global loads, and
+  // memo replay gives what re-metering gives.
+  const Csr<double> a = test_matrix(2048);
+  const auto x = ones(static_cast<std::size_t>(a.cols));
+  for (const bool tex : {true, false}) {
+    SCOPED_TRACE(tex ? "texture" : "plain global");
+    EngineConfig cfg;
+    cfg.ooc.budget_bytes = csr_device_bytes(a) / 4;
+    cfg.ooc.use_texture = tex;
+    struct Call {
+      double seconds;
+      std::vector<double> y;
+      acsr::vgpu::KernelRun run;
+    };
+    const auto five_calls = [&](bool memo) {
+      acsr::test::MemoGuard guard(memo);
+      Device dev(DeviceSpec::gtx_titan());
+      auto engine = make_engine<double>("ooc-csr", dev, a, cfg);
+      std::vector<Call> calls(5);
+      for (Call& c : calls) {
+        c.seconds = engine->simulate(x, c.y);
+        c.run = engine->report().last_run;
+      }
+      if (memo) {
+        EXPECT_EQ(acsr::vgpu::memo::MemoCache::instance().stats().hits, 4u);
+      }
+      return calls;
+    };
+    const std::vector<Call> off = five_calls(false);
+    const std::vector<Call> on = five_calls(true);
+    for (std::size_t i = 0; i < off.size(); ++i) {
+      SCOPED_TRACE("call " + std::to_string(i + 1));
+      for (const Call* c : {&off[i], &on[i]}) {
+        const Call& first = off.front();
+#define ACSR_EXPECT_SAME_FIELD(type, name, unit, what) \
+  EXPECT_EQ(c->run.counters.name, first.run.counters.name) << #name;
+        ACSR_COUNTERS_FIELDS(ACSR_EXPECT_SAME_FIELD)
+#undef ACSR_EXPECT_SAME_FIELD
+        EXPECT_EQ(c->run.dram_bytes, first.run.dram_bytes);
+        EXPECT_EQ(c->run.duration_s, first.run.duration_s);
+        EXPECT_EQ(c->seconds, first.seconds);
+        EXPECT_EQ(c->y, first.y);
+      }
+    }
+  }
 }
 
 // --- env-driven smoke (scripts/check.sh ooc fault matrix) -------------------

@@ -291,9 +291,12 @@ TEST(SpmmBitwise, AcsrBatchIsTheHostKernelBitForBit) {
   }
   const Csr<double> a = Csr<double>::from_coo(coo);
   Device dev(DeviceSpec::gtx_titan());
+  const std::uint64_t build_offset = dev.arena().offset();
   auto inner = std::make_unique<acsr::core::AcsrEngine<double>>(dev, a);
   ASSERT_TRUE(inner->dynamic_parallelism_active());
-  acsr::core::MemoEngine<double> engine(std::move(inner));
+  acsr::core::MemoEngine<double> engine(
+      std::move(inner), acsr::core::memo_recipe<double>("acsr", dev, a, {}),
+      build_offset);
   for (const int k : {2, 8, 13, 32}) {
     SCOPED_TRACE("k = " + std::to_string(k));
     const DenseBlock<double> x = random_block(a.cols, k, 7u + k);

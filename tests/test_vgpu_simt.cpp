@@ -274,7 +274,7 @@ TEST_F(WarpFixture, LoadPairZeroesMaskedLanesOnEveryRoute) {
       for (int pass = 0; pass < (route == Route::kValueOnly ? 2 : 1); ++pass) {
         ra = LaneArray<int>::filled(-1);
         rb = LaneArray<double>::filled(-1.0);
-        memo.run(dev, "pair", [&] {
+        memo.run(dev, acsr::test::fixed_tail("pair"), [&] {
           return run_warp([&](Warp& w) {
                    w.load_pair(a.cspan(), b.cspan(), idx, m, ra, rb);
                  })
@@ -505,6 +505,52 @@ TEST(Memory, ArenaCapacityEnforced) {
   arena.release(512);
   EXPECT_NO_THROW(arena.allocate(768, "c"));
   (void)a1;
+}
+
+TEST(Memory, RewindReusesAddressesAndRefusesLiveAllocations) {
+  // The sanitizer keeps a tombstone per freed buffer; a buffer the rewind
+  // places over tombstones of other sizes must resolve to itself.
+  const bool san_was = sanitizer_enabled();
+  Sanitizer::instance().clear();
+  Sanitizer::instance().set_enabled(true);
+  Device dev(DeviceSpec::gtx_titan());
+  auto x = dev.alloc<double>(10, "x");
+  const std::uint64_t mark = dev.arena().offset();
+  {
+    MemoryArena::Rewind rewind(dev.arena());
+    auto a = dev.alloc<double>(100, "a");
+    auto b = dev.alloc<double>(100, "b");
+  }
+  EXPECT_EQ(dev.arena().offset(), mark);
+  {
+    MemoryArena::Rewind rewind(dev.arena());
+    auto c = dev.alloc<double>(300, "c");
+    EXPECT_EQ(dev.arena().relative(c.cspan().addr()), mark);
+    c.host().assign(300, 1.0);
+    EXPECT_EQ(Sanitizer::instance().buffer_name(c.cspan().addr_of(150)), "c");
+    LaunchConfig cfg;
+    cfg.name = "rewound_read";
+    cfg.block_dim = 32;
+    cfg.grid_dim = 1;
+    auto cs = c.cspan();
+    dev.launch_warps(cfg, [&](Warp& w) {
+      w.load(cs, LaneArray<long long>::iota(140, 1), w.active_mask());
+    });
+  }
+  EXPECT_TRUE(Sanitizer::instance().reports().empty())
+      << Sanitizer::instance().reports().front().message;
+  Sanitizer::instance().set_enabled(san_was);
+  Sanitizer::instance().clear();
+
+  // Leaving a scope with an allocation still live is an InvariantError,
+  // and the cursor stays past the live buffer.
+  DeviceBuffer<double> kept;
+  const auto leak = [&] {
+    MemoryArena::Rewind rewind(dev.arena());
+    kept = dev.alloc<double>(8, "kept");
+  };
+  EXPECT_THROW(leak(), acsr::InvariantError);
+  EXPECT_GT(dev.arena().offset(), mark);
 }
 
 TEST(Memory, DistinctBuffersGetDistinctAddresses) {
