@@ -76,9 +76,12 @@ else
   echo "   clang-tidy not installed; skipping"
 fi
 
+# ACSR_MEMO is pinned unset so this leg is the memo-off run of every
+# tier-1 test whatever the caller's environment; the ACSR_MEMO=1 leg below
+# is the memo-on run.
 echo "== tier-1 tests (ctest -L tier1)"
 tier1_start=$SECONDS
-ctest --test-dir "$build" -L tier1 --output-on-failure
+env -u ACSR_MEMO ctest --test-dir "$build" -L tier1 --output-on-failure
 echo "check.sh: tier-1 suite took $((SECONDS - tier1_start))s"
 
 # The executor's two oracle routes (docs/PERF.md): every Warp memory access
@@ -107,38 +110,17 @@ if [ "${ACSR_CI:-0}" = "1" ]; then
   ctest --test-dir "$build-asan" -L tier1 --output-on-failure
 fi
 
-# The memo plane (docs/PERF.md) must hold the metering contract whether the
-# process starts with the cache enabled or disabled: the invariance matrix
-# and the memo unit tests run under both values of ACSR_MEMO. The memo
-# tests also run with the slo plane and the profiler switched on from the
-# environment: the slo span annotation must not count cache hits or
-# misses, and the tests must not depend on the process's profiler state.
-# Memo replays under every fault plan that flips no device bytes, so the
-# fault and out-of-core suites also run with the cache on.
-echo "== memo plane (metering invariance + memo tests, ACSR_MEMO=0 and 1)"
-for memo in 0 1; do
-  echo "   ACSR_MEMO=$memo"
-  ACSR_MEMO=$memo "$build/tests/test_metering_invariance" \
-    --gtest_brief=1
-  ACSR_MEMO=$memo "$build/tests/test_memo" --gtest_brief=1
-done
+# The memo plane (docs/PERF.md): the two tier-1 legs above already run
+# every test with the cache off and on — the metering invariance matrix,
+# the memo unit tests, the fault, out-of-core and SpMM suites among them.
+# The memo tests also run with the slo plane and the profiler switched on
+# from the environment, which tier-1 does not: the slo span annotation
+# must not count cache hits or misses, and the tests must not depend on
+# the process's profiler state.
+echo "== memo plane (memo tests under ACSR_SLO=1, ACSR_PROF=1)"
 for plane in ACSR_SLO ACSR_PROF; do
   echo "   $plane=1"
   env "$plane=1" "$build/tests/test_memo" --gtest_brief=1
-done
-echo "   ACSR_MEMO=1: test_faults, test_ooc"
-ACSR_MEMO=1 "$build/tests/test_faults" --gtest_brief=1
-ACSR_MEMO=1 "$build/tests/test_ooc" --gtest_brief=1
-
-# The batched SpMM + serving plane (docs/SERVING.md): exactness across all
-# engines, the width-1/8/32 sector-byte amortization ladder, scheduler
-# coalescing/admission/priority, and the width-keyed memo contract — run
-# with the memo plane both off and on, since width-1 batches must share
-# the scalar "spmv" memo key in either world.
-echo "== spmm + serving plane (test_spmm, ACSR_MEMO=0 and 1)"
-for memo in 0 1; do
-  echo "   ACSR_MEMO=$memo"
-  ACSR_MEMO=$memo "$build/tests/test_spmm" --gtest_brief=1
 done
 
 echo "== differential fuzz (seed ${ACSR_FUZZ_SEED:-2014}, ${ACSR_FUZZ_MATRICES:-200} matrices)"

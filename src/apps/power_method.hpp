@@ -18,11 +18,12 @@ struct PowerIterConfig {
   /// Run every SpMV through engine.simulate() — the full device path with
   /// per-launch metering — instead of apply() plus a single analytic
   /// spmv_seconds() charge. Same simulated time, same result vector
-  /// (simulate and apply agree to rounding), but the host pays the real
-  /// simulator cost per iteration. This is the loop shape the memo plane
-  /// (ACSR_MEMO=1, vgpu/memo.hpp) accelerates: iteration 1 captures the
-  /// launch metering, later iterations replay it and re-run kernels
-  /// value-only.
+  /// (apply is the kernels' exact-order value kernel, so simulate and
+  /// apply agree bit for bit), but the host pays the real simulator cost
+  /// per iteration. This is the loop shape the memo plane (ACSR_MEMO=1,
+  /// vgpu/memo.hpp) accelerates: iteration 1 captures the launch
+  /// metering, later iterations replay it and compute y through the
+  /// launches' value kernels.
   bool device_loop = false;
 };
 

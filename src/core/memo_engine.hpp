@@ -2,9 +2,9 @@
 //
 // make_engine wraps every engine it builds in a MemoEngine when the memo
 // plane is on. A simulate() whose key is cached replays — each launch
-// computes the numeric y through its exact-order value kernel (or, for an
-// engine without one, a value-only grid walk) and takes its metering from
-// the cache — and any other simulate() captures. The key is what the
+// computes the numeric y through its exact-order value kernel, the same
+// kernel as the engine's apply(), and takes its metering from the cache —
+// and any other simulate() captures. The key is what the
 // engine's metering depends on (vgpu/memo.hpp):
 //   - the recipe make_engine computed (core/factory.hpp's memo_recipe:
 //     spec, engine name and config, element width, arena capacity,

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <new>
 
 #include "analysis/shape.hpp"
@@ -47,20 +49,13 @@ class BccooEngine final : public EngineBase<T> {
   int block_width() const { return width_; }
   std::size_t num_blocks() const { return blk_row_.size(); }
 
+  /// The simulated kernels' value, bit for bit (block_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    const auto w = static_cast<std::size_t>(width_);
-    for (std::size_t b = 0; b < blk_row_.size(); ++b) {
-      mat::index_t c = blk_col_[b];
-      for (std::size_t j = 0; j < w; ++j) {
-        c += static_cast<mat::index_t>(deltas_[b * w + j]);
-        const T v = vals_[b * w + j];
-        if (v != T{0})
-          y[static_cast<std::size_t>(blk_row_[b])] +=
-              v * x[static_cast<std::size_t>(c)];
-      }
-    }
+    block_values(vgpu::host_span(blk_row_), vgpu::host_span(blk_col_),
+                 vgpu::host_span(deltas_), vgpu::host_span(vals_), width_,
+                 vgpu::host_span(x), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -75,6 +70,75 @@ class BccooEngine final : public EngineBase<T> {
   }
 
  private:
+  /// The warp's segmented reduction over its blocks (row-ordered): each
+  /// run of consecutive live lanes with one row folds its accumulators,
+  /// in lane order into a +0 sum, onto its first lane. Returns those head
+  /// lanes; head_row and head_sum receive their rows and sums.
+  static vgpu::Mask fold_head_runs(const vgpu::LaneArray<mat::index_t>& row,
+                                   const vgpu::LaneArray<T>& acc,
+                                   vgpu::Mask live,
+                                   vgpu::LaneArray<mat::index_t>& head_row,
+                                   vgpu::LaneArray<T>& head_sum) {
+    vgpu::Mask heads = 0;
+    int l = 0;
+    while (l < vgpu::kWarpSize) {
+      if (!vgpu::lane_active(live, l)) {
+        ++l;
+        continue;
+      }
+      const mat::index_t r = row[l];
+      T sum{0};
+      const int head = l;
+      while (l < vgpu::kWarpSize && vgpu::lane_active(live, l) &&
+             row[l] == r) {
+        sum += acc[l];
+        ++l;
+      }
+      heads |= vgpu::lane_bit(head);
+      head_sum[head] = sum;
+      head_row[head] = r;
+    }
+    return heads;
+  }
+
+  /// Value kernel of the bccoo grid: per warp of 32 consecutive blocks,
+  /// each block's accumulator (its slots in order, explicit zeros
+  /// skipped), then fold_head_runs, the heads adding into y in lane
+  /// order as the warp's atomic_add applies them.
+  static void block_values(vgpu::DeviceSpan<const mat::index_t> br,
+                           vgpu::DeviceSpan<const mat::index_t> bc,
+                           vgpu::DeviceSpan<const std::uint8_t> bd,
+                           vgpu::DeviceSpan<const T> bv, int width,
+                           vgpu::DeviceSpan<const T> x,
+                           vgpu::DeviceSpan<T> y) {
+    const auto n_blocks = static_cast<long long>(br.size());
+    const auto w = static_cast<std::size_t>(width);
+    for (long long b0 = 0; b0 < n_blocks; b0 += vgpu::kWarpSize) {
+      const int n = static_cast<int>(
+          std::min<long long>(vgpu::kWarpSize, n_blocks - b0));
+      vgpu::LaneArray<mat::index_t> row{};
+      vgpu::LaneArray<T> acc{};
+      for (int l = 0; l < n; ++l) {
+        const auto b = static_cast<std::size_t>(b0 + l);
+        row[l] = br[b];
+        mat::index_t c = bc[b];
+        for (std::size_t j = 0; j < w; ++j) {
+          c += static_cast<mat::index_t>(bd[b * w + j]);
+          const T v = bv[b * w + j];
+          if (v != T{0}) acc[l] += v * x[static_cast<std::size_t>(c)];
+        }
+      }
+      vgpu::LaneArray<mat::index_t> head_row{};
+      vgpu::LaneArray<T> head_sum{};
+      for (vgpu::Mask rem = fold_head_runs(row, acc, vgpu::first_lanes(n),
+                                           head_row, head_sum);
+           rem != 0; rem &= rem - 1) {
+        const int h = std::countr_zero(rem);
+        y[static_cast<std::size_t>(head_row[h])] += head_sum[h];
+      }
+    }
+  }
+
   vgpu::KernelRun run_kernel(vgpu::DeviceSpan<const T> x,
                              vgpu::DeviceSpan<T> y) {
     const long long n_blocks = static_cast<long long>(blk_row_.size());
@@ -87,63 +151,49 @@ class BccooEngine final : public EngineBase<T> {
     auto bd = bdel_dev_.cspan();
     auto bv = bval_dev_.cspan();
     const int width = width_;
-    return this->dev_.launch_warps(cfg, [&, width](vgpu::Warp& w) {
-      using vgpu::LaneArray;
-      using vgpu::Mask;
-      LaneArray<long long> blk =
-          LaneArray<long long>::iota(w.global_warp() * vgpu::kWarpSize);
-      const Mask live = blk.where(
-          [n_blocks](long long b) { return b < n_blocks; }, w.active_mask());
-      if (live == 0) return;
-      const LaneArray<mat::index_t> row = w.load(br, blk, live);
-      LaneArray<mat::index_t> col = w.load(bc, blk, live);
-      LaneArray<T> acc{};
-      for (int j = 0; j < width; ++j) {
-        LaneArray<long long> slot;
-        for (int l = 0; l < vgpu::kWarpSize; ++l)
-          slot[l] = blk[l] * width + j;
-        const LaneArray<std::uint8_t> d = w.load(bd, slot, live);
-        const LaneArray<T> v = w.load(bv, slot, live);
-        for (int l = 0; l < vgpu::kWarpSize; ++l)
-          col[l] += static_cast<mat::index_t>(d[l]);
-        w.count_alu(1);
-        Mask nz = 0;
-        for (int l = 0; l < vgpu::kWarpSize; ++l)
-          if (vgpu::lane_active(live, l) && v[l] != T{0})
-            nz |= vgpu::lane_bit(l);
-        if (nz != 0) {
-          const LaneArray<T> xv = w.load_tex(x, col, nz);
-          vgpu::fma_into(acc, v, xv, nz);
-          w.count_flops(nz, 2, sizeof(T) == 8);
-        }
-      }
-      // Segmented reduction across the 32 blocks of the warp (blocks are
-      // row-ordered), heads publish with atomics.
-      w.count_shuffles(5);
-      w.count_alu(10);
-      LaneArray<T> head_sum{};
-      LaneArray<mat::index_t> head_row{};
-      Mask heads = 0;
-      int l = 0;
-      while (l < vgpu::kWarpSize) {
-        if (!vgpu::lane_active(live, l)) {
-          ++l;
-          continue;
-        }
-        const mat::index_t r = row[l];
-        T sum{0};
-        const int head = l;
-        while (l < vgpu::kWarpSize && vgpu::lane_active(live, l) &&
-               row[l] == r) {
-          sum += acc[l];
-          ++l;
-        }
-        heads |= vgpu::lane_bit(head);
-        head_sum[head] = sum;
-        head_row[head] = r;
-      }
-      w.atomic_add(y, head_row, head_sum, heads);
-    });
+    return this->dev_.launch_warps(
+        cfg,
+        [&, width](vgpu::Warp& w) {
+          using vgpu::LaneArray;
+          using vgpu::Mask;
+          LaneArray<long long> blk =
+              LaneArray<long long>::iota(w.global_warp() * vgpu::kWarpSize);
+          const Mask live =
+              blk.where([n_blocks](long long b) { return b < n_blocks; },
+                        w.active_mask());
+          if (live == 0) return;
+          const LaneArray<mat::index_t> row = w.load(br, blk, live);
+          LaneArray<mat::index_t> col = w.load(bc, blk, live);
+          LaneArray<T> acc{};
+          for (int j = 0; j < width; ++j) {
+            LaneArray<long long> slot;
+            for (int l = 0; l < vgpu::kWarpSize; ++l)
+              slot[l] = blk[l] * width + j;
+            const LaneArray<std::uint8_t> d = w.load(bd, slot, live);
+            const LaneArray<T> v = w.load(bv, slot, live);
+            for (int l = 0; l < vgpu::kWarpSize; ++l)
+              col[l] += static_cast<mat::index_t>(d[l]);
+            w.count_alu(1);
+            Mask nz = 0;
+            for (int l = 0; l < vgpu::kWarpSize; ++l)
+              if (vgpu::lane_active(live, l) && v[l] != T{0})
+                nz |= vgpu::lane_bit(l);
+            if (nz != 0) {
+              const LaneArray<T> xv = w.load_tex(x, col, nz);
+              vgpu::fma_into(acc, v, xv, nz);
+              w.count_flops(nz, 2, sizeof(T) == 8);
+            }
+          }
+          // Segmented reduction across the 32 blocks of the warp (blocks are
+          // row-ordered), heads publish with atomics.
+          w.count_shuffles(5);
+          w.count_alu(10);
+          LaneArray<T> head_sum{};
+          LaneArray<mat::index_t> head_row{};
+          const Mask heads = fold_head_runs(row, acc, live, head_row, head_sum);
+          w.atomic_add(y, head_row, head_sum, heads);
+        },
+        nullptr, [&] { block_values(br, bc, bd, bv, width, x, y); });
   }
 
   /// Pack the matrix into width-w blocks: consecutive entries of a row

@@ -43,29 +43,13 @@ class BcsrEngine final : public EngineBase<T> {
                      static_cast<double>(host_.nnz());
   }
 
+  /// The simulated kernel's value, bit for bit (block_row_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    const auto area = static_cast<std::size_t>(bs_ * bs_);
-    for (mat::index_t br = 0; br < n_block_rows_; ++br) {
-      for (mat::offset_t b = blk_row_off_[static_cast<std::size_t>(br)];
-           b < blk_row_off_[static_cast<std::size_t>(br) + 1]; ++b) {
-        const mat::index_t bc = blk_col_[static_cast<std::size_t>(b)];
-        for (int i = 0; i < bs_; ++i) {
-          const mat::index_t row = br * bs_ + i;
-          if (row >= host_.rows) break;
-          T sum{0};
-          for (int j = 0; j < bs_; ++j) {
-            const mat::index_t col = bc * bs_ + j;
-            if (col >= host_.cols) break;
-            sum += blk_val_[static_cast<std::size_t>(b) * area +
-                            static_cast<std::size_t>(i * bs_ + j)] *
-                   x[static_cast<std::size_t>(col)];
-          }
-          y[static_cast<std::size_t>(row)] += sum;
-        }
-      }
-    }
+    block_row_values(vgpu::host_span(blk_row_off_), vgpu::host_span(blk_col_),
+                     vgpu::host_span(blk_val_), n_block_rows_, bs_,
+                     host_.rows, vgpu::host_span(x), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -103,15 +87,18 @@ class BcsrEngine final : public EngineBase<T> {
           // Accumulators for the block-row's bs output rows, kept in the
           // first bs lanes after the reduction.
           std::array<T, 8> out{};
-          for (mat::offset_t b = lo; b < hi; b += vgpu::kWarpSize / bs) {
+          const int per_step = vgpu::kWarpSize / bs;
+          for (mat::offset_t b = lo; b < hi; b += per_step) {
             // Each group of bs lanes takes one block; lane i within the
-            // group owns output sub-row i.
+            // group owns output sub-row i. Lanes past the last whole
+            // group (32 % bs of them) stay off: their block is the next
+            // step's first.
             Mask m = 0;
             LaneArray<long long> bidx{};
             LaneArray<int> sub{};
             for (int l = 0; l < vgpu::kWarpSize; ++l) {
               const long long mine = b + l / bs;
-              if (mine < hi) {
+              if (l / bs < per_step && mine < hi) {
                 m |= vgpu::lane_bit(l);
                 bidx[l] = mine;
                 sub[l] = l % bs;
@@ -158,13 +145,57 @@ class BcsrEngine final : public EngineBase<T> {
             store_m |= vgpu::lane_bit(i);
           }
           w.store(ys, rows_idx, vals_out, store_m);
-        });
+        },
+        nullptr,
+        [&] { block_row_values(ro, bc, bv, nbr, bs, n_rows, xs, ys); });
     this->report_.last_run = run;
     y = this->staged_y();
     return run.duration_s;
   }
 
  private:
+  /// Value kernel of the bcsr grid. Per block row, each step puts
+  /// per_step = 32 / bs blocks on the warp: lane l < per_step * bs takes
+  /// sub-row l % bs of block b + l / bs and sums it over j into a +0
+  /// accumulator (columns past the matrix edge skipped); the lanes fold
+  /// into the block row's outputs in lane order, and the block row's
+  /// first bs rows store them.
+  static void block_row_values(vgpu::DeviceSpan<const mat::offset_t> ro,
+                               vgpu::DeviceSpan<const mat::index_t> bc,
+                               vgpu::DeviceSpan<const T> bv, mat::index_t nbr,
+                               int bs, mat::index_t n_rows,
+                               vgpu::DeviceSpan<const T> x,
+                               vgpu::DeviceSpan<T> y) {
+    const auto area = static_cast<long long>(bs * bs);
+    for (mat::index_t br = 0; br < nbr; ++br) {
+      const mat::offset_t lo = ro[static_cast<std::size_t>(br)];
+      const mat::offset_t hi = ro[static_cast<std::size_t>(br) + 1];
+      std::array<T, 8> out{};
+      const int per_step = vgpu::kWarpSize / bs;
+      for (mat::offset_t b = lo; b < hi; b += per_step) {
+        for (int l = 0; l < per_step * bs; ++l) {
+          const long long mine = b + l / bs;
+          if (mine >= hi) break;
+          const int sub = l % bs;
+          const mat::index_t bcol = bc[static_cast<std::size_t>(mine)];
+          T sum{};
+          for (int j = 0; j < bs; ++j) {
+            const long long xi = static_cast<long long>(bcol) * bs + j;
+            if (xi >= static_cast<long long>(x.size())) continue;
+            sum += bv[static_cast<std::size_t>(mine * area + sub * bs + j)] *
+                   x[static_cast<std::size_t>(xi)];
+          }
+          out[static_cast<std::size_t>(sub)] += sum;
+        }
+      }
+      for (int i = 0; i < bs; ++i) {
+        const long long row = static_cast<long long>(br) * bs + i;
+        if (row >= n_rows) break;
+        y[static_cast<std::size_t>(row)] = out[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+
   void build(const mat::Csr<T>& a, vgpu::HostModel& hm) {
     n_block_rows_ = (a.rows + bs_ - 1) / bs_;
     const auto area = static_cast<std::size_t>(bs_ * bs_);

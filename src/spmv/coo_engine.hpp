@@ -4,6 +4,10 @@
 // into y with atomics. Used both standalone and as the tail of HYB.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+
 #include "analysis/shape.hpp"
 #include "mat/coo.hpp"
 #include "spmv/engine.hpp"
@@ -11,14 +15,93 @@
 
 namespace acsr::spmv {
 
-/// Warp body over 32 consecutive COO entries starting at `base`.
+/// The segments of a segmented warp's publish step (coo, tcoo, hyb's
+/// tail, merge-csr's carry-out): the lanes of m hold rows, equal rows in
+/// consecutive lanes. A lane heads a segment when its predecessor is off
+/// or holds another row, and ends one when its successor does or heads
+/// the next.
+struct Segments {
+  vgpu::Mask heads = 0;
+  vgpu::Mask tails = 0;
+};
+inline Segments segments_of(const vgpu::LaneArray<mat::index_t>& row,
+                            vgpu::Mask m) {
+  using vgpu::lane_active;
+  Segments s;
+  for (vgpu::Mask rem = m; rem != 0; rem &= rem - 1) {
+    const int l = std::countr_zero(rem);
+    if (l == 0 || !lane_active(m, l - 1) || row[l] != row[l - 1])
+      s.heads |= vgpu::lane_bit(l);
+  }
+  for (vgpu::Mask rem = m; rem != 0; rem &= rem - 1) {
+    const int l = std::countr_zero(rem);
+    if (l == vgpu::kWarpSize - 1 || !lane_active(m, l + 1) ||
+        lane_active(s.heads, l + 1))
+      s.tails |= vgpu::lane_bit(l);
+  }
+  return s;
+}
+
+/// The publish step itself, metered: the head and tail ballots, the
+/// segmented scan (segmented_scan_add) and an atomic add of each
+/// segment's sum, on its last lane, into y[row] — in ascending lane order.
+template <class T>
+void publish_segments(vgpu::Warp& w, const vgpu::LaneArray<mat::index_t>& row,
+                      const vgpu::LaneArray<T>& v, vgpu::Mask m,
+                      vgpu::DeviceSpan<T> y) {
+  const Segments s = segments_of(row, m);
+  w.count_alu(2);  // the head and tail ballots
+  w.atomic_add(y, row, w.segmented_scan_add(v, s.heads, m), s.tails);
+}
+
+/// Its host twin for the value kernels: the same segments, the same scan
+/// core (vgpu::segmented_scan_lanes) and the same adds in the same order.
+template <class T>
+void publish_segments(const vgpu::LaneArray<mat::index_t>& row,
+                      vgpu::LaneArray<T> v, vgpu::Mask m,
+                      vgpu::DeviceSpan<T> y) {
+  const Segments s = segments_of(row, m);
+  vgpu::segmented_scan_lanes(v, s.heads, m);
+  for (vgpu::Mask rem = s.tails; rem != 0; rem &= rem - 1) {
+    const int l = std::countr_zero(rem);
+    y[static_cast<std::size_t>(row[l])] += v[l];
+  }
+}
+
+/// Value kernel of a coo_segmented_warp grid over n_entries entries: each
+/// 32-entry window, in warp order, forms its products v * x and publishes
+/// them as the warp does (publish_segments), on top of what y holds.
+template <class T, class XAt>
+void coo_segmented_values(vgpu::DeviceSpan<const mat::index_t> row_idx,
+                          vgpu::DeviceSpan<const mat::index_t> col_idx,
+                          vgpu::DeviceSpan<const T> vals, long long n_entries,
+                          const XAt& x_at, vgpu::DeviceSpan<T> y) {
+  for (long long base = 0; base < n_entries; base += vgpu::kWarpSize) {
+    const int n = static_cast<int>(
+        std::min<long long>(vgpu::kWarpSize, n_entries - base));
+    vgpu::LaneArray<mat::index_t> r{};
+    vgpu::LaneArray<T> prod{};
+    for (int l = 0; l < n; ++l) {
+      const auto e = static_cast<std::size_t>(base + l);
+      r[l] = row_idx[e];
+      prod[l] = vals[e] * x_at(col_idx[e]);
+    }
+    publish_segments(r, prod, vgpu::first_lanes(n), y);
+  }
+}
+
+/// Warp body over 32 consecutive COO entries starting at `base`. A tiled
+/// caller (TCOO) passes its tile's x slice and the slice's first column
+/// `col_base`, and the warp rebases its columns into the slice (one ALU
+/// op).
 template <class T>
 void coo_segmented_warp(vgpu::Warp& w,
                         vgpu::DeviceSpan<const mat::index_t> row_idx,
                         vgpu::DeviceSpan<const mat::index_t> col_idx,
                         vgpu::DeviceSpan<const T> vals,
                         vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y,
-                        long long n_entries, long long base) {
+                        long long n_entries, long long base,
+                        std::optional<mat::index_t> col_base = std::nullopt) {
   using vgpu::LaneArray;
   using vgpu::Mask;
 
@@ -30,34 +113,23 @@ void coo_segmented_warp(vgpu::Warp& w,
   // One COO entry per lane, consecutive: unit-stride loads of all three
   // arrays.
   const LaneArray<mat::index_t> r = w.load_seq(row_idx, base, live);
-  const LaneArray<mat::index_t> c = w.load_seq(col_idx, base, live);
+  LaneArray<mat::index_t> c = w.load_seq(col_idx, base, live);
+  if (col_base) {
+    for (int l = 0; l < vgpu::kWarpSize; ++l) c[l] -= *col_base;
+    w.count_alu(1);
+  }
   const LaneArray<T> v = w.load_seq(vals, base, live);
   const LaneArray<T> xv = w.load_tex(x, c, live);
   LaneArray<T> prod;
   for (int l = 0; l < vgpu::kWarpSize; ++l) prod[l] = v[l] * xv[l];
   w.count_flops(live, 1, sizeof(T) == 8);
 
-  // Entries are row-sorted, so equal rows are contiguous within the warp:
-  // a lane heads a segment when its row differs from its predecessor's.
-  const Mask heads = w.ballot(
-      [&](int l) {
-        return l == 0 || !vgpu::lane_active(live, l - 1) ||
-               r[l] != r[l - 1];
-      },
-      live);
-  // True shuffle-based segmented scan (as in CUSP's coo_flat kernel, which
-  // stages the same computation through shared memory).
-  const LaneArray<T> scanned = w.segmented_scan_add(prod, heads, live);
-
-  // The *last* lane of each segment holds the segment total; it publishes
-  // with an atomic (rows may continue into the neighbouring warps).
-  const Mask tails = w.ballot(
-      [&](int l) {
-        return l == vgpu::kWarpSize - 1 || !vgpu::lane_active(live, l + 1) ||
-               vgpu::lane_active(heads, l + 1);
-      },
-      live);
-  w.atomic_add(y, r, scanned, tails);
+  // Entries are row-sorted, so equal rows are contiguous within the warp.
+  // A true shuffle-based segmented scan (as in CUSP's coo_flat kernel,
+  // which stages the same computation through shared memory); each
+  // segment's last lane publishes with an atomic (rows may continue into
+  // the neighbouring warps).
+  publish_segments(w, r, prod, live, y);
 }
 
 template <class T>
@@ -76,8 +148,14 @@ class CooEngine final : public EngineBase<T> {
   mat::index_t cols() const override { return coo_.cols; }
   mat::offset_t nnz() const override { return coo_.nnz(); }
 
+  /// The simulated kernels' value, bit for bit (coo_segmented_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    coo_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == coo_.cols);
+    y.assign(static_cast<std::size_t>(coo_.rows), T{0});
+    coo_segmented_values(vgpu::host_span(coo_.row_idx),
+                         vgpu::host_span(coo_.col_idx),
+                         vgpu::host_span(coo_.vals), coo_.nnz(),
+                         x_reader(vgpu::host_span(x)), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -106,11 +184,15 @@ class CooEngine final : public EngineBase<T> {
     auto ri = row_dev_.cspan();
     auto ci = col_dev_.cspan();
     auto va = val_dev_.cspan();
-    return this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-      const long long base = w.global_warp() * vgpu::kWarpSize;
-      if (base >= n) return;
-      coo_segmented_warp<T>(w, ri, ci, va, x, y, n, base);
-    });
+    return this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
+          const long long base = w.global_warp() * vgpu::kWarpSize;
+          if (base >= n) return;
+          coo_segmented_warp<T>(w, ri, ci, va, x, y, n, base);
+        },
+        nullptr,
+        [&] { coo_segmented_values(ri, ci, va, n, x_reader(x), y); });
   }
 
  private:

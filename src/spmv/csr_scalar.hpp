@@ -10,6 +10,7 @@
 
 #include "analysis/shape.hpp"
 #include "spmv/csr_device.hpp"
+#include "spmv/csr_vector.hpp"
 #include "spmv/engine.hpp"
 #include "vgpu/lane_array.hpp"
 
@@ -175,8 +176,18 @@ class CsrScalarEngine final : public EngineBase<T> {
   mat::index_t cols() const override { return host_.cols; }
   mat::offset_t nnz() const override { return host_.nnz(); }
 
+  /// The simulated kernel's value, bit for bit: lane r's walk sums row
+  /// r's entries in order, which is csr_vector_rows at V = 1.
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    host_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    const auto nrows = static_cast<std::size_t>(host_.rows);
+    y.assign(nrows, T{0});
+    csr_vector_rows<T>(1, vgpu::host_span(host_.row_off, 0, nrows),
+                       vgpu::host_span(host_.row_off, 1, nrows),
+                       vgpu::host_span(host_.col_idx),
+                       vgpu::host_span(host_.vals),
+                       vgpu::DeviceSpan<const mat::index_t>(), host_.rows,
+                       x_reader(vgpu::host_span(x)), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -197,9 +208,15 @@ class CsrScalarEngine final : public EngineBase<T> {
     auto xs = x_dev;
     auto ys = y_dev;
     const mat::index_t n = host_.rows;
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
+    const vgpu::DeviceSpan<const mat::index_t> no_map;
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
           csr_scalar_warp<T>(w, rs, re, ci, va, xs, ys, n);
+        },
+        nullptr,
+        [&] {
+          csr_vector_rows<T>(1, rs, re, ci, va, no_map, n, x_reader(xs), ys);
         });
     this->report_.last_run = run;
     y = this->staged_y();
@@ -236,9 +253,17 @@ class CsrScalarEngine final : public EngineBase<T> {
     auto ci = dev_csr_.col_idx.cspan();
     auto va = dev_csr_.vals.cspan();
     const mat::index_t n = host_.rows;
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
+    const vgpu::DeviceSpan<const mat::index_t> no_map;
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
           csr_scalar_spmm_warp<T>(w, rs, re, ci, va, xp, yb, ldy, n, k);
+        },
+        nullptr,
+        [&] {
+          for (int c = 0; c < k; ++c)
+            csr_vector_rows<T>(1, rs, re, ci, va, no_map, n,
+                               x_reader(xp, k, c), y_column(yb, ldy, n, c));
         });
     this->report_.last_run = run;
     y_block.resize(host_.rows, k);

@@ -126,29 +126,6 @@ struct VectorGroups {
 // order bit for bit: it is both the engine's `apply` and, as the launch's
 // ValueRef, the way a replayed launch computes y (vgpu/memo.hpp).
 
-/// x readers of the value kernels, each read bounds-checked: a vector, or
-/// column c of the packed row-major block of the SpMM kernels
-/// (xp[col*k + c], EngineBase::stage_x_pack).
-template <class T>
-auto x_reader(vgpu::DeviceSpan<const T> x) {
-  return [x](mat::index_t col) { return x[static_cast<std::size_t>(col)]; };
-}
-template <class T>
-auto x_reader(vgpu::DeviceSpan<const T> xp, int k, int c) {
-  return [xp, k, c](mat::index_t col) {
-    return xp[static_cast<std::size_t>(static_cast<long long>(col) * k + c)];
-  };
-}
-
-/// Column c of a column-major y block with leading dimension ldy.
-template <class T>
-vgpu::DeviceSpan<T> y_column(vgpu::DeviceSpan<T> yb, long long ldy,
-                             long long n_rows, int c) {
-  return yb.subspan(
-      static_cast<std::size_t>(c) * static_cast<std::size_t>(ldy),
-      static_cast<std::size_t>(n_rows));
-}
-
 /// The warp-sum order every kernel here shares: lane j < lanes sums the
 /// entries first + j, first + j + stride, ... below end in order (a lane
 /// with none holds +0, as a zero-initialised register does), then the

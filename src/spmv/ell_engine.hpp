@@ -48,6 +48,26 @@ void ell_warp(vgpu::Warp& w, vgpu::DeviceSpan<const mat::index_t> col_idx,
   w.store_seq(y, rows[0], sum, live);
 }
 
+/// Value kernel of an ell_warp grid: row r sums its slots j*n_rows + r,
+/// j < width, skipping padding, into a +0 accumulator in j order and
+/// stores the sum, as lane r's march does. Every read is bounds-checked.
+template <class T>
+void ell_rows(vgpu::DeviceSpan<const mat::index_t> col_idx,
+              vgpu::DeviceSpan<const T> vals, vgpu::DeviceSpan<const T> x,
+              vgpu::DeviceSpan<T> y, mat::index_t n_rows, mat::index_t width) {
+  for (mat::index_t r = 0; r < n_rows; ++r) {
+    T sum{};
+    for (mat::index_t j = 0; j < width; ++j) {
+      const auto slot =
+          static_cast<std::size_t>(static_cast<long long>(j) * n_rows + r);
+      const mat::index_t c = col_idx[slot];
+      if (c != mat::Ell<T>::kPad)
+        sum += vals[slot] * x[static_cast<std::size_t>(c)];
+    }
+    y[static_cast<std::size_t>(r)] = sum;
+  }
+}
+
 template <class T>
 class EllEngine final : public EngineBase<T> {
  public:
@@ -64,8 +84,12 @@ class EllEngine final : public EngineBase<T> {
   mat::index_t cols() const override { return ell_.cols; }
   mat::offset_t nnz() const override { return host_.nnz(); }
 
+  /// The simulated kernel's value, bit for bit (ell_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ell_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == ell_.cols);
+    y.assign(static_cast<std::size_t>(ell_.rows), T{0});
+    ell_rows(vgpu::host_span(ell_.col_idx), vgpu::host_span(ell_.vals),
+             vgpu::host_span(x), vgpu::host_span(y), ell_.rows, ell_.width);
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -84,10 +108,9 @@ class EllEngine final : public EngineBase<T> {
     auto ys = y_dev;
     const mat::index_t n = ell_.rows;
     const mat::index_t k = ell_.width;
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-          ell_warp<T>(w, ci, va, xs, ys, n, k);
-        });
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg, [&](vgpu::Warp& w) { ell_warp<T>(w, ci, va, xs, ys, n, k); },
+        nullptr, [&] { ell_rows(ci, va, xs, ys, n, k); });
     this->report_.last_run = run;
     y = this->staged_y();
     return run.duration_s;

@@ -5,7 +5,8 @@
 // the H2D upload (charged to the PCIe model); `simulate` then executes one
 // y = A x on the virtual GPU and returns the simulated kernel time, while
 // `apply` is the fast host-side functional path used inside iterative
-// applications (unit tests pin simulate == apply element-for-element).
+// applications: the engine's exact-order value kernels, which a memo
+// replay also runs (unit tests pin simulate == apply bit for bit).
 //
 // The split mirrors the paper's measurement protocol: preprocessing and
 // transfer are reported separately from SpMV time (Tables III/IV, Fig. 4),
@@ -321,6 +322,29 @@ void load_x_tile(vgpu::Warp& w, vgpu::DeviceSpan<const T> xp,
   }
 }
 
+/// x readers of the value kernels, each read bounds-checked: a vector, or
+/// column c of the packed row-major block of the SpMM kernels
+/// (xp[col*k + c], EngineBase::stage_x_pack).
+template <class T>
+auto x_reader(vgpu::DeviceSpan<const T> x) {
+  return [x](mat::index_t col) { return x[static_cast<std::size_t>(col)]; };
+}
+template <class T>
+auto x_reader(vgpu::DeviceSpan<const T> xp, int k, int c) {
+  return [xp, k, c](mat::index_t col) {
+    return xp[static_cast<std::size_t>(static_cast<long long>(col) * k + c)];
+  };
+}
+
+/// Column c of a column-major y block with leading dimension ldy.
+template <class T>
+vgpu::DeviceSpan<T> y_column(vgpu::DeviceSpan<T> yb, long long ldy,
+                             long long n_rows, int c) {
+  return yb.subspan(
+      static_cast<std::size_t>(c) * static_cast<std::size_t>(ldy),
+      static_cast<std::size_t>(n_rows));
+}
+
 /// Round up to the next power of two (thread-group sizing).
 inline int pow2_ceil(long long v) {
   int p = 1;
@@ -339,13 +363,110 @@ vgpu::KernelRun zero_fill(vgpu::Device& dev, vgpu::DeviceSpan<T> y) {
   cfg.name = "zero_y";
   cfg.block_dim = 256;
   cfg.grid_dim = std::max<long long>(1, (n + 255) / 256);
-  return dev.launch_warps(cfg, [&](vgpu::Warp& w) {
-    const auto idx = w.global_threads();
-    const vgpu::Mask m = idx.where(
-        [n](long long i) { return i < n; }, w.active_mask());
-    if (m == 0) return;
-    w.store_seq(y, idx[0], vgpu::LaneArray<T>::filled(T{0}), m);
-  });
+  return dev.launch_warps(
+      cfg,
+      [&](vgpu::Warp& w) {
+        const auto idx = w.global_threads();
+        const vgpu::Mask m = idx.where(
+            [n](long long i) { return i < n; }, w.active_mask());
+        if (m == 0) return;
+        w.store_seq(y, idx[0], vgpu::LaneArray<T>::filled(T{0}), m);
+      },
+      nullptr, [&] {
+        for (std::size_t i = 0; i < y.size(); ++i) y[i] = T{0};
+      });
+}
+
+/// Warp body of the 32-row column-major slab kernels (brc, sic, sell):
+/// warp b serves block b, whose base offset and width it loads as
+/// broadcast scalars; lane l serves slot b*32 + l, and out_rows[slot] is
+/// the row that receives its sum. Each step j loads every live lane's
+/// slab entry base + j*32 + l (coalesced, padding included) and gathers
+/// x through the texture path for the entries that are not padding (col
+/// >= 0). With `skip_pad_slots` (SIC) a slot whose out row is negative is
+/// a padding slot with no row, and its lane drops out before the walk.
+template <class T>
+void sliced_warp(vgpu::Warp& w, vgpu::DeviceSpan<const mat::offset_t> block_off,
+                 vgpu::DeviceSpan<const mat::index_t> block_width,
+                 vgpu::DeviceSpan<const mat::index_t> out_rows,
+                 vgpu::DeviceSpan<const mat::index_t> slab_col,
+                 vgpu::DeviceSpan<const T> slab_val,
+                 vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y,
+                 bool skip_pad_slots) {
+  using vgpu::LaneArray;
+  using vgpu::Mask;
+  const long long blk = w.global_warp();
+  if (blk >= static_cast<long long>(block_width.size())) return;
+  const mat::offset_t base =
+      w.load_scalar(block_off, static_cast<std::size_t>(blk));
+  const mat::index_t width =
+      w.load_scalar(block_width, static_cast<std::size_t>(blk));
+
+  const auto slot = LaneArray<long long>::iota(blk * vgpu::kWarpSize);
+  const auto n_slots = static_cast<long long>(out_rows.size());
+  Mask live = slot.where([n_slots](long long s) { return s < n_slots; },
+                         w.active_mask());
+  if (live == 0) return;
+  const LaneArray<mat::index_t> out_row = w.load(out_rows, slot, live);
+  if (skip_pad_slots) {
+    for (int l = 0; l < vgpu::kWarpSize; ++l)
+      if (vgpu::lane_active(live, l) && out_row[l] < 0)
+        live &= ~vgpu::lane_bit(l);
+    w.count_alu(2);
+    if (live == 0) return;
+  }
+
+  LaneArray<T> sum{};
+  for (mat::index_t j = 0; j < width; ++j) {
+    const auto idx = LaneArray<long long>::iota(
+        base + static_cast<long long>(j) * vgpu::kWarpSize);
+    const LaneArray<mat::index_t> col = w.load(slab_col, idx, live);
+    const LaneArray<T> val = w.load(slab_val, idx, live);
+    Mask valid = 0;
+    for (int l = 0; l < vgpu::kWarpSize; ++l)
+      if (vgpu::lane_active(live, l) && col[l] >= 0) valid |= vgpu::lane_bit(l);
+    w.count_alu(2);
+    if (valid != 0) {
+      const LaneArray<T> xv = w.load_tex(x, col, valid);
+      vgpu::fma_into(sum, val, xv, valid);
+      w.count_flops(valid, 2, sizeof(T) == 8);
+    }
+  }
+  w.store(y, out_row, sum, live);  // scattered by the row map
+}
+
+/// Value kernel of the 32-row column-major slab kernels (brc, sic, sell):
+/// slot s of block b = s / 32 sums its row's slab entries base[b] +
+/// j*32 + s % 32, j < width[b], skipping padding (col < 0), into a +0
+/// accumulator in j order, and stores the sum at y[out_rows[s]], as lane
+/// s % 32 of warp b does. A slot whose out row is negative (SIC's
+/// segment-end padding) stores nothing. Every read is bounds-checked.
+template <class T>
+void sliced_rows(vgpu::DeviceSpan<const mat::offset_t> block_off,
+                 vgpu::DeviceSpan<const mat::index_t> block_width,
+                 vgpu::DeviceSpan<const mat::index_t> out_rows,
+                 vgpu::DeviceSpan<const mat::index_t> slab_col,
+                 vgpu::DeviceSpan<const T> slab_val,
+                 vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y) {
+  constexpr auto kRows = static_cast<std::size_t>(vgpu::kWarpSize);
+  for (std::size_t b = 0; b < block_width.size(); ++b) {
+    const mat::offset_t base = block_off[b];
+    const mat::index_t width = block_width[b];
+    for (std::size_t l = 0; l < kRows; ++l) {
+      const std::size_t s = b * kRows + l;
+      if (s >= out_rows.size()) break;
+      const mat::index_t out = out_rows[s];
+      if (out < 0) continue;
+      T sum{};
+      for (mat::index_t j = 0; j < width; ++j) {
+        const auto slot = static_cast<std::size_t>(
+            base + static_cast<mat::offset_t>(j) * vgpu::kWarpSize) + l;
+        const mat::index_t c = slab_col[slot];
+        if (c >= 0) sum += slab_val[slot] * x[static_cast<std::size_t>(c)];
+      }
+      y[static_cast<std::size_t>(out)] = sum;
+    }
+  }
 }
 
 }  // namespace acsr::spmv

@@ -34,8 +34,19 @@ class HybEngine final : public EngineBase<T> {
   mat::index_t ell_width() const { return hyb_.ell.width; }
   mat::offset_t coo_tail_nnz() const { return hyb_.coo.nnz(); }
 
+  /// The simulated kernels' value, bit for bit: the ELL slab's rows
+  /// (ell_rows), then the COO tail on top (coo_segmented_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    hyb_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == hyb_.cols());
+    y.assign(static_cast<std::size_t>(hyb_.rows()), T{0});
+    const auto xs = vgpu::host_span(x);
+    const auto ys = vgpu::host_span(y);
+    ell_rows(vgpu::host_span(hyb_.ell.col_idx), vgpu::host_span(hyb_.ell.vals),
+             xs, ys, hyb_.rows(), hyb_.ell.width);
+    coo_segmented_values(vgpu::host_span(hyb_.coo.row_idx),
+                         vgpu::host_span(hyb_.coo.col_idx),
+                         vgpu::host_span(hyb_.coo.vals), hyb_.coo.nnz(),
+                         x_reader(xs), ys);
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -58,9 +69,9 @@ class HybEngine final : public EngineBase<T> {
       auto va = ell_val_.cspan();
       const mat::index_t n = hyb_.rows();
       const mat::index_t k = hyb_.ell.width;
-      runs.push_back(this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-        ell_warp<T>(w, ci, va, xs, ys, n, k);
-      }));
+      runs.push_back(this->dev_.launch_warps(
+          cfg, [&](vgpu::Warp& w) { ell_warp<T>(w, ci, va, xs, ys, n, k); },
+          nullptr, [&] { ell_rows(ci, va, xs, ys, n, k); }));
     }
 
     if (hyb_.coo.nnz() > 0) {  // COO tail.
@@ -73,11 +84,15 @@ class HybEngine final : public EngineBase<T> {
       auto ri = coo_row_.cspan();
       auto ci = coo_col_.cspan();
       auto va = coo_val_.cspan();
-      runs.push_back(this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-        const long long base = w.global_warp() * vgpu::kWarpSize;
-        if (base >= n) return;
-        coo_segmented_warp<T>(w, ri, ci, va, xs, ys, n, base);
-      }));
+      runs.push_back(this->dev_.launch_warps(
+          cfg,
+          [&](vgpu::Warp& w) {
+            const long long base = w.global_warp() * vgpu::kWarpSize;
+            if (base >= n) return;
+            coo_segmented_warp<T>(w, ri, ci, va, xs, ys, n, base);
+          },
+          nullptr,
+          [&] { coo_segmented_values(ri, ci, va, n, x_reader(xs), ys); }));
     }
 
     // Aggregate the run pair for reporting.

@@ -13,9 +13,13 @@
 // Merrill's block-level carry-out fix-up pass — a few atomics per warp.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <tuple>
+#include <utility>
 
 #include "analysis/shape.hpp"
+#include "spmv/coo_engine.hpp"
 #include "spmv/csr_device.hpp"
 #include "spmv/engine.hpp"
 #include "vgpu/lane_array.hpp"
@@ -41,8 +45,15 @@ class MergeCsrEngine final : public EngineBase<T> {
   mat::index_t cols() const override { return host_.cols; }
   mat::offset_t nnz() const override { return host_.nnz(); }
 
+  /// The simulated kernels' value, bit for bit (merge_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    host_.spmv(x, y);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    const auto nrows = static_cast<std::size_t>(host_.rows);
+    y.assign(nrows, T{0});
+    merge_values(vgpu::host_span(host_.row_off, 1, nrows),
+                 vgpu::host_span(host_.col_idx), vgpu::host_span(host_.vals),
+                 vgpu::host_span(x), vgpu::host_span(y), host_.rows,
+                 host_.nnz(), ipl_);
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -70,16 +81,89 @@ class MergeCsrEngine final : public EngineBase<T> {
     const int ipl = ipl_;
 
     const vgpu::KernelRun zero = zero_fill(this->dev_, ys);
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
           merge_warp(w, re, ci, va, xs, ys, n_rows, n_nnz, ipl);
-        });
+        },
+        nullptr,
+        [&] { merge_values(re, ci, va, xs, ys, n_rows, n_nnz, ipl); });
     this->report_.last_run = run;
     y = this->staged_y();
     return vgpu::combine_sequential({zero, run});
   }
 
  private:
+  /// The start coordinate (r, i) of merge-path position p: r = row-end
+  /// markers before p, i = p - r, by a diagonal binary search over
+  /// row_end. `steps` receives the search depth.
+  static std::pair<long long, long long> path_start(
+      vgpu::DeviceSpan<const mat::offset_t> row_end, long long p,
+      long long n_rows, long long n_nnz, int& steps) {
+    long long lo = std::max<long long>(0, p - n_nnz);
+    long long hi = std::min(p, n_rows);
+    steps = 0;
+    while (lo < hi) {
+      const long long mid = (lo + hi) / 2;
+      // Path position of "end of row mid": row_end[mid] + mid items
+      // precede it. Row mid's end-marker is *after* its nnz.
+      if (static_cast<long long>(row_end[static_cast<std::size_t>(mid)]) +
+              mid <
+          p)
+        lo = mid + 1;
+      else
+        hi = mid;
+      ++steps;
+    }
+    return {lo, p - lo};
+  }
+
+  /// Value kernel of the merge_csr grid, warp by warp. Each lane walks its
+  /// chunk as merge_warp's lane does — a non-zero adds val * x into its
+  /// sum, a row end adds the sum into y and restarts it at +0 — and the
+  /// lanes left mid-row publish their carries (publish_segments). A row's
+  /// end marker is one lane's, and a warp's carries follow all of its
+  /// row ends, so walking the lanes one after another makes every y
+  /// entry's adds in the grid's order.
+  static void merge_values(vgpu::DeviceSpan<const mat::offset_t> row_end,
+                           vgpu::DeviceSpan<const mat::index_t> col_idx,
+                           vgpu::DeviceSpan<const T> vals,
+                           vgpu::DeviceSpan<const T> xs,
+                           vgpu::DeviceSpan<T> ys, long long n_rows,
+                           long long n_nnz, int ipl) {
+    const long long total = n_rows + n_nnz;
+    for (long long first = 0; first < total;
+         first += static_cast<long long>(vgpu::kWarpSize) * ipl) {
+      vgpu::LaneArray<mat::index_t> out_row{};
+      vgpu::LaneArray<T> sum{};
+      vgpu::Mask carry = 0;
+      for (int l = 0; l < vgpu::kWarpSize; ++l) {
+        const long long begin = first + static_cast<long long>(l) * ipl;
+        if (begin >= total) break;
+        const long long end = std::min(total, begin + ipl);
+        int steps = 0;
+        auto [r, i] = path_start(row_end, begin, n_rows, n_nnz, steps);
+        mat::offset_t endv = row_end[static_cast<std::size_t>(r)];
+        bool pending = false;  // consumed a non-zero since its last row end
+        for (long long p = begin; p < end; ++p) {
+          if (r < n_rows && i < static_cast<long long>(endv)) {
+            const auto k = static_cast<std::size_t>(i++);
+            sum[l] += vals[k] * xs[static_cast<std::size_t>(col_idx[k])];
+            pending = true;
+            continue;
+          }
+          ys[static_cast<std::size_t>(r)] += sum[l];
+          sum[l] = T{0};
+          pending = false;
+          if (++r < n_rows) endv = row_end[static_cast<std::size_t>(r)];
+        }
+        out_row[l] = static_cast<mat::index_t>(r);
+        if (pending && r < n_rows) carry |= vgpu::lane_bit(l);
+      }
+      publish_segments(out_row, sum, carry, ys);
+    }
+  }
+
   /// One warp: 32 equal merge-path chunks, walked in lockstep. The merge
   /// list conceptually interleaves "end of row r" markers with non-zeros;
   /// a path position p = (r, i) advances down (consume nnz i of row r)
@@ -115,24 +199,9 @@ class MergeCsrEngine final : public EngineBase<T> {
     int search_steps = 0;
     for (int l = 0; l < vgpu::kWarpSize; ++l) {
       if (!vgpu::lane_active(live, l)) continue;
-      long long lo = std::max<long long>(0, begin[l] - n_nnz);
-      long long hi = std::min(begin[l], n_rows);
       int steps = 0;
-      while (lo < hi) {
-        const long long mid = (lo + hi) / 2;
-        // Path position of "end of row mid": row_end[mid] + mid items
-        // precede it. Row mid's end-marker is *after* its nnz.
-        if (static_cast<long long>(
-                row_end[static_cast<std::size_t>(mid)]) +
-                mid <
-            begin[l])
-          lo = mid + 1;
-        else
-          hi = mid;
-        ++steps;
-      }
-      r[l] = lo;
-      i[l] = begin[l] - lo;
+      std::tie(r[l], i[l]) =
+          path_start(row_end, begin[l], n_rows, n_nnz, steps);
       search_steps = std::max(search_steps, steps);
     }
     // The search's loads are uniform per lane but diverge little (equal
@@ -170,6 +239,9 @@ class MergeCsrEngine final : public EngineBase<T> {
     }
 
     LaneArray<T> sum{};
+    // Lanes that consumed a non-zero since their last row end: the ones
+    // with a carry-out to publish, whatever their partial sum's value.
+    Mask pending = 0;
     // The current row's end offset lives in a register and is refreshed
     // only when a lane moves to the next row (as in the real kernel).
     LaneArray<mat::offset_t> endv = w.load(row_end, r, live);
@@ -227,6 +299,7 @@ class MergeCsrEngine final : public EngineBase<T> {
       }
       for (int l = 0; l < vgpu::kWarpSize; ++l)
         if (vgpu::lane_active(down, l)) ++i[l];
+      pending = (pending | down) & ~right;
     }
     // Carry-out: lanes left mid-row aggregate within the warp first —
     // consecutive lanes usually share the row (the path is sorted), so a
@@ -235,28 +308,11 @@ class MergeCsrEngine final : public EngineBase<T> {
     LaneArray<mat::index_t> out_row{};
     for (int l = 0; l < vgpu::kWarpSize; ++l) {
       if (!vgpu::lane_active(live, l)) continue;
-      if (sum[l] != T{0} && r[l] < n_rows) {
+      out_row[l] = static_cast<mat::index_t>(r[l]);
+      if (vgpu::lane_active(pending, l) && r[l] < n_rows)
         carry |= vgpu::lane_bit(l);
-        out_row[l] = static_cast<mat::index_t>(r[l]);
-      }
     }
-    if (carry != 0) {
-      const Mask heads = w.ballot(
-          [&](int l) {
-            return l == 0 || !vgpu::lane_active(carry, l - 1) ||
-                   out_row[l] != out_row[l - 1];
-          },
-          carry);
-      const LaneArray<T> scanned = w.segmented_scan_add(sum, heads, carry);
-      const Mask tails = w.ballot(
-          [&](int l) {
-            return l == vgpu::kWarpSize - 1 ||
-                   !vgpu::lane_active(carry, l + 1) ||
-                   vgpu::lane_active(heads, l + 1);
-          },
-          carry);
-      w.atomic_add(ys, out_row, scanned, tails);
-    }
+    if (carry != 0) publish_segments(w, out_row, sum, carry, ys);
   }
 
   mat::Csr<T> host_;

@@ -37,25 +37,14 @@ class SellEngine final : public EngineBase<T> {
   mat::index_t sigma() const { return sigma_; }
   std::size_t num_slices() const { return slice_width_.size(); }
 
+  /// The simulated kernel's value, bit for bit (sliced_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    for (std::size_t s = 0; s < slice_width_.size(); ++s) {
-      const mat::offset_t base = slice_off_[s];
-      const mat::index_t width = slice_width_[s];
-      for (int l = 0; l < kC; ++l) {
-        const std::size_t pr = s * kC + static_cast<std::size_t>(l);
-        if (pr >= perm_.size()) break;
-        T sum{0};
-        for (mat::index_t j = 0; j < width; ++j) {
-          const auto slot = static_cast<std::size_t>(
-              base + static_cast<mat::offset_t>(j) * kC + l);
-          const mat::index_t c = slab_col_[slot];
-          if (c >= 0) sum += slab_val_[slot] * x[static_cast<std::size_t>(c)];
-        }
-        y[static_cast<std::size_t>(perm_[pr])] = sum;
-      }
-    }
+    sliced_rows<T>(vgpu::host_span(slice_off_), vgpu::host_span(slice_width_),
+                   vgpu::host_span(perm_), vgpu::host_span(slab_col_),
+                   vgpu::host_span(slab_val_), vgpu::host_span(x),
+                   vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -76,45 +65,13 @@ class SellEngine final : public EngineBase<T> {
     auto sv = sval_dev_.cspan();
     auto xs = x_dev;
     auto ys = y_dev;
-    const long long n_perm = static_cast<long long>(perm_.size());
 
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-          using vgpu::LaneArray;
-          using vgpu::Mask;
-          const long long slice = w.global_warp();
-          if (slice >= n_slices) return;
-          const mat::offset_t base =
-              w.load_scalar(soff, static_cast<std::size_t>(slice));
-          const mat::index_t width =
-              w.load_scalar(sw, static_cast<std::size_t>(slice));
-
-          LaneArray<long long> pr = LaneArray<long long>::iota(slice * kC);
-          const Mask live = pr.where(
-              [n_perm](long long p) { return p < n_perm; }, w.active_mask());
-          if (live == 0) return;
-          const LaneArray<mat::index_t> out_row = w.load(perm, pr, live);
-
-          LaneArray<T> sum{};
-          for (mat::index_t j = 0; j < width; ++j) {
-            LaneArray<long long> slot;
-            for (int l = 0; l < vgpu::kWarpSize; ++l)
-              slot[l] = base + static_cast<long long>(j) * kC + l;
-            const LaneArray<mat::index_t> col = w.load(sc, slot, live);
-            const LaneArray<T> val = w.load(sv, slot, live);
-            Mask valid = 0;
-            for (int l = 0; l < vgpu::kWarpSize; ++l)
-              if (vgpu::lane_active(live, l) && col[l] >= 0)
-                valid |= vgpu::lane_bit(l);
-            w.count_alu(2);
-            if (valid != 0) {
-              const LaneArray<T> xv = w.load_tex(xs, col, valid);
-              vgpu::fma_into(sum, val, xv, valid);
-              w.count_flops(valid, 2, sizeof(T) == 8);
-            }
-          }
-          w.store(ys, out_row, sum, live);
-        });
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
+          sliced_warp<T>(w, soff, sw, perm, sc, sv, xs, ys, false);
+        },
+        nullptr, [&] { sliced_rows<T>(soff, sw, perm, sc, sv, xs, ys); });
     this->report_.last_run = run;
     y = this->staged_y();
     return run.duration_s;

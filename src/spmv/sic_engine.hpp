@@ -45,27 +45,14 @@ class SicEngine final : public EngineBase<T> {
     return {seg_rows_[0].size(), seg_rows_[1].size(), seg_rows_[2].size()};
   }
 
+  /// The simulated kernel's value, bit for bit (sliced_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    for (std::size_t b = 0; b < block_width_.size(); ++b) {
-      const mat::offset_t base = block_off_[b];
-      const mat::index_t width = block_width_[b];
-      for (int l = 0; l < kBlockRows; ++l) {
-        const std::size_t slot_row = b * kBlockRows + static_cast<std::size_t>(l);
-        if (slot_row >= row_of_slot_.size()) break;
-        const mat::index_t out = row_of_slot_[slot_row];
-        if (out < 0) continue;  // padding slot at segment end
-        T sum{0};
-        for (mat::index_t j = 0; j < width; ++j) {
-          const auto s = static_cast<std::size_t>(
-              base + static_cast<mat::offset_t>(j) * kBlockRows + l);
-          const mat::index_t c = slab_col_[s];
-          if (c >= 0) sum += slab_val_[s] * x[static_cast<std::size_t>(c)];
-        }
-        y[static_cast<std::size_t>(out)] = sum;
-      }
-    }
+    sliced_rows<T>(vgpu::host_span(block_off_), vgpu::host_span(block_width_),
+                   vgpu::host_span(row_of_slot_), vgpu::host_span(slab_col_),
+                   vgpu::host_span(slab_val_), vgpu::host_span(x),
+                   vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -86,52 +73,13 @@ class SicEngine final : public EngineBase<T> {
     auto sv = sval_dev_.cspan();
     auto xs = x_dev;
     auto ys = y_dev;
-    const long long n_slots = static_cast<long long>(row_of_slot_.size());
 
-    const vgpu::KernelRun run =
-        this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-          using vgpu::LaneArray;
-          using vgpu::Mask;
-          const long long blk = w.global_warp();
-          if (blk >= n_blocks) return;
-          const mat::offset_t base =
-              w.load_scalar(boff, static_cast<std::size_t>(blk));
-          const mat::index_t width =
-              w.load_scalar(bw, static_cast<std::size_t>(blk));
-
-          LaneArray<long long> slot =
-              LaneArray<long long>::iota(blk * kBlockRows);
-          Mask live = slot.where(
-              [n_slots](long long s) { return s < n_slots; },
-              w.active_mask());
-          if (live == 0) return;
-          const LaneArray<mat::index_t> out_row = w.load(rows_s, slot, live);
-          for (int l = 0; l < vgpu::kWarpSize; ++l)
-            if (vgpu::lane_active(live, l) && out_row[l] < 0)
-              live &= ~vgpu::lane_bit(l);
-          w.count_alu(2);
-          if (live == 0) return;
-
-          LaneArray<T> sum{};
-          for (mat::index_t j = 0; j < width; ++j) {
-            LaneArray<long long> s;
-            for (int l = 0; l < vgpu::kWarpSize; ++l)
-              s[l] = base + static_cast<long long>(j) * kBlockRows + l;
-            const LaneArray<mat::index_t> col = w.load(sc, s, live);
-            const LaneArray<T> val = w.load(sv, s, live);
-            Mask valid = 0;
-            for (int l = 0; l < vgpu::kWarpSize; ++l)
-              if (vgpu::lane_active(live, l) && col[l] >= 0)
-                valid |= vgpu::lane_bit(l);
-            w.count_alu(2);
-            if (valid != 0) {
-              const LaneArray<T> xv = w.load_tex(xs, col, valid);
-              vgpu::fma_into(sum, val, xv, valid);
-              w.count_flops(valid, 2, sizeof(T) == 8);
-            }
-          }
-          w.store(ys, out_row, sum, live);
-        });
+    const vgpu::KernelRun run = this->dev_.launch_warps(
+        cfg,
+        [&](vgpu::Warp& w) {
+          sliced_warp<T>(w, boff, bw, rows_s, sc, sv, xs, ys, true);
+        },
+        nullptr, [&] { sliced_rows<T>(boff, bw, rows_s, sc, sv, xs, ys); });
     this->report_.last_run = run;
     y = this->staged_y();
     return run.duration_s;

@@ -33,12 +33,20 @@ class TcooEngine final : public EngineBase<T> {
   mat::offset_t nnz() const override { return host_.nnz(); }
   int num_tiles() const { return n_tiles_; }
 
+  /// The simulated kernels' value, bit for bit: the tiles in launch
+  /// order, each through tile_values.
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
     ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
-    for (std::size_t i = 0; i < val_.size(); ++i)
-      y[static_cast<std::size_t>(row_[i])] +=
-          val_[i] * x[static_cast<std::size_t>(col_[i])];
+    for (int t = 0; t < n_tiles_; ++t) {
+      const Tile g = tile(t, x.size());
+      if (g.n == 0) continue;
+      tile_values(g.n, vgpu::host_span(row_, g.lo, g.n),
+                  vgpu::host_span(col_, g.lo, g.n),
+                  vgpu::host_span(val_, g.lo, g.n),
+                  vgpu::host_span(x, g.xlo, g.xw), g.col_base(),
+                  vgpu::host_span(y));
+    }
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
@@ -53,6 +61,41 @@ class TcooEngine final : public EngineBase<T> {
   }
 
  private:
+  /// Tile t's launch operands: its n entries from entry lo on, and its
+  /// x slice, xw columns from column xlo on.
+  struct Tile {
+    std::size_t lo = 0, n = 0, xlo = 0, xw = 0;
+    mat::index_t col_base() const { return static_cast<mat::index_t>(xlo); }
+  };
+  Tile tile(int t, std::size_t x_size) const {
+    const auto tile_w = static_cast<std::size_t>(
+        (host_.cols + static_cast<mat::index_t>(n_tiles_) - 1) /
+        static_cast<mat::index_t>(n_tiles_));
+    Tile g;
+    g.lo = static_cast<std::size_t>(tile_off_[static_cast<std::size_t>(t)]);
+    g.n = static_cast<std::size_t>(
+              tile_off_[static_cast<std::size_t>(t) + 1]) - g.lo;
+    g.xlo = static_cast<std::size_t>(t) * tile_w;
+    g.xw = g.n == 0 ? 0 : std::min(tile_w, x_size - g.xlo);
+    return g;
+  }
+
+  /// Value kernel of one tile launch: its entries through
+  /// coo_segmented_values, columns rebased into the tile's x slice.
+  static void tile_values(long long n,
+                          vgpu::DeviceSpan<const mat::index_t> rows_s,
+                          vgpu::DeviceSpan<const mat::index_t> cols_s,
+                          vgpu::DeviceSpan<const T> vals_s,
+                          vgpu::DeviceSpan<const T> x_tile,
+                          mat::index_t col_base, vgpu::DeviceSpan<T> y) {
+    coo_segmented_values(
+        rows_s, cols_s, vals_s, n,
+        [x_tile, col_base](mat::index_t c) {
+          return x_tile[static_cast<std::size_t>(c - col_base)];
+        },
+        y);
+  }
+
   /// Run the per-tile kernels sequentially; x accesses within a tile have
   /// a footprint of one tile width, which the texture-cache model rewards.
   double run_tiles(vgpu::DeviceSpan<const mat::index_t> rows_s,
@@ -61,37 +104,31 @@ class TcooEngine final : public EngineBase<T> {
                    vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y) {
     std::vector<vgpu::KernelRun> runs;
     runs.push_back(zero_fill(this->dev_, y));  // tiles accumulate into y
-    const mat::index_t tile_w =
-        (host_.cols + static_cast<mat::index_t>(n_tiles_) - 1) /
-        static_cast<mat::index_t>(n_tiles_);
     for (int t = 0; t < n_tiles_; ++t) {
-      const long long lo = tile_off_[static_cast<std::size_t>(t)];
-      const long long hi = tile_off_[static_cast<std::size_t>(t) + 1];
-      const long long n = hi - lo;
-      if (n == 0) continue;
+      const Tile g = tile(t, x.size());
+      if (g.n == 0) continue;
+      const auto n = static_cast<long long>(g.n);
       vgpu::LaunchConfig cfg;
       cfg.name = "tcoo_tile";
       cfg.block_dim = 128;
       cfg.grid_dim = std::max<long long>(1, (n + 127) / 128);
       // The tile's x slice: what the read-only cache actually holds.
-      const auto xlo = static_cast<std::size_t>(t) *
-                       static_cast<std::size_t>(tile_w);
-      const auto xw = std::min<std::size_t>(
-          static_cast<std::size_t>(tile_w), x.size() - xlo);
-      auto x_tile = x.subspan(xlo, xw);
-      auto rs = rows_s.subspan(static_cast<std::size_t>(lo),
-                               static_cast<std::size_t>(n));
-      auto cs = cols_s.subspan(static_cast<std::size_t>(lo),
-                               static_cast<std::size_t>(n));
-      auto vs = vals_s.subspan(static_cast<std::size_t>(lo),
-                               static_cast<std::size_t>(n));
-      const auto col_base = static_cast<mat::index_t>(xlo);
-      runs.push_back(this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
-        const long long base = w.global_warp() * vgpu::kWarpSize;
-        if (base >= n) return;
-        // Entries' columns are rebased into the tile slice.
-        coo_tile_warp(w, rs, cs, vs, x_tile, y, n, base, col_base);
-      }));
+      auto x_tile = x.subspan(g.xlo, g.xw);
+      auto rs = rows_s.subspan(g.lo, g.n);
+      auto cs = cols_s.subspan(g.lo, g.n);
+      auto vs = vals_s.subspan(g.lo, g.n);
+      const mat::index_t col_base = g.col_base();
+      runs.push_back(this->dev_.launch_warps(
+          cfg,
+          [&](vgpu::Warp& w) {
+            const long long base = w.global_warp() * vgpu::kWarpSize;
+            if (base >= n) return;
+            // Entries' columns are rebased into the tile slice.
+            coo_segmented_warp<T>(w, rs, cs, vs, x_tile, y, n, base,
+                                  col_base);
+          },
+          nullptr,
+          [&] { tile_values(n, rs, cs, vs, x_tile, col_base, y); }));
     }
     vgpu::KernelRun agg =
         runs.empty() ? vgpu::KernelRun{} : runs.front();
@@ -102,47 +139,6 @@ class TcooEngine final : public EngineBase<T> {
     agg.name = "tcoo";
     this->report_.last_run = agg;
     return vgpu::combine_sequential(runs);
-  }
-
-  static void coo_tile_warp(vgpu::Warp& w,
-                            vgpu::DeviceSpan<const mat::index_t> row_idx,
-                            vgpu::DeviceSpan<const mat::index_t> col_idx,
-                            vgpu::DeviceSpan<const T> vals,
-                            vgpu::DeviceSpan<const T> x_tile,
-                            vgpu::DeviceSpan<T> y, long long n_entries,
-                            long long base, mat::index_t col_base) {
-    using vgpu::LaneArray;
-    using vgpu::Mask;
-    LaneArray<long long> idx = LaneArray<long long>::iota(base);
-    const Mask live = idx.where(
-        [n_entries](long long i) { return i < n_entries; }, w.active_mask());
-    if (live == 0) return;
-    const LaneArray<mat::index_t> r = w.load(row_idx, idx, live);
-    const LaneArray<mat::index_t> c = w.load(col_idx, idx, live);
-    LaneArray<mat::index_t> c_local;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) c_local[l] = c[l] - col_base;
-    w.count_alu(1);
-    const LaneArray<T> v = w.load(vals, idx, live);
-    const LaneArray<T> xv = w.load_tex(x_tile, c_local, live);
-    LaneArray<T> prod;
-    for (int l = 0; l < vgpu::kWarpSize; ++l) prod[l] = v[l] * xv[l];
-    w.count_flops(live, 1, sizeof(T) == 8);
-    const Mask heads = w.ballot(
-        [&](int l) {
-          return l == 0 || !vgpu::lane_active(live, l - 1) ||
-                 r[l] != r[l - 1];
-        },
-        live);
-    const LaneArray<T> scanned = w.segmented_scan_add(prod, heads, live);
-    const Mask tails = w.ballot(
-        [&](int l) {
-          return l == vgpu::kWarpSize - 1 ||
-                 !vgpu::lane_active(live, l + 1) ||
-                 vgpu::lane_active(heads, l + 1);
-        },
-        live);
-    // Segment tails accumulate with atomics (rows recur across tiles).
-    w.atomic_add(y, r, scanned, tails);
   }
 
   void partition(const mat::Csr<T>& a, int n_tiles, vgpu::HostModel& hm) {

@@ -86,10 +86,16 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
                  "bad block_dim " << cfg.block_dim << " for " << cfg.name);
 
   // A memo session resolves its key at its run's first launch, once the
-  // run has staged its scratch (vgpu/memo.hpp).
-  if (memo_session_ != nullptr &&
-      memo_session_->kind == memo::Session::Kind::kPending) [[unlikely]]
-    memo_session_->resolve();
+  // run has staged its scratch (vgpu/memo.hpp). Every launch it holds
+  // needs a value kernel: a replay computes y through nothing else, so a
+  // launch without one fails here, at capture, and never mid-replay.
+  if (memo_session_ != nullptr) [[unlikely]] {
+    if (memo_session_->kind == memo::Session::Kind::kPending)
+      memo_session_->resolve();
+    ACSR_CHECK_MSG(value, "kernel '" << cfg.name
+                                     << "' launched inside a memo session "
+                                        "without a value kernel (ValueRef)");
+  }
 
   // Fault hook, before the memo replay branch so a replayed launch
   // consults the injector at the same ordinal and throws the same typed
@@ -121,7 +127,7 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   // byte-flipping fault plan own the run (memo::plane_bypassed()).
   if (memo_session_ != nullptr &&
       memo_session_->kind == memo::Session::Kind::kReplay) [[unlikely]]
-    return memo_replay(cfg, fn, value);
+    return memo_replay(cfg, value);
 
   KernelEnv env;
   env.spec = &spec_;
@@ -233,7 +239,7 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   return run;
 }
 
-KernelRun Device::memo_replay(const LaunchConfig& cfg, const KernelRef& fn,
+KernelRun Device::memo_replay(const LaunchConfig& cfg,
                               const ValueRef& value) {
   memo::Session& sess = *memo_session_;
   ACSR_CHECK_MSG(sess.cursor < sess.entry->launches.size(),
@@ -250,42 +256,7 @@ KernelRun Device::memo_replay(const LaunchConfig& cfg, const KernelRef& fn,
 
   // The launch's host value kernel stores what the grid (children
   // included) stores, in the same floating-point order.
-  if (value) {
-    value();
-    return rec.run;
-  }
-
-  // A launch without a value kernel: the same grid walk as the metered
-  // path, dynamic-parallelism children included, with every probe/charge
-  // skipped via env.value_only.
-  KernelEnv env;
-  env.spec = &spec_;
-  // No sm_issue_cycles allocation: Warp::finish / Block::sync return early
-  // under value_only, so nothing indexes it during replay.
-  env.sanitize = false;
-  env.fast_path = true;
-  env.value_only = true;
-
-  auto run_grid = [&](const LaunchConfig& gc, const KernelRef& gf) {
-    for (long long b = 0; b < gc.grid_dim; ++b) {
-      Block blk(env, b, gc.block_dim, gc.grid_dim, 0);
-      gf(blk);
-    }
-  };
-  std::vector<ChildLaunch> work;
-  auto drain_children = [&] {
-    if (env.pending_children.empty()) return;
-    work.reserve(work.size() + env.pending_children.size());
-    for (auto& ch : env.pending_children) work.push_back(std::move(ch));
-    env.pending_children.clear();
-  };
-  run_grid(cfg, fn);
-  drain_children();
-  for (std::size_t wi = 0; wi < work.size(); ++wi) {
-    const ChildLaunch item = std::move(work[wi]);
-    run_grid(item.cfg, KernelRef(item.fn));
-    drain_children();
-  }
+  value();
   return rec.run;
 }
 

@@ -104,7 +104,8 @@ class Device {
   /// kernel is taken as a non-owning KernelRef: a stack lambda binds with
   /// no std::function materialisation (children the kernel enqueues are
   /// the only owned copies). `value` is the launch's host value kernel,
-  /// called in place of the grid when the launch is replayed (ValueRef).
+  /// called in place of the grid when the launch is replayed (ValueRef);
+  /// a launch inside a memo session must pass one.
   KernelRun launch(const LaunchConfig& cfg, KernelRef fn,
                    SectorSet* group_l2 = nullptr, ValueRef value = {});
 
@@ -122,9 +123,9 @@ class Device {
   /// Active memoization session (vgpu/memo.hpp), installed by
   /// memo::SessionScope for the duration of one memoized execution.
   /// Capture appends each launch's finalized KernelRun to the session's
-  /// entry; replay computes y through the launch's value kernel (or, for
-  /// a launch without one, a value-only grid walk) and returns the cached
-  /// run.
+  /// entry; replay computes y through the launch's value kernel and
+  /// returns the cached run. A launch inside a session must pass its
+  /// value kernel (launch throws InvariantError otherwise).
   memo::Session* memo_session() const { return memo_session_; }
   void set_memo_session(memo::Session* s) { memo_session_ = s; }
 
@@ -144,11 +145,9 @@ class Device {
   }
 
   /// Consume the next captured record of the active replay session:
-  /// validate it against `cfg`, compute y through `value` (or a
-  /// value-only walk of `fn` when it is empty), and return the cached
-  /// KernelRun (defined in device.cpp).
-  KernelRun memo_replay(const LaunchConfig& cfg, const KernelRef& fn,
-                        const ValueRef& value);
+  /// validate it against `cfg`, compute y through `value`, and return
+  /// the cached KernelRun (defined in device.cpp).
+  KernelRun memo_replay(const LaunchConfig& cfg, const ValueRef& value);
 
   DeviceSpec spec_;
   MemoryArena arena_;

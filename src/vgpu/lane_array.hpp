@@ -280,4 +280,28 @@ void fma_into(LaneTile<T>& acc, const LaneArray<T>& a, const LaneTile<T>& b,
   }
 }
 
+/// Inclusive segmented prefix sum over the warp's 32 lanes, in place:
+/// lanes outside m are zeroed, `heads` marks the first lane of each
+/// segment, and Hillis-Steele steps d = 1, 2, ..., 16 add lane l - d into
+/// lane l while both sit in one segment. The value core of
+/// Warp::segmented_scan_add, which the host value kernels call directly,
+/// so simulated and host sums agree by construction.
+template <class T>
+void segmented_scan_lanes(LaneArray<T>& v, Mask heads, Mask m) {
+  for (int lane = 0; lane < kWarpSize; ++lane)
+    if (!lane_active(m, lane)) v[lane] = T{0};
+  // seg_start[lane] = index of the lane's segment head.
+  LaneArray<int> seg_start;
+  int cur = 0;
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    if (lane_active(heads, lane)) cur = lane;
+    seg_start[lane] = cur;
+  }
+  for (int d = 1; d < kWarpSize; d <<= 1) {
+    const LaneArray<T> up = v;
+    for (int lane = d; lane < kWarpSize; ++lane)
+      if (lane - d >= seg_start[lane]) v[lane] = v[lane] + up[lane - d];
+  }
+}
+
 }  // namespace acsr::vgpu

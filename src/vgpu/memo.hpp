@@ -8,10 +8,9 @@
 // executions. A replayed launch computes y through the value kernel the
 // engine passes with it (ValueRef: the host kernel that reproduces the
 // grid's floating-point order, which is also the engine's `apply`) and
-// never walks the grid. A launch passed without one — an engine that has
-// no value kernel yet — re-runs its grid in a value-only mode
-// (KernelEnv::value_only) that computes y but skips all cache probes and
-// accounting.
+// never walks the grid. Every launch inside a session must pass one:
+// Device::launch rejects one without at capture, with an InvariantError
+// naming the kernel, so a replay always has its value kernel.
 //
 // A memo entry is keyed by what metering depends on: the device spec,
 // the kernels' inputs' structure, and where the buffers they touch sit.
@@ -178,9 +177,9 @@ class MemoCache {
 /// the scratch its body stages, so Device::launch resolves it at the
 /// body's first launch (Memoizer::run at the end, if the body launches
 /// nothing), into kReplay — pop the next record, validate it against the
-/// launch config, compute y (the launch's value kernel, else a value-only
-/// grid walk) and return the cached KernelRun — or kCapture, which
-/// appends a LaunchRecord per Device::launch.
+/// launch config, compute y through the launch's value kernel and return
+/// the cached KernelRun — or kCapture, which appends a LaunchRecord per
+/// Device::launch.
 struct Session {
   enum class Kind { kPending, kCapture, kReplay };
   Kind kind = Kind::kPending;

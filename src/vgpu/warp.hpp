@@ -85,7 +85,8 @@ class KernelRef {
 /// `void()` callable that stores exactly what the grid stores, in the
 /// grid's floating-point order, without walking the grid. A replayed
 /// launch (vgpu/memo.hpp) calls it in place of the grid; a metered launch
-/// never does. An empty ValueRef leaves replay to the value-only walk.
+/// never does. Device::launch rejects a launch without one inside a memo
+/// session, so every memoized launch has its value kernel.
 class ValueRef {
  public:
   ValueRef() = default;
@@ -291,11 +292,6 @@ struct KernelEnv {
   // fast path may run (never under the sanitizer or reference metering).
   bool sanitize = sanitizer_enabled();
   bool fast_path = !sanitize && !reference_metering();
-  // Memoized replay (vgpu/memo.hpp): execute the value plane only. Every
-  // memory primitive routes to a plain checked fill — no cache probes, no
-  // group-L2 inserts, no Counters charges — because the launch's metering
-  // is replayed from the memo cache instead of being recomputed.
-  bool value_only = false;
   // Epoch-stamped tag arrays shared by all warps of this launch.
   SectorCacheState gmem_cache_state;
   SectorCacheState tex_cache_state;
@@ -414,13 +410,8 @@ class Warp {
       return;
     }
     const auto [lo, hi] = lane_index_range(idx, m);
-    if (env_.value_only) [[unlikely]] {
-      per_lane<Port::kGlobal, false, /*Meter=*/false>(a, idx, m, ra, lo, hi);
-      per_lane<Port::kGlobal, false, /*Meter=*/false>(b, idx, m, rb, lo, hi);
-    } else {
-      per_lane<Port::kGlobal, false, /*Meter=*/true>(a, idx, m, ra, lo, hi);
-      per_lane<Port::kGlobal, false, /*Meter=*/true>(b, idx, m, rb, lo, hi);
-    }
+    per_lane<Port::kGlobal, false>(a, idx, m, ra, lo, hi);
+    per_lane<Port::kGlobal, false>(b, idx, m, rb, lo, hi);
   }
 
   // --- V-lane groups (see group_lanes / LaneRuns). Each primitive below is
@@ -439,7 +430,7 @@ class Warp {
                       const std::array<long long, kWarpSize>& gidx,
                       Mask groups, std::array<T, kWarpSize>& out) {
     check_width(vec);
-    if (!env_.fast_path && !env_.value_only) {
+    if (!env_.fast_path) {
       LaneArray<long long> idx{};
       for (Mask rem = groups; rem != 0; rem &= rem - 1) {
         const int g = std::countr_zero(rem);
@@ -462,15 +453,13 @@ class Warp {
     }
     if (groups != 0) s.check_range(lo, hi);
     const T* p = s.data();
-    const bool meter = !env_.value_only;
     LaneProbe<Port::kGlobal> probe(*this, /*elide=*/true);
     for (Mask rem = groups; rem != 0; rem &= rem - 1) {
       const auto g = static_cast<std::size_t>(std::countr_zero(rem));
       const auto i = static_cast<std::size_t>(gidx[g]);
       out[g] = p[i];
-      if (meter) probe.touch(s.addr_of(i) / kGmemSegment);
+      probe.touch(s.addr_of(i) / kGmemSegment);
     }
-    if (!meter) return;
     const int active = active_lanes(groups) * vec;
     account_gmem(active, probe.nsegs(),
                  static_cast<std::size_t>(active) * sizeof(T));
@@ -489,7 +478,7 @@ class Warp {
     check_width(runs.vec);
     ra = {};
     rb = {};
-    if (!env_.fast_path && !env_.value_only) {
+    if (!env_.fast_path) {
       load_pair(a, b, runs.lanes(), runs.mask(), ra, rb);
       return;
     }
@@ -511,7 +500,6 @@ class Warp {
     }
     const int na = gather_runs(a, runs, ra);
     const int nb = gather_runs(b, runs, rb);
-    if (env_.value_only) [[unlikely]] return;
     account_gmem(active, na, static_cast<std::size_t>(active) * sizeof(A));
     account_gmem(active, nb, static_cast<std::size_t>(active) * sizeof(B));
   }
@@ -525,8 +513,6 @@ class Warp {
   /// Uniform (warp-wide broadcast) load of a single element.
   template <class T>
   T load_scalar(DeviceSpan<const T> s, std::size_t i) {
-    if (env_.value_only) [[unlikely]]
-      return s[i];
     // One lane's worth of data serves the whole warp (broadcast), so the
     // profiler sees active=1 and sizeof(T) useful bytes.
     account_gmem(1, 1, sizeof(T));
@@ -573,13 +559,11 @@ class Warp {
     s.check_range(lo, hi + kt - 1);
     const T* p = s.data();
     const auto n = static_cast<std::size_t>(kt);
-    const bool meter = !env_.value_only;
     int nsegs = 0;
     if (env_.fast_path) {
       for_lanes(m, [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
         std::copy_n(p + i, n, out[lane].begin());
-        if (!meter) return;
         const std::uint64_t s0 = s.addr_of(i) / kTexSegment;
         const std::uint64_t s1 = s.addr_of(i + n - 1) / kTexSegment;
         for (std::uint64_t seg = s0; seg <= s1; ++seg)
@@ -601,7 +585,6 @@ class Warp {
                                           block_idx_, warp_in_block_, lane);
       });
     }
-    if (!meter) return;
     account_tex(s, active_lanes(m), nsegs, kt,
                 static_cast<int>((n * sizeof(T) + 15) / 16));
   }
@@ -610,15 +593,6 @@ class Warp {
   template <class T, class I>
   void atomic_add(DeviceSpan<T> s, const LaneArray<I>& idx,
                   const LaneArray<T>& v, Mask m) {
-    if (env_.value_only) [[unlikely]] {
-      // Same ascending-lane application order as the metered loop below,
-      // so duplicate-index accumulation is bit-identical.
-      for (Mask rem = m; rem != 0; rem &= rem - 1) {
-        const int lane = std::countr_zero(rem);
-        s[static_cast<std::size_t>(idx[lane])] += v[lane];
-      }
-      return;
-    }
     std::uint64_t addrs[kWarpSize];
     int n = 0;
     std::uint64_t dups = 0;
@@ -659,58 +633,17 @@ class Warp {
   }
 
   // --- intra-warp data exchange --------------------------------------------
-  /// CUDA __ballot: mask of active lanes whose predicate holds.
-  template <class P>
-  Mask ballot(P pred, Mask m) {
-    Mask r = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane)
-      if (lane_active(m, lane) && pred(lane)) r |= lane_bit(lane);
-    issue_ += 1;
-    alu_instr_ += 1;
-    return r;
-  }
-
-  /// CUDA __shfl_up within sub-groups of `width` lanes: lane i reads lane
-  /// i - delta, or keeps its value at the group's lower edge.
-  template <class T>
-  LaneArray<T> shfl_up(const LaneArray<T>& v, int delta,
-                       int width = kWarpSize) {
-    check_shuffle(delta, width);
-    LaneArray<T> r = v;
-    // Lane i reads i - delta iff that stays inside i's group, i.e. its
-    // offset within the group is >= delta (nothing moves if delta >= width).
-    if (delta > 0 && delta < width) {
-      const int in_group = width - 1;
-      for (int lane = delta; lane < kWarpSize; ++lane)
-        if ((lane & in_group) >= delta) r[lane] = v[lane - delta];
-    }
-    env_.counters.shuffle_ops += 1;
-    issue_ += 1;
-    alu_instr_ += 1;
-    return r;
-  }
-
   /// Inclusive *segmented* prefix sum: `heads` marks the first lane of
   /// each segment; sums do not propagate across segment boundaries. This
-  /// is the warp kernel at the heart of COO segmented reduction.
+  /// is the warp kernel at the heart of COO segmented reduction. The
+  /// values are segmented_scan_lanes' (the host value kernels call it
+  /// too); the charges are the head-flag propagation and the scan's
+  /// log2(32) shuffle-up steps, one flop per lane of m each.
   template <class T>
   LaneArray<T> segmented_scan_add(LaneArray<T> v, Mask heads, Mask m) {
-    for (int lane = 0; lane < kWarpSize; ++lane)
-      if (!lane_active(m, lane)) v[lane] = T{0};
-    // seg_start[lane] = index of the lane's segment head.
-    LaneArray<int> seg_start;
-    int cur = 0;
-    for (int lane = 0; lane < kWarpSize; ++lane) {
-      if (lane_active(heads, lane)) cur = lane;
-      seg_start[lane] = cur;
-    }
+    segmented_scan_lanes(v, heads, m);
     count_alu(2);  // head-flag propagation (min-index scan on hardware)
-    for (int d = 1; d < kWarpSize; d <<= 1) {
-      const LaneArray<T> up = shfl_up(v, d);
-      for (int lane = d; lane < kWarpSize; ++lane)
-        if (lane - d >= seg_start[lane]) v[lane] = v[lane] + up[lane];
-      count_flops(m, 1, sizeof(T) == 8);
-    }
+    charge_reduce(m, kWarpSize, 1, sizeof(T) == 8);
     return v;
   }
 
@@ -882,7 +815,6 @@ class Warp {
 
   // Called by Block::each_warp after the warp body completes.
   void finish(int sm) {
-    if (env_.value_only) [[unlikely]] return;  // metering replayed from cache
     env_.counters.warps += 1;
     env_.counters.issue_cycles += issue_;
     env_.sm_issue_cycles[static_cast<std::size_t>(sm)] +=
@@ -1009,9 +941,9 @@ class Warp {
     }
   }
 
-  /// The charges of `reps` reduce_add(_, m, width) calls: log2(width)
-  /// shfl_down steps each, every step one shuffle and one flop per lane
-  /// of m.
+  /// The charges of `reps` reduce_add(_, m, width) calls (or, at width
+  /// 32, segmented scans): log2(width) shuffle steps each, every step one
+  /// shuffle and one flop per lane of m.
   void charge_reduce(Mask m, int width, int reps, bool dp) {
     const int steps = reps * std::countr_zero(static_cast<unsigned>(width));
     count_shuffles(steps);
@@ -1019,7 +951,7 @@ class Warp {
   }
 
   /// Copies each run of `runs` from span s (range-checked by the caller)
-  /// into its lanes of r and, unless value-only, probes the run's sectors
+  /// into its lanes of r and probes the run's sectors
   /// in lane order: a run's elements are contiguous and at most one
   /// sector apart, so its lanes touch exactly the sector range s0..s1,
   /// each probed once. The probe elides a run's s0 when it equals the
@@ -1041,7 +973,6 @@ class Warp {
       // A plain loop: runs are a few elements long, below the size at
       // which a memmove call pays for itself.
       for (std::size_t j = 0; j < len; ++j) r.v[lane + j] = p[first + j];
-      if (env_.value_only) [[unlikely]] continue;
       probe.touch_range(s.addr_of(first) / kGmemSegment,
                         s.addr_of(first + len - 1) / kGmemSegment);
     }
@@ -1090,35 +1021,25 @@ class Warp {
   ///              one range check, a copy, one probe per distinct sector
   ///   per-lane   one range check, then per lane the index, the move and
   ///              a LaneProbe probe
-  /// A value-only replay (Meter = false) takes the same routes and skips
-  /// only the probes and the charges.
   template <Port P, bool Write, class T, class I, class V>
   void access(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
-    if (env_.value_only) [[unlikely]]
-      route<P, Write, /*Meter=*/false>(s, idx, m, v);
-    else
-      route<P, Write, /*Meter=*/true>(s, idx, m, v);
-  }
-
-  template <Port P, bool Write, bool Meter, class T, class I, class V>
-  void route(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
     long long base = 0, step = 0;
     if (m == 0) {
-      if constexpr (Meter) charge<P>(s, 0, 0);
+      charge<P>(s, 0, 0);
     } else if (env_.sanitize) {
-      sanitized<P, Write, Meter>(s, idx, m, v);
+      sanitized<P, Write>(s, idx, m, v);
     } else if (affine_lanes(idx, m, &base, &step) &&
                affine_stride_ok(step, sizeof(T))) {
-      affine<P, Write, Meter>(s, base, step, active_lanes(m), v);
+      affine<P, Write>(s, base, step, active_lanes(m), v);
     } else {
       const auto [lo, hi] = lane_index_range(idx, m);
-      per_lane<P, Write, Meter>(s, idx, m, v, lo, hi);
+      per_lane<P, Write>(s, idx, m, v, lo, hi);
     }
   }
 
   /// Sanitizer route: operator[]'s per-element check, a shadow-state note
   /// per lane (a store's is a non-atomic write), every lane's probe.
-  template <Port P, bool Write, bool Meter, class T, class I, class V>
+  template <Port P, bool Write, class T, class I, class V>
   void sanitized(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v) {
     LaneProbe<P> probe(*this, /*elide=*/false);
     for_lanes(m, [&](int lane) {
@@ -1131,9 +1052,9 @@ class Warp {
       else
         Sanitizer::instance().note_read(s.addr_of(i), sizeof(T), block_idx_,
                                         warp_in_block_, lane);
-      if constexpr (Meter) probe.touch(s.addr_of(i) / probe.kSector);
+      probe.touch(s.addr_of(i) / probe.kSector);
     });
-    if constexpr (Meter) charge<P>(s, active_lanes(m), probe.nsegs());
+    charge<P>(s, active_lanes(m), probe.nsegs());
   }
 
   /// Affine route for idx[l] = base + l*step over the n-lane prefix. The
@@ -1141,7 +1062,7 @@ class Warp {
   /// and hit, with no counter or state effect, so probing each distinct
   /// sector once is bit-identical. Lanes move in ascending order, so a
   /// step-0 store leaves v[n-1] at the target, as the per-lane loop does.
-  template <Port P, bool Write, bool Meter, class T, class V>
+  template <Port P, bool Write, class T, class V>
   void affine(DeviceSpan<T> s, long long base, long long step, int n,
               V& v) {
     const auto [first, last] = affine_touch_range<long long>(base, step, n);
@@ -1155,20 +1076,18 @@ class Warp {
     } else {
       for (int l = 0; l < n; ++l) move_lane<Write>(p[step * l], v[l]);
     }
-    if constexpr (Meter) {
-      LaneProbe<P> probe(*this, /*elide=*/true);
-      probe.touch_range(
-          s.addr_of(static_cast<std::size_t>(base)) / probe.kSector,
-          s.addr_of(static_cast<std::size_t>(last)) / probe.kSector);
-      charge<P>(s, n, probe.nsegs());
-    }
+    LaneProbe<P> probe(*this, /*elide=*/true);
+    probe.touch_range(
+        s.addr_of(static_cast<std::size_t>(base)) / probe.kSector,
+        s.addr_of(static_cast<std::size_t>(last)) / probe.kSector);
+    charge<P>(s, n, probe.nsegs());
   }
 
   /// Per-lane route over the lanes of m, whose indices span [lo, hi]:
   /// one range check, then raw moves with no per-element branch (same
   /// failure class as per-element checks). Set bits only, in ascending
   /// lane order: a sparse mask costs popcount(m) iterations, not 32.
-  template <Port P, bool Write, bool Meter, class T, class I, class V>
+  template <Port P, bool Write, class T, class I, class V>
   void per_lane(DeviceSpan<T> s, const LaneArray<I>& idx, Mask m, V& v,
                 long long lo, long long hi) {
     s.check_range(lo, hi);
@@ -1177,9 +1096,9 @@ class Warp {
     for_lanes(m, [&](int lane) {
       const auto i = static_cast<std::size_t>(idx[lane]);
       move_lane<Write>(p[i], v[lane]);
-      if constexpr (Meter) probe.touch(s.addr_of(i) / probe.kSector);
+      probe.touch(s.addr_of(i) / probe.kSector);
     });
-    if constexpr (Meter) charge<P>(s, active_lanes(m), probe.nsegs());
+    charge<P>(s, active_lanes(m), probe.nsegs());
   }
 
   static void note_segment(std::uint64_t* segs, int& n, std::uint64_t seg) {
@@ -1317,7 +1236,6 @@ class Block {
 
   /// Explicit barrier marker: charges one issue per warp.
   void sync() {
-    if (env_.value_only) [[unlikely]] return;  // metering replayed from cache
     env_.counters.issue_cycles +=
         static_cast<std::uint64_t>(warps_per_block());
     env_.sm_issue_cycles[static_cast<std::size_t>(sm_)] +=

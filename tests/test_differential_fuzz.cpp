@@ -6,9 +6,9 @@
 //
 //   1. match the host CSR oracle row-for-row, via both its host `apply`
 //      path and its simulated device kernels, within a per-row tolerance
-//      scaled by the row's nnz (reassociation bound) — and, for the
-//      engines whose `apply` is their kernels' exact-order value kernel
-//      (kExactApply), match its own simulated y bit for bit — and
+//      scaled by the row's nnz (reassociation bound) — and, since every
+//      engine's `apply` is its kernels' exact-order value kernel, match
+//      its own simulated y bit for bit — and
 //   2. come out of a fully sanitizer-instrumented run with ZERO findings
 //      (no OOB, no uninitialized reads, no races) — the same instrumentation
 //      that test_sanitizer.cpp proves catches injected defects.
@@ -51,7 +51,6 @@
 #include <cstdlib>
 #include <iterator>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -89,12 +88,6 @@ const char* const kEngines[] = {
     "bcsr",       "sell",       "merge-csr", "acsr", "acsr-binning",
 };
 
-/// Engines whose host apply is their kernels' exact-order value kernel:
-/// apply and simulate must agree bit for bit, not just within the oracle
-/// tolerance. ooc-csr is not in kEngines (it streams under a budget); the
-/// oracle leg runs it as well.
-const std::set<std::string> kExactApply = {"csr-vector", "acsr",
-                                           "acsr-binning", "ooc-csr"};
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* v = std::getenv(name);
@@ -294,9 +287,7 @@ void diff_against_oracle(const Csr<double>& a, const std::string& engine_name,
 
   ASSERT_EQ(y_apply.size(), y_ref.size());
   ASSERT_EQ(y_sim.size(), y_ref.size());
-  if (kExactApply.count(engine_name) != 0) {
-    EXPECT_EQ(y_apply, y_sim) << "apply is not the kernels' value";
-  }
+  EXPECT_EQ(y_apply, y_sim) << "apply is not the kernels' value";
   const double eps = std::numeric_limits<double>::epsilon();
   for (std::size_t r = 0; r < y_ref.size(); ++r) {
     // Positive summands: any summation order is within ~nnz*eps relative.
@@ -444,10 +435,8 @@ TEST(DifferentialFuzz, BatchedSpmmMatchesOracleUnderSanitizer) {
       std::vector<double> y_ref;
       a.spmv(xc, y_ref);
       const std::vector<double> y_col = y_sim.column(c);
-      if (kExactApply.count(engine_name) != 0) {
-        EXPECT_EQ(y_col, y_scalar)
-            << "simulate_batch is not apply bit for bit at column " << c;
-      }
+      EXPECT_EQ(y_col, y_scalar)
+          << "simulate_batch is not apply bit for bit at column " << c;
       for (std::size_t r = 0; r < y_ref.size(); ++r) {
         const double n_row =
             static_cast<double>(a.row_nnz(static_cast<index_t>(r)));

@@ -1,13 +1,14 @@
 // Cross-engine correctness: every engine, on every test matrix, in both
 // precisions, must produce — from its *simulated device kernels* — exactly
 // the same y as the plain host CSR reference (up to floating-point
-// reassociation tolerance), and its host `apply` fast path must match too.
-// Engines whose `apply` is their kernels' exact-order value kernel must
-// match their simulated y bit for bit.
+// reassociation tolerance), and its host `apply` — the kernels'
+// exact-order value kernel — must match its simulated y bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <set>
+#include <string>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "graph/powerlaw.hpp"
@@ -20,10 +21,6 @@ using acsr::core::make_engine;
 using acsr::mat::Csr;
 using acsr::vgpu::Device;
 using acsr::vgpu::DeviceSpec;
-
-/// Engines whose host apply reproduces their kernels' floating-point order.
-const std::set<std::string> kExactApply = {"csr-vector", "acsr",
-                                           "acsr-binning"};
 
 Csr<double> make_matrix(const std::string& kind) {
   if (kind == "powerlaw") {
@@ -182,9 +179,7 @@ void check_engine(const std::string& engine_name, const std::string& kind) {
   else
     EXPECT_GE(t, 0.0);  // engines may launch nothing on empty matrices
   ASSERT_EQ(y_sim.size(), y_ref.size());
-  if (kExactApply.count(engine_name) != 0) {
-    EXPECT_EQ(y_apply, y_sim) << "apply is not the kernels' value";
-  }
+  EXPECT_EQ(y_apply, y_sim) << "apply is not the kernels' value";
 
   const double tol = sizeof(T) == 8 ? 1e-9 : 1e-3;
   for (size_t r = 0; r < y_ref.size(); ++r) {
@@ -226,5 +221,28 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return n;
     });
+
+TEST(BcsrBlockSizes, EveryTileEdgeMatchesReference) {
+  // A warp step holds 32 / bs whole tiles; for a tile edge that does not
+  // divide 32 the leftover lanes must stay off, or they would add the next
+  // step's first tile twice.
+  const Csr<double> a = make_matrix("powerlaw");
+  std::vector<double> x(static_cast<size_t>(a.cols));
+  for (size_t i = 0; i < x.size(); ++i) x[i] = 0.25 + (i % 17) * 0.125;
+  std::vector<double> y_ref;
+  a.spmv(x, y_ref);
+  for (int bs = 1; bs <= 8; ++bs) {
+    SCOPED_TRACE("bs = " + std::to_string(bs));
+    Device dev(DeviceSpec::gtx_titan());
+    acsr::spmv::BcsrEngine<double> engine(dev, a, bs);
+    std::vector<double> y_sim, y_apply;
+    engine.simulate(x, y_sim);
+    engine.apply(x, y_apply);
+    EXPECT_EQ(y_apply, y_sim);
+    for (size_t r = 0; r < y_ref.size(); ++r)
+      EXPECT_NEAR(y_sim[r], y_ref[r], 1e-9 * std::max(1.0, std::abs(y_ref[r])))
+          << "row " << r;
+  }
+}
 
 }  // namespace

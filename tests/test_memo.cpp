@@ -18,12 +18,14 @@
 // separately by tests/test_metering_invariance.cpp (the memoized modes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -147,7 +149,8 @@ TEST(MemoKey, SpecFingerprintSeparatesDevices) {
 }
 
 // A tiny copy kernel whose grid is a parameter — the raw-Memoizer probe
-// used by the key/geometry tests below.
+// used by the key/geometry tests below. Its value kernel copies what the
+// grid's threads copy.
 double launch_copy(Device& dev, acsr::vgpu::DeviceSpan<const double> src,
                    acsr::vgpu::DeviceSpan<double> dst, long long grid) {
   acsr::vgpu::LaunchConfig cfg;
@@ -155,14 +158,22 @@ double launch_copy(Device& dev, acsr::vgpu::DeviceSpan<const double> src,
   cfg.block_dim = 64;
   cfg.grid_dim = grid;
   const long long n = static_cast<long long>(src.size());
-  const KernelRun run = dev.launch_warps(cfg, [&](acsr::vgpu::Warp& w) {
-    const auto idx = w.global_threads();
-    const acsr::vgpu::Mask m =
-        idx.where([n](long long i) { return i < n; }, w.active_mask());
-    if (m == 0) return;
-    const auto v = w.load(src, idx, m);
-    w.store(dst, idx, v, m);
-  });
+  const KernelRun run = dev.launch_warps(
+      cfg,
+      [&](acsr::vgpu::Warp& w) {
+        const auto idx = w.global_threads();
+        const acsr::vgpu::Mask m =
+            idx.where([n](long long i) { return i < n; }, w.active_mask());
+        if (m == 0) return;
+        const auto v = w.load(src, idx, m);
+        w.store(dst, idx, v, m);
+      },
+      nullptr,
+      [&] {
+        const auto copied = static_cast<std::size_t>(
+            std::min(n, grid * cfg.block_dim));
+        for (std::size_t i = 0; i < copied; ++i) dst[i] = src[i];
+      });
   return run.duration_s;
 }
 
@@ -196,8 +207,8 @@ TEST(MemoKey, GridConfigMissesValueChangesHit) {
   EXPECT_EQ(MemoCache::instance().stats().misses, 2u);
   EXPECT_EQ(MemoCache::instance().size(), 2u);
 
-  // Value-only change: same key hits, and the replayed (value-only)
-  // kernels recompute the value plane from the new input.
+  // Value-only change: same key hits, and the replayed launch's value
+  // kernel recomputes the value plane from the new input.
   for (std::size_t i = 0; i < 256; ++i)
     src.host()[i] = static_cast<double>(i) * 3.0;
   const double t4_again = run_grid(4);
@@ -501,6 +512,42 @@ TEST(MemoEngine, ExplicitZeroValueCaptures) {
   EXPECT_EQ(c.y, metered_zeroed.y);
   EXPECT_EQ(c.seconds, metered_zeroed.seconds);
   expect_run_identical(c.run, metered_zeroed.run);
+}
+
+TEST(MemoEngine, MergeCsrCarryMeteringIgnoresXValues) {
+  // merge-csr publishes a lane's carry-out when the lane consumed a
+  // non-zero since its last row end, whatever its partial sum: metering
+  // is a function of the structure, so a replay of an x = 1 capture is
+  // the metered x = 0 call. 40 ones per row on 64 rows: every carry of an
+  // x = 0 call sums to exactly zero.
+  Csr<double> a;
+  a.rows = 64;
+  a.cols = 64;
+  a.row_off.push_back(0);
+  for (int r = 0; r < a.rows; ++r) {
+    for (int c = 0; c < 40; ++c) {
+      a.col_idx.push_back((r + c) % a.cols);
+      a.vals.push_back(1.0);
+    }
+    std::sort(a.col_idx.end() - 40, a.col_idx.end());
+    a.row_off.push_back(static_cast<acsr::mat::offset_t>(a.col_idx.size()));
+  }
+  const std::vector<double> ones(64, 1.0), zeros(64, 0.0);
+  const auto second_call = [&](bool memo_on) {
+    MemoGuard guard(memo_on);
+    Device dev(DeviceSpec::gtx_titan());
+    auto engine = make_engine<double>("merge-csr", dev, a);
+    std::vector<double> y;
+    engine->simulate(ones, y);
+    const double t = engine->simulate(zeros, y);
+    EXPECT_EQ(y, zeros);
+    if (memo_on) EXPECT_EQ(MemoCache::instance().stats().hits, 1u);
+    return std::make_pair(engine->report().last_run.counters.atomic_ops, t);
+  };
+  const auto metered = second_call(false);
+  const auto replayed = second_call(true);
+  EXPECT_EQ(metered.first, replayed.first);
+  EXPECT_EQ(metered.second, replayed.second);
 }
 
 TEST(MemoEngine, StagingANewWidthKeepsOtherWidthsWarm) {
@@ -837,6 +884,33 @@ TEST(MemoFaultPlane, NonFlipPlansReplayAtSameOrdinals) {
       EXPECT_EQ(off.events, on.events);
     }
   }
+}
+
+TEST(MemoReplay, CaptureRejectsLaunchWithoutValueKernel) {
+  // Every memoized launch passes its value kernel: one without fails at
+  // capture, with a typed error naming the kernel, and leaves no entry
+  // that a later replay could trip over. Outside a session the same
+  // launch runs metered as before.
+  MemoGuard guard;
+  Device dev(DeviceSpec::gtx_titan());
+  acsr::vgpu::LaunchConfig cfg;
+  cfg.name = "valueless_probe";
+  const auto launch = [&] {
+    return dev.launch_warps(cfg, [](acsr::vgpu::Warp& w) { w.count_alu(1); })
+        .duration_s;
+  };
+  EXPECT_GT(launch(), 0.0);
+  Memoizer memo(spec_fingerprint(dev.spec()) + "|valueless");
+  std::string what = "no error";
+  try {
+    memo.run(dev, fixed_tail("run"), launch);
+  } catch (const acsr::InvariantError& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("'valueless_probe'"), std::string::npos) << what;
+  EXPECT_NE(what.find("value kernel"), std::string::npos) << what;
+  EXPECT_EQ(MemoCache::instance().size(), 0u);
+  EXPECT_EQ(dev.memo_session(), nullptr);
 }
 
 TEST(MemoReplay, ValueKernelRejectsMalformedRowsLikeTheMeteredWalk) {

@@ -11,10 +11,8 @@
 #include "common/rng.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/lane_array.hpp"
-#include "vgpu/memo.hpp"
 #include "vgpu/sanitizer.hpp"
 
-#include "memo_guard.hpp"
 
 namespace {
 
@@ -241,22 +239,22 @@ TEST_F(WarpFixture, LoadPairZeroesMaskedLanesOnEveryRoute) {
   // Lanes outside the mask read zero on every route load_pair takes, as
   // in load and load_pair_runs: the caller's old contents never show
   // through, so the fast path and its oracles agree lane for lane.
-  enum class Route { kFast, kReference, kSanitizer, kValueOnly };
+  enum class Route { kFast, kReference, kSanitizer };
+  const bool san_was = sanitizer_enabled();
+  const bool reference_was = reference_metering();
   const Mask m = first_lanes(8);
   const auto affine = LaneArray<long long>::iota(16);
   LaneArray<long long> irregular;
   for (int l = 0; l < kWarpSize; ++l) irregular[l] = (l * 37) % 200;
-  for (const Route route : {Route::kFast, Route::kReference,
-                            Route::kSanitizer, Route::kValueOnly}) {
+  for (const Route route :
+       {Route::kFast, Route::kReference, Route::kSanitizer}) {
     for (const bool is_affine : {true, false}) {
       const LaneArray<long long>& idx = is_affine ? affine : irregular;
       const std::string where =
           std::string(route == Route::kFast        ? "fast"
                       : route == Route::kReference ? "reference"
-                      : route == Route::kSanitizer ? "sanitizer"
-                                                   : "value-only") +
+                                                   : "sanitizer") +
           (is_affine ? " affine" : " irregular");
-      const acsr::test::MemoGuard planes(route == Route::kValueOnly);
       set_reference_metering(route == Route::kReference);
       Sanitizer::instance().set_enabled(route == Route::kSanitizer);
       auto a = dev.alloc<int>(256, "pair_int");
@@ -267,23 +265,11 @@ TEST_F(WarpFixture, LoadPairZeroesMaskedLanesOnEveryRoute) {
         ha[i] = static_cast<int>(i) + 1;
         hb[i] = 0.5 * static_cast<double>(i + 1);
       }
-      LaneArray<int> ra;
-      LaneArray<double> rb;
-      // Value-only: the first pass captures, the second replays.
-      memo::Memoizer memo("load_pair");
-      for (int pass = 0; pass < (route == Route::kValueOnly ? 2 : 1); ++pass) {
-        ra = LaneArray<int>::filled(-1);
-        rb = LaneArray<double>::filled(-1.0);
-        memo.run(dev, acsr::test::fixed_tail("pair"), [&] {
-          return run_warp([&](Warp& w) {
-                   w.load_pair(a.cspan(), b.cspan(), idx, m, ra, rb);
-                 })
-              .duration_s;
-        });
-      }
-      if (route == Route::kValueOnly) {
-        EXPECT_EQ(memo::MemoCache::instance().stats().hits, 1u) << where;
-      }
+      auto ra = LaneArray<int>::filled(-1);
+      auto rb = LaneArray<double>::filled(-1.0);
+      run_warp([&](Warp& w) {
+        w.load_pair(a.cspan(), b.cspan(), idx, m, ra, rb);
+      });
       for (int l = 0; l < kWarpSize; ++l) {
         const bool on = lane_active(m, l);
         EXPECT_EQ(ra[l], on ? static_cast<int>(idx[l]) + 1 : 0)
@@ -293,6 +279,8 @@ TEST_F(WarpFixture, LoadPairZeroesMaskedLanesOnEveryRoute) {
       }
     }
   }
+  set_reference_metering(reference_was);
+  Sanitizer::instance().set_enabled(san_was);
 }
 
 /// Every Counters field, by name (the X-macro field list).

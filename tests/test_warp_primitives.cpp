@@ -1,4 +1,4 @@
-// The vote/shuffle/scan warp primitives behind the segmented-reduction
+// The shuffle/scan warp primitives behind the segmented-reduction
 // kernels: semantics pinned against hand-computed references, including
 // sub-group widths, partial masks, and segment boundaries.
 #include <gtest/gtest.h>
@@ -30,34 +30,6 @@ class WarpPrimitives : public ::testing::Test {
 
   Device dev;
 };
-
-TEST_F(WarpPrimitives, BallotMatchesPredicate) {
-  run_warp([&](Warp& w) {
-    const Mask even =
-        w.ballot([](int l) { return l % 2 == 0; }, kFullMask);
-    EXPECT_EQ(even, 0x55555555u);
-    const Mask low = w.ballot([](int l) { return l < 4; }, first_lanes(16));
-    EXPECT_EQ(low, 0xFu);
-    // Inactive lanes never vote.
-    const Mask none = w.ballot([](int) { return true; }, 0);
-    EXPECT_EQ(none, 0u);
-  });
-}
-
-TEST_F(WarpPrimitives, ShflUpSemantics) {
-  run_warp([&](Warp& w) {
-    const auto v = LaneArray<int>::iota();
-    const auto s = w.shfl_up(v, 3);
-    EXPECT_EQ(s[0], 0);  // below the edge: unchanged
-    EXPECT_EQ(s[2], 2);
-    EXPECT_EQ(s[3], 0);
-    EXPECT_EQ(s[31], 28);
-    const auto g = w.shfl_up(v, 2, 8);  // sub-groups of 8
-    EXPECT_EQ(g[8], 8);                 // group edge
-    EXPECT_EQ(g[10], 8);
-    EXPECT_EQ(g[15], 13);
-  });
-}
 
 TEST_F(WarpPrimitives, SegmentedScanStopsAtHeads) {
   run_warp([&](Warp& w) {
@@ -121,16 +93,6 @@ LaneArray<T> ref_shfl_down(const LaneArray<T>& v, int delta, int width) {
   return r;
 }
 
-template <class T>
-LaneArray<T> ref_shfl_up(const LaneArray<T>& v, int delta, int width) {
-  LaneArray<T> r;
-  for (int lane = 0; lane < kWarpSize; ++lane) {
-    const int group_begin = (lane / width) * width;
-    r[lane] = lane - delta >= group_begin ? v[lane - delta] : v[lane];
-  }
-  return r;
-}
-
 TEST_F(WarpPrimitives, ShuffleWidthSweepMatchesDivisionReference) {
   LaneArray<double> v;
   for (int l = 0; l < kWarpSize; ++l) v[l] = 0.25 * l + (l * 37 % 11);
@@ -139,15 +101,10 @@ TEST_F(WarpPrimitives, ShuffleWidthSweepMatchesDivisionReference) {
     for (const int width : {1, 2, 4, 8, 16, 32}) {
       for (int delta = 0; delta <= 32; ++delta) {
         const auto dn = w.shfl_down(v, delta, width);
-        const auto up = w.shfl_up(v, delta, width);
         const auto dn_ref = ref_shfl_down(v, delta, width);
-        const auto up_ref = ref_shfl_up(v, delta, width);
         for (int l = 0; l < kWarpSize; ++l) {
           EXPECT_EQ(dn[l], dn_ref[l])
               << "shfl_down width " << width << " delta " << delta
-              << " lane " << l;
-          EXPECT_EQ(up[l], up_ref[l])
-              << "shfl_up width " << width << " delta " << delta
               << " lane " << l;
         }
       }
@@ -171,8 +128,6 @@ TEST_F(WarpPrimitives, ShuffleWidthSweepMatchesDivisionReference) {
 TEST_F(WarpPrimitives, ShuffleRejectsNonPowerOfTwoWidth) {
   const auto v = LaneArray<int>::iota();
   EXPECT_THROW(run_warp([&](Warp& w) { (void)w.shfl_down(v, 1, 12); }),
-               acsr::InvariantError);
-  EXPECT_THROW(run_warp([&](Warp& w) { (void)w.shfl_up(v, 1, 12); }),
                acsr::InvariantError);
   EXPECT_THROW(run_warp([&](Warp& w) {
                  (void)w.reduce_add(LaneArray<double>{}, kFullMask, 12);
