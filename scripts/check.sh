@@ -110,6 +110,28 @@ if [ "${ACSR_CI:-0}" = "1" ]; then
   ctest --test-dir "$build-asan" -L tier1 --output-on-failure
 fi
 
+# ThreadSanitizer leg (docs/PERF.md, "Block-parallel metering"): grids that
+# declare blocks_independent run their blocks on the host worker pool. In a
+# separate -fsanitize=thread tree, build the suites that force the pool on
+# (ScopedBlockParallelism at 2-4 workers from one block per worker: the
+# invariance matrix's parallel modes, the bin grids, the served batches, the
+# executor's merge/exception tests) and fail on any data-race report.
+echo "== ThreadSanitizer (block-parallel launches, ${build}-tsan)"
+tsan_flags=(-DCMAKE_CXX_FLAGS=-fsanitize=thread
+            -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread)
+if [ -f "$build-tsan/CMakeCache.txt" ]; then
+  cmake -B "$build-tsan" "${tsan_flags[@]}" >/dev/null
+else
+  cmake -B "$build-tsan" -G Ninja "${tsan_flags[@]}" >/dev/null
+fi
+tsan_tests=(test_metering_invariance test_spmm test_acsr test_vgpu_kernel)
+cmake --build "$build-tsan" --target "${tsan_tests[@]}"
+for t in "${tsan_tests[@]}"; do
+  echo "   $t"
+  TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
+    "$build-tsan/tests/$t" --gtest_brief=1
+done
+
 # The memo plane (docs/PERF.md): the two tier-1 legs above already run
 # every test with the cache off and on — the metering invariance matrix,
 # the memo unit tests, the fault, out-of-core and SpMM suites among them.

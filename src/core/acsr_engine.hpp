@@ -99,6 +99,9 @@ class AcsrLauncher {
       cfg.name = "acsr_bin" + std::to_string(i);
       cfg.block_dim = 128;
       cfg.grid_dim = std::max<long long>(1, (warps + 3) / 4);
+      // Each row has one vector group and one storing head (the injective
+      // bin row map): blocks write disjoint rows and read only A and x.
+      cfg.blocks_independent = true;
       if (prof::profiler_enabled()) [[unlikely]]
         prof::Profiler::instance().annotate_next_launch(
             "bin=" + std::to_string(i) +
@@ -207,6 +210,9 @@ class AcsrLauncher {
       cfg.grid_dim = std::max<long long>(
           1, (warps_for_slots * n_tiles + warps_per_block - 1) /
                  warps_per_block);
+      // Disjoint (row, column tile) outputs per warp, as in the SpMV bins;
+      // the x-slice slab is block-shared memory.
+      cfg.blocks_independent = true;
       if (prof::profiler_enabled()) [[unlikely]]
         prof::Profiler::instance().annotate_next_launch(
             "bin=" + std::to_string(i) +
@@ -513,17 +519,20 @@ class AcsrLauncher {
       spmv::load_x_tile(w, xp, col, k, c_begin, kt, m, use_tex, xt);
       // Stage each x value through the lane's slab slot and accumulate
       // from there, all of a lane's tile columns in one pass: a lane only
-      // touches its own slot, so the slab ends as the column-by-column
-      // staging leaves it. Charged per tile column as that staging is.
+      // touches its own slot, which holds what it staged last, so the
+      // slot is stored once per step with the tile's last column — the
+      // slab ends as the column-by-column staging leaves it, and each
+      // product reads the value the staging would. Charged per tile
+      // column as that staging is.
       for (Mask rem = m; rem != 0; rem &= rem - 1) {
         const int l = std::countr_zero(rem);
-        T& slot = xslab[slab_base + static_cast<std::size_t>(l)];
         const T v = val[l];
         auto& acc = sums[l];
-        for (std::size_t c = 0; c < static_cast<std::size_t>(kt); ++c) {
-          slot = xt[l][c];
-          acc[c] += v * slot;
-        }
+        const auto& xl = xt[l];
+        for (std::size_t c = 0; c < static_cast<std::size_t>(kt); ++c)
+          acc[c] += v * xl[c];
+        xslab[slab_base + static_cast<std::size_t>(l)] =
+            xl[static_cast<std::size_t>(kt - 1)];
       }
       const int staged = 2 * vgpu::active_lanes(m);
       for (int c = 0; c < kt; ++c) w.count_smem(staged);

@@ -446,6 +446,7 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       cfg.name = "ooc_slab_bin" + std::to_string(v);
       cfg.block_dim = 128;
       cfg.grid_dim = std::max<long long>(1, (warps + 3) / 4);
+      cfg.blocks_independent = true;  // injective bin row map, as ACSR's
       auto row_map = d.bins[b].cspan();
       const bool tex = opt_.use_texture;
       const vgpu::KernelRun run = group.launch_warps(

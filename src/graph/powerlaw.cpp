@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -125,12 +124,13 @@ mat::Csr<double> powerlaw_matrix(const PowerLawSpec& spec) {
   m.row_off.assign(rows + 1, 0);
 
   std::vector<index_t> row_cols;
-  std::unordered_set<index_t> seen;
+  // The last row that drew each column: a column is new to row r iff its
+  // stamp is not r. A per-row hash set would malloc a node per draw.
+  std::vector<index_t> drawn_by(static_cast<std::size_t>(spec.cols), -1);
   for (std::size_t r = 0; r < rows; ++r) {
     Rng rr = rng.split(static_cast<std::uint64_t>(r) + 1);
     const offset_t d = deg[r];
     row_cols.clear();
-    seen.clear();
     // Dense rows: sampling distinct columns by rejection degrades near
     // full density, so cap attempts and accept slightly fewer entries.
     const int max_attempts = 8;
@@ -146,7 +146,9 @@ mat::Csr<double> powerlaw_matrix(const PowerLawSpec& spec) {
           c = static_cast<index_t>(
               rr.next_below(static_cast<std::uint64_t>(spec.cols)));
         }
-        ok = seen.insert(c).second;
+        index_t& stamp = drawn_by[static_cast<std::size_t>(c)];
+        ok = stamp != static_cast<index_t>(r);
+        stamp = static_cast<index_t>(r);
       }
       if (ok) row_cols.push_back(c);
     }

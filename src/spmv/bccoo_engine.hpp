@@ -36,23 +36,23 @@ class BccooEngine final : public EngineBase<T> {
 
   BccooEngine(vgpu::Device& dev, const mat::Csr<T>& a,
               TuningPolicy policy = {})
-      : EngineBase<T>(dev, "BCCOO"), host_(a) {
+      : EngineBase<T>(dev, "BCCOO"), shape_(a) {
     vgpu::HostModel hm;
     tune(a, hm, policy);
     this->report_.preprocess_s = hm.seconds();
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
   int block_width() const { return width_; }
   std::size_t num_blocks() const { return blk_row_.size(); }
 
   /// The simulated kernels' value, bit for bit (block_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     block_values(vgpu::host_span(blk_row_), vgpu::host_span(blk_col_),
                  vgpu::host_span(deltas_), vgpu::host_span(vals_), width_,
                  vgpu::host_span(x), vgpu::host_span(y));
@@ -60,7 +60,7 @@ class BccooEngine final : public EngineBase<T> {
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
     const vgpu::KernelRun zero = zero_fill(this->dev_, y_dev);
     const vgpu::KernelRun run =
         run_kernel(x_dev, y_dev);
@@ -325,7 +325,7 @@ class BccooEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   int width_ = 4;
   std::vector<mat::index_t> blk_row_;
   std::vector<mat::index_t> blk_col_;

@@ -20,7 +20,7 @@ template <class T>
 class BcsrEngine final : public EngineBase<T> {
  public:
   BcsrEngine(vgpu::Device& dev, const mat::Csr<T>& a, int block_size = 2)
-      : EngineBase<T>(dev, "BCSR"), host_(a), bs_(block_size) {
+      : EngineBase<T>(dev, "BCSR"), shape_(a), bs_(block_size) {
     ACSR_REQUIRE(block_size >= 1 && block_size <= 8,
                  "BCSR block size must be in [1, 8]");
     vgpu::HostModel hm;
@@ -29,33 +29,33 @@ class BcsrEngine final : public EngineBase<T> {
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
   int block_size() const { return bs_; }
   std::size_t num_blocks() const { return blk_col_.size(); }
   /// Stored slots per actual non-zero (1.0 = no fill-in).
   double fill_in() const {
-    return host_.nnz() == 0
+    return shape_.nnz == 0
                ? 1.0
                : static_cast<double>(blk_col_.size()) *
                      static_cast<double>(bs_ * bs_) /
-                     static_cast<double>(host_.nnz());
+                     static_cast<double>(shape_.nnz);
   }
 
   /// The simulated kernel's value, bit for bit (block_row_values).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     block_row_values(vgpu::host_span(blk_row_off_), vgpu::host_span(blk_col_),
                      vgpu::host_span(blk_val_), n_block_rows_, bs_,
-                     host_.rows, vgpu::host_span(x), vgpu::host_span(y));
+                     shape_.rows, vgpu::host_span(x), vgpu::host_span(y));
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
 
     // One warp per block-row: lanes split across the row's blocks, each
     // lane computing its block's bs x bs product for one output sub-row.
@@ -70,7 +70,7 @@ class BcsrEngine final : public EngineBase<T> {
     auto ys = y_dev;
     const mat::index_t nbr = n_block_rows_;
     const int bs = bs_;
-    const mat::index_t n_rows = host_.rows;
+    const mat::index_t n_rows = shape_.rows;
 
     const vgpu::KernelRun run =
         this->dev_.launch_warps(cfg, [&](vgpu::Warp& w) {
@@ -259,7 +259,7 @@ class BcsrEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   int bs_;
   mat::index_t n_block_rows_ = 0;
   std::vector<mat::offset_t> blk_row_off_;

@@ -20,22 +20,22 @@ template <class T>
 class BrcEngine final : public EngineBase<T> {
  public:
   BrcEngine(vgpu::Device& dev, const mat::Csr<T>& a)
-      : EngineBase<T>(dev, "BRC"), host_(a) {
+      : EngineBase<T>(dev, "BRC"), shape_(a) {
     vgpu::HostModel hm;
     build(a, hm);
     this->report_.preprocess_s = hm.seconds();
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
   std::size_t num_blocks() const { return block_width_.size(); }
 
   /// The simulated kernel's value, bit for bit (sliced_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     sliced_rows<T>(vgpu::host_span(block_off_), vgpu::host_span(block_width_),
                    vgpu::host_span(perm_), vgpu::host_span(slab_col_),
                    vgpu::host_span(slab_val_), vgpu::host_span(x),
@@ -43,9 +43,9 @@ class BrcEngine final : public EngineBase<T> {
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
 
     const long long n_blocks = static_cast<long long>(block_width_.size());
     vgpu::LaunchConfig cfg;
@@ -152,7 +152,7 @@ class BrcEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   std::vector<mat::index_t> perm_;
   std::vector<mat::offset_t> block_off_;
   std::vector<mat::index_t> block_width_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <string>
 
 #include "analysis/shape.hpp"
 #include "mat/coo.hpp"
@@ -132,6 +133,35 @@ void coo_segmented_warp(vgpu::Warp& w,
   publish_segments(w, r, prod, live, y);
 }
 
+/// The segmented COO grid over n_entries row-sorted entries, 128 per
+/// block, accumulating into y (zeroed, or holding HYB's ELL part): COO's
+/// one kernel and HYB's tail, launched under their own names.
+template <class T>
+vgpu::KernelRun launch_coo_segmented(
+    vgpu::Device& dev, std::string name,
+    vgpu::DeviceSpan<const mat::index_t> row_idx,
+    vgpu::DeviceSpan<const mat::index_t> col_idx,
+    vgpu::DeviceSpan<const T> vals, long long n_entries,
+    vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y) {
+  const int block = 128;
+  vgpu::LaunchConfig cfg;
+  cfg.name = std::move(name);
+  cfg.block_dim = block;
+  cfg.grid_dim = std::max<long long>(1, (n_entries + block - 1) / block);
+  return dev.launch_warps(
+      cfg,
+      [&](vgpu::Warp& w) {
+        const long long base = w.global_warp() * vgpu::kWarpSize;
+        if (base >= n_entries) return;
+        coo_segmented_warp<T>(w, row_idx, col_idx, vals, x, y, n_entries,
+                              base);
+      },
+      nullptr, [&] {
+        coo_segmented_values(row_idx, col_idx, vals, n_entries, x_reader(x),
+                             y);
+      });
+}
+
 template <class T>
 class CooEngine final : public EngineBase<T> {
  public:
@@ -164,35 +194,12 @@ class CooEngine final : public EngineBase<T> {
     auto y_dev = this->stage_y(static_cast<std::size_t>(coo_.rows));
 
     const vgpu::KernelRun zero = zero_fill(this->dev_, y_dev);
-    const vgpu::KernelRun run = run_kernel(x_dev, y_dev);
+    const vgpu::KernelRun run = launch_coo_segmented<T>(
+        this->dev_, "coo_segmented", row_dev_.cspan(), col_dev_.cspan(),
+        val_dev_.cspan(), coo_.nnz(), x_dev, y_dev);
     this->report_.last_run = run;
     y = this->staged_y();
     return vgpu::combine_sequential({zero, run});
-  }
-
-  /// Exposed so HYB can run the COO tail as its second kernel.
-  vgpu::KernelRun run_kernel(vgpu::DeviceSpan<const T> x,
-                             vgpu::DeviceSpan<T> y) {
-    const long long n = coo_.nnz();
-    const int block = 128;
-    const long long entries_per_block = block;
-    vgpu::LaunchConfig cfg;
-    cfg.name = "coo_segmented";
-    cfg.block_dim = block;
-    cfg.grid_dim = std::max<long long>(
-        1, (n + entries_per_block - 1) / entries_per_block);
-    auto ri = row_dev_.cspan();
-    auto ci = col_dev_.cspan();
-    auto va = val_dev_.cspan();
-    return this->dev_.launch_warps(
-        cfg,
-        [&](vgpu::Warp& w) {
-          const long long base = w.global_warp() * vgpu::kWarpSize;
-          if (base >= n) return;
-          coo_segmented_warp<T>(w, ri, ci, va, x, y, n, base);
-        },
-        nullptr,
-        [&] { coo_segmented_values(ri, ci, va, n, x_reader(x), y); });
   }
 
  private:

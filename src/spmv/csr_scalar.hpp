@@ -200,6 +200,7 @@ class CsrScalarEngine final : public EngineBase<T> {
     cfg.name = "csr_scalar";
     cfg.block_dim = block;
     cfg.grid_dim = std::max<long long>(1, (host_.rows + block - 1) / block);
+    cfg.blocks_independent = true;  // one storing thread per row
     const auto nrows = static_cast<std::size_t>(host_.rows);
     auto rs = dev_csr_.row_off.cspan().subspan(0, nrows);
     auto re = dev_csr_.row_off.cspan().subspan(1, nrows);
@@ -247,6 +248,7 @@ class CsrScalarEngine final : public EngineBase<T> {
     cfg.name = "csr_scalar_spmm";
     cfg.block_dim = block;
     cfg.grid_dim = std::max<long long>(1, (host_.rows + block - 1) / block);
+    cfg.blocks_independent = true;  // one storing thread per row
     const auto nrows = static_cast<std::size_t>(host_.rows);
     auto rs = dev_csr_.row_off.cspan().subspan(0, nrows);
     auto re = dev_csr_.row_off.cspan().subspan(1, nrows);

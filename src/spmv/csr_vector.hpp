@@ -365,6 +365,7 @@ class CsrVectorEngine final : public EngineBase<T> {
     cfg.block_dim = warps_per_block * vgpu::kWarpSize;
     cfg.grid_dim = std::max<long long>(
         1, (warps_needed + warps_per_block - 1) / warps_per_block);
+    cfg.blocks_independent = true;  // one storing group head per row
 
     const auto nrows = static_cast<std::size_t>(host_.rows);
     auto rs = dev_csr_.row_off.cspan().subspan(0, nrows);
@@ -420,6 +421,7 @@ class CsrVectorEngine final : public EngineBase<T> {
     cfg.block_dim = warps_per_block * vgpu::kWarpSize;
     cfg.grid_dim = std::max<long long>(
         1, (warps_needed + warps_per_block - 1) / warps_per_block);
+    cfg.blocks_independent = true;  // one storing group head per row
 
     const auto nrows = static_cast<std::size_t>(host_.rows);
     auto rs = dev_csr_.row_off.cspan().subspan(0, nrows);

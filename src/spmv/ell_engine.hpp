@@ -72,7 +72,7 @@ template <class T>
 class EllEngine final : public EngineBase<T> {
  public:
   EllEngine(vgpu::Device& dev, const mat::Csr<T>& a)
-      : EngineBase<T>(dev, "ELL"), host_(a) {
+      : EngineBase<T>(dev, "ELL"), nnz_(a.nnz()) {
     vgpu::HostModel hm;
     ell_ = mat::Ell<T>::from_csr(a, &hm);
     this->report_.preprocess_s = hm.seconds();
@@ -82,7 +82,7 @@ class EllEngine final : public EngineBase<T> {
 
   mat::index_t rows() const override { return ell_.rows; }
   mat::index_t cols() const override { return ell_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::offset_t nnz() const override { return nnz_; }
 
   /// The simulated kernel's value, bit for bit (ell_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
@@ -102,6 +102,7 @@ class EllEngine final : public EngineBase<T> {
     cfg.name = "ell";
     cfg.block_dim = block;
     cfg.grid_dim = std::max<long long>(1, (ell_.rows + block - 1) / block);
+    cfg.blocks_independent = true;  // one storing thread per row
     auto ci = col_dev_.cspan();
     auto va = val_dev_.cspan();
     auto xs = x_dev;
@@ -127,7 +128,7 @@ class EllEngine final : public EngineBase<T> {
     this->report_.device_bytes = col_dev_.bytes() + val_dev_.bytes();
   }
 
-  mat::Csr<T> host_;
+  mat::offset_t nnz_ = 0;
   mat::Ell<T> ell_;
   vgpu::DeviceBuffer<mat::index_t> col_dev_;
   vgpu::DeviceBuffer<T> val_dev_;

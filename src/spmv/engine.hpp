@@ -146,6 +146,18 @@ class SpmvEngine {
   double cached_spmv_s_ = -1.0;
 };
 
+/// A matrix's dimensions and stored non-zeros: what rows(), cols() and
+/// nnz() report for an engine whose device format does not keep them.
+struct MatShape {
+  mat::index_t rows = 0;
+  mat::index_t cols = 0;
+  mat::offset_t nnz = 0;
+
+  template <class T>
+  explicit MatShape(const mat::Csr<T>& a)
+      : rows(a.rows), cols(a.cols), nnz(a.nnz()) {}
+};
+
 /// Shared plumbing: name/report storage and the device handle.
 template <class T>
 class EngineBase : public SpmvEngine<T> {

@@ -65,6 +65,7 @@ class HybEngine final : public EngineBase<T> {
       cfg.block_dim = block;
       cfg.grid_dim =
           std::max<long long>(1, (hyb_.rows() + block - 1) / block);
+      cfg.blocks_independent = true;  // one storing thread per row
       auto ci = ell_col_.cspan();
       auto va = ell_val_.cspan();
       const mat::index_t n = hyb_.rows();
@@ -74,26 +75,10 @@ class HybEngine final : public EngineBase<T> {
           nullptr, [&] { ell_rows(ci, va, xs, ys, n, k); }));
     }
 
-    if (hyb_.coo.nnz() > 0) {  // COO tail.
-      const long long n = hyb_.coo.nnz();
-      const int block = 128;
-      vgpu::LaunchConfig cfg;
-      cfg.name = "hyb_coo";
-      cfg.block_dim = block;
-      cfg.grid_dim = std::max<long long>(1, (n + block - 1) / block);
-      auto ri = coo_row_.cspan();
-      auto ci = coo_col_.cspan();
-      auto va = coo_val_.cspan();
-      runs.push_back(this->dev_.launch_warps(
-          cfg,
-          [&](vgpu::Warp& w) {
-            const long long base = w.global_warp() * vgpu::kWarpSize;
-            if (base >= n) return;
-            coo_segmented_warp<T>(w, ri, ci, va, xs, ys, n, base);
-          },
-          nullptr,
-          [&] { coo_segmented_values(ri, ci, va, n, x_reader(xs), ys); }));
-    }
+    if (hyb_.coo.nnz() > 0)  // COO tail.
+      runs.push_back(launch_coo_segmented<T>(
+          this->dev_, "hyb_coo", coo_row_.cspan(), coo_col_.cspan(),
+          coo_val_.cspan(), hyb_.coo.nnz(), xs, ys));
 
     // Aggregate the run pair for reporting.
     vgpu::KernelRun agg = runs.front();

@@ -22,7 +22,7 @@ class SellEngine final : public EngineBase<T> {
   /// C is fixed to the warp size (the natural GPU choice); sigma must be a
   /// positive multiple of C.
   SellEngine(vgpu::Device& dev, const mat::Csr<T>& a, mat::index_t sigma = 256)
-      : EngineBase<T>(dev, "SELL-32"), host_(a), sigma_(sigma) {
+      : EngineBase<T>(dev, "SELL-32"), shape_(a), sigma_(sigma) {
     ACSR_REQUIRE(sigma >= kC && sigma % kC == 0,
                  "sigma must be a positive multiple of C = " << kC);
     vgpu::HostModel hm;
@@ -31,16 +31,16 @@ class SellEngine final : public EngineBase<T> {
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
   mat::index_t sigma() const { return sigma_; }
   std::size_t num_slices() const { return slice_width_.size(); }
 
   /// The simulated kernel's value, bit for bit (sliced_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     sliced_rows<T>(vgpu::host_span(slice_off_), vgpu::host_span(slice_width_),
                    vgpu::host_span(perm_), vgpu::host_span(slab_col_),
                    vgpu::host_span(slab_val_), vgpu::host_span(x),
@@ -48,9 +48,9 @@ class SellEngine final : public EngineBase<T> {
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
 
     const long long n_slices = static_cast<long long>(slice_width_.size());
     vgpu::LaunchConfig cfg;
@@ -156,7 +156,7 @@ class SellEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   mat::index_t sigma_;
   std::vector<mat::index_t> perm_;
   std::vector<mat::offset_t> slice_off_;

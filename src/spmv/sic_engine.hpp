@@ -28,16 +28,16 @@ class SicEngine final : public EngineBase<T> {
   /// else "long" (Feng et al. use three segments).
   SicEngine(vgpu::Device& dev, const mat::Csr<T>& a, mat::offset_t t1 = 8,
             mat::offset_t t2 = 64)
-      : EngineBase<T>(dev, "SIC"), host_(a), t1_(t1), t2_(t2) {
+      : EngineBase<T>(dev, "SIC"), shape_(a), t1_(t1), t2_(t2) {
     vgpu::HostModel hm;
     build(a, hm);
     this->report_.preprocess_s = hm.seconds();
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
 
   std::size_t num_blocks() const { return block_width_.size(); }
   /// Rows per segment (short, medium, long) for introspection.
@@ -47,8 +47,8 @@ class SicEngine final : public EngineBase<T> {
 
   /// The simulated kernel's value, bit for bit (sliced_rows).
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     sliced_rows<T>(vgpu::host_span(block_off_), vgpu::host_span(block_width_),
                    vgpu::host_span(row_of_slot_), vgpu::host_span(slab_col_),
                    vgpu::host_span(slab_val_), vgpu::host_span(x),
@@ -56,9 +56,9 @@ class SicEngine final : public EngineBase<T> {
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
 
     const long long n_blocks = static_cast<long long>(block_width_.size());
     vgpu::LaunchConfig cfg;
@@ -166,7 +166,7 @@ class SicEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   mat::offset_t t1_;
   mat::offset_t t2_;
   std::array<std::vector<mat::index_t>, 3> seg_rows_;

@@ -21,23 +21,23 @@ class TcooEngine final : public EngineBase<T> {
   /// trial_reps: timing repetitions per tuning candidate (the tuner's own
   /// measurement loop; the paper used 50-run averages).
   TcooEngine(vgpu::Device& dev, const mat::Csr<T>& a, int trial_reps = 40)
-      : EngineBase<T>(dev, "TCOO"), host_(a) {
+      : EngineBase<T>(dev, "TCOO"), shape_(a) {
     vgpu::HostModel hm;
     tune(a, hm, trial_reps);
     this->report_.preprocess_s = hm.seconds();
     upload();
   }
 
-  mat::index_t rows() const override { return host_.rows; }
-  mat::index_t cols() const override { return host_.cols; }
-  mat::offset_t nnz() const override { return host_.nnz(); }
+  mat::index_t rows() const override { return shape_.rows; }
+  mat::index_t cols() const override { return shape_.cols; }
+  mat::offset_t nnz() const override { return shape_.nnz; }
   int num_tiles() const { return n_tiles_; }
 
   /// The simulated kernels' value, bit for bit: the tiles in launch
   /// order, each through tile_values.
   void apply(const std::vector<T>& x, std::vector<T>& y) const override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
-    y.assign(static_cast<std::size_t>(host_.rows), T{0});
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
+    y.assign(static_cast<std::size_t>(shape_.rows), T{0});
     for (int t = 0; t < n_tiles_; ++t) {
       const Tile g = tile(t, x.size());
       if (g.n == 0) continue;
@@ -50,9 +50,9 @@ class TcooEngine final : public EngineBase<T> {
   }
 
   double simulate(const std::vector<T>& x, std::vector<T>& y) override {
-    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == host_.cols);
+    ACSR_CHECK(static_cast<mat::index_t>(x.size()) == shape_.cols);
     auto x_dev = this->stage_x(x);
-    auto y_dev = this->stage_y(static_cast<std::size_t>(host_.rows));
+    auto y_dev = this->stage_y(static_cast<std::size_t>(shape_.rows));
     const double t = run_tiles(row_dev_.cspan(), col_dev_.cspan(),
                                val_dev_.cspan(), x_dev,
                                y_dev);
@@ -69,7 +69,7 @@ class TcooEngine final : public EngineBase<T> {
   };
   Tile tile(int t, std::size_t x_size) const {
     const auto tile_w = static_cast<std::size_t>(
-        (host_.cols + static_cast<mat::index_t>(n_tiles_) - 1) /
+        (shape_.cols + static_cast<mat::index_t>(n_tiles_) - 1) /
         static_cast<mat::index_t>(n_tiles_));
     Tile g;
     g.lo = static_cast<std::size_t>(tile_off_[static_cast<std::size_t>(t)]);
@@ -235,7 +235,7 @@ class TcooEngine final : public EngineBase<T> {
     this->report_.device_bytes = b;
   }
 
-  mat::Csr<T> host_;
+  MatShape shape_;
   int n_tiles_ = 1;
   std::vector<long long> tile_off_;
   std::vector<mat::index_t> row_;

@@ -1,6 +1,13 @@
 #include "vgpu/device.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <limits>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "common/check.hpp"
@@ -11,6 +18,229 @@
 namespace acsr::vgpu {
 
 namespace {
+
+BlockParallelism default_block_parallelism() {
+  BlockParallelism p;
+  p.threads = static_cast<int>(std::clamp(
+      std::thread::hardware_concurrency(), 1u,
+      static_cast<unsigned>(ScopedBlockParallelism::kMaxBlockWorkers)));
+  return p;
+}
+
+BlockParallelism g_block_parallelism = default_block_parallelism();
+std::atomic<std::uint64_t> g_parallel_launches{0};
+
+/// One worker's private metering state, kept across launches: its Counters,
+/// per-SM issue cycles, sector-tag arrays and shared-memory arena (all in
+/// `env`), the group-L2 sectors its warps missed, and the first block it
+/// saw throw.
+struct Shard {
+  KernelEnv env;
+  SectorSet l2;
+  long long failed_block = -1;
+  std::exception_ptr error;
+
+  /// Ready for a launch whose own env is `launch`: empty counters and
+  /// group set, the launch's cache shares, deferred group charges.
+  void reset(const KernelEnv& launch) {
+    env.spec = launch.spec;
+    env.counters = {};
+    env.sm_issue_cycles.assign(launch.sm_issue_cycles.size(), 0.0);
+    env.max_warp_latency_cycles = 0.0;
+    env.tex_footprint_bytes = 0;
+    env.gmem_cache_ways = launch.gmem_cache_ways;
+    env.tex_cache_ways = launch.tex_cache_ways;
+    env.sanitize = false;
+    env.fast_path = true;
+    env.lane_prof = nullptr;
+    env.independent = launch.independent;
+    l2.clear();
+    env.group_l2 = launch.group_l2 != nullptr ? &l2 : nullptr;
+    env.group_deferred = true;
+    failed_block = -1;
+    error = nullptr;
+  }
+};
+
+/// The persistent host pool that runs block-independent grids. run(n, job)
+/// calls job(w) for every worker w < n — w = 0 on the calling thread, the
+/// rest on pool threads, started on first use and joined when the process
+/// exits — and returns once all have returned. One launch holds the pool
+/// (and its shards) at a time: one that finds it held — by another host
+/// thread's launch — runs its blocks in order instead.
+class BlockPool {
+ public:
+  using Job = void (*)(void* ctx, int worker);
+
+  static BlockPool& instance() {
+    static BlockPool pool;
+    return pool;
+  }
+
+  ~BlockPool() {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    start_cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  Shard& shard(int worker) {
+    return *shards_[static_cast<std::size_t>(worker)];
+  }
+
+  bool try_acquire() {
+    return !busy_.exchange(true, std::memory_order_acquire);
+  }
+  void release() { busy_.store(false, std::memory_order_release); }
+
+  /// Needs the pool held (try_acquire).
+  void run(int n, Job job, void* ctx) {
+    while (static_cast<int>(shards_.size()) < n)
+      shards_.push_back(std::make_unique<Shard>());
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      while (static_cast<int>(threads_.size()) < n - 1) {
+        const int id = static_cast<int>(threads_.size()) + 1;
+        threads_.emplace_back([this, id] { work(id); });
+      }
+      job_ = job;
+      ctx_ = ctx;
+      active_ = n;
+      pending_ = n - 1;
+      ++generation_;
+    }
+    start_cv_.notify_all();
+    job(ctx, 0);
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      done_cv_.wait(lk, [this] { return pending_ == 0; });
+    }
+  }
+
+ private:
+  BlockPool() = default;
+
+  void work(int id) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      start_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      if (id >= active_) continue;
+      const Job job = job_;
+      void* const ctx = ctx_;
+      lk.unlock();
+      job(ctx, id);
+      lk.lock();
+      if (--pending_ == 0) done_cv_.notify_one();
+    }
+  }
+
+  std::atomic<bool> busy_{false};
+  std::vector<std::unique_ptr<Shard>> shards_;  // touched only while held
+  std::mutex mu_;
+  std::condition_variable start_cv_;
+  std::condition_variable done_cv_;
+  std::vector<std::thread> threads_;
+  std::uint64_t generation_ = 0;
+  Job job_ = nullptr;
+  void* ctx_ = nullptr;
+  int active_ = 0;
+  int pending_ = 0;
+  bool stop_ = false;
+};
+
+/// Runs the grid of a blocks_independent launch on `workers` pool workers
+/// and merges their shards into `env`: exactly what running its blocks in
+/// order into `env` leaves there (docs/PERF.md, "Block-parallel
+/// metering"). Block b runs on SM b % sm_count, as in order. A throwing
+/// block's exception is rethrown — the lowest-numbered one's, the one an
+/// in-order run would have thrown. False, with nothing run, when the pool
+/// is busy.
+bool run_blocks_parallel(int workers, const LaunchConfig& cfg,
+                         const KernelRef& fn, KernelEnv& env) {
+  BlockPool& pool = BlockPool::instance();
+  if (!pool.try_acquire()) return false;
+  struct Release {
+    BlockPool& pool;
+    ~Release() { pool.release(); }
+  } held{pool};
+  struct Ctx {
+    BlockPool* pool;
+    const LaunchConfig* cfg;
+    const KernelRef* fn;
+    const KernelEnv* env;
+    long long chunk;
+    std::atomic<long long> cursor{0};
+    std::atomic<long long> failed{std::numeric_limits<long long>::max()};
+  } ctx{&pool, &cfg, &fn, &env,
+        std::max<long long>(1, cfg.grid_dim / (8LL * workers))};
+  const auto job = [](void* p, int w) {
+    Ctx& c = *static_cast<Ctx*>(p);
+    Shard& s = c.pool->shard(w);
+    s.reset(*c.env);
+    const long long grid = c.cfg->grid_dim;
+    const auto sm_count = static_cast<long long>(c.env->sm_issue_cycles.size());
+    for (;;) {
+      const long long b0 =
+          c.cursor.fetch_add(c.chunk, std::memory_order_relaxed);
+      // Blocks past one that threw need not run: its exception wins.
+      if (b0 >= grid || b0 > c.failed.load(std::memory_order_relaxed)) return;
+      for (long long b = b0; b < std::min(grid, b0 + c.chunk); ++b) {
+        try {
+          Block blk(s.env, b, c.cfg->block_dim, grid,
+                    static_cast<int>(b % sm_count));
+          (*c.fn)(blk);
+        } catch (...) {
+          s.error = std::current_exception();
+          s.failed_block = b;
+          long long cur = c.failed.load(std::memory_order_relaxed);
+          while (b < cur && !c.failed.compare_exchange_weak(cur, b)) {
+          }
+          return;
+        }
+      }
+    }
+  };
+  pool.run(workers, job, &ctx);
+  g_parallel_launches.fetch_add(1, std::memory_order_relaxed);
+
+  const Shard* first_error = nullptr;
+  for (int w = 0; w < workers; ++w) {
+    const Shard& s = pool.shard(w);
+    if (s.error && (first_error == nullptr ||
+                    s.failed_block < first_error->failed_block))
+      first_error = &s;
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error->error);
+
+  // Worker order. Counters are integer sums; per-SM issue cycles are
+  // integers below 2^53 held in doubles, so their sums are exact in any
+  // order; the latency and footprint are maxima. A warp's group-L2 misses
+  // do not depend on which warps ran before it (each starts with an empty
+  // sector cache), and the launch's DRAM sectors are the distinct ones new
+  // to the group's set: the sectors each shard adds on merge.
+  for (int w = 0; w < workers; ++w) {
+    const KernelEnv& se = pool.shard(w).env;
+    env.counters += se.counters;
+    for (std::size_t i = 0; i < env.sm_issue_cycles.size(); ++i)
+      env.sm_issue_cycles[i] += se.sm_issue_cycles[i];
+    env.max_warp_latency_cycles =
+        std::max(env.max_warp_latency_cycles, se.max_warp_latency_cycles);
+    env.tex_footprint_bytes =
+        std::max(env.tex_footprint_bytes, se.tex_footprint_bytes);
+    if (env.group_l2 != nullptr) {
+      const auto fresh =
+          static_cast<std::uint64_t>(env.group_l2->merge(pool.shard(w).l2));
+      env.counters.gmem_transactions += fresh;
+      env.counters.gmem_bytes += fresh * 32;  // 32 B sectors
+    }
+  }
+  return true;
+}
 
 /// Convert accumulated counters into the roofline time breakdown.
 KernelRun finalize(const LaunchConfig& cfg, const DeviceSpec& spec,
@@ -77,6 +307,22 @@ KernelRun finalize(const LaunchConfig& cfg, const DeviceSpec& spec,
 }
 
 }  // namespace
+
+std::uint64_t block_parallel_launches() {
+  return g_parallel_launches.load(std::memory_order_relaxed);
+}
+
+ScopedBlockParallelism::ScopedBlockParallelism(int threads,
+                                               long long min_blocks_per_worker)
+    : saved_(g_block_parallelism) {
+  ACSR_CHECK(threads >= 1 && threads <= kMaxBlockWorkers);
+  ACSR_CHECK(min_blocks_per_worker >= 1);
+  g_block_parallelism = {threads, min_blocks_per_worker};
+}
+
+ScopedBlockParallelism::~ScopedBlockParallelism() {
+  g_block_parallelism = saved_;
+}
 
 KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
                          SectorSet* group_l2, ValueRef value) {
@@ -166,6 +412,7 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
   const bool sanitize = san.enabled();
   env.sanitize = sanitize;
   env.fast_path = !sanitize && !reference_metering();
+  if (cfg.blocks_independent) env.independent = &cfg.name;
   if (sanitize) san.begin_launch(cfg.name);
 
   // Profiler capture. Strictly observational: lane tallies go to a side
@@ -202,8 +449,17 @@ KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,
     env.pending_children.clear();
   };
 
+  // A blocks_independent grid may run on the host pool. The sanitizer,
+  // the profiler and reference metering keep every launch in order, so
+  // they stay independent oracles of the merge.
   if (sanitize) san.begin_grid(0, cfg.name);
-  run_grid(cfg, fn);
+  const BlockParallelism par = g_block_parallelism;
+  const bool parallel =
+      cfg.blocks_independent && env.fast_path && !profiling &&
+      par.threads > 1 &&
+      cfg.grid_dim >= par.min_blocks_per_worker * par.threads &&
+      run_blocks_parallel(par.threads, cfg, fn, env);
+  if (!parallel) run_grid(cfg, fn);
   drain_children();
   // Index-based loop because execution appends to `work`.
   for (std::size_t wi = 0; wi < work.size(); ++wi) {

@@ -16,6 +16,32 @@ namespace memo {
 struct Session;
 }  // namespace memo
 
+/// How Device::launch runs a grid that declares blocks_independent: on
+/// `threads` host workers (the launching thread is one of them) once the
+/// grid has at least `min_blocks_per_worker` blocks per worker. Defaults:
+/// min(hardware_concurrency, 8) workers, 4 blocks each. A sanitized,
+/// profiled or reference-metered launch always runs its blocks in order.
+struct BlockParallelism {
+  int threads = 1;
+  long long min_blocks_per_worker = 4;
+};
+/// Launches whose blocks ran on the host pool, process-wide.
+std::uint64_t block_parallel_launches();
+
+/// Test-only: overrides the BlockParallelism defaults for the scope's
+/// lifetime (1..kMaxBlockWorkers threads; 1 runs every grid in order).
+class ScopedBlockParallelism {
+ public:
+  static constexpr int kMaxBlockWorkers = 8;
+  ScopedBlockParallelism(int threads, long long min_blocks_per_worker);
+  ~ScopedBlockParallelism();
+  ScopedBlockParallelism(const ScopedBlockParallelism&) = delete;
+  ScopedBlockParallelism& operator=(const ScopedBlockParallelism&) = delete;
+
+ private:
+  BlockParallelism saved_;
+};
+
 /// A host<->device transfer event.
 struct TransferRun {
   std::size_t bytes = 0;

@@ -33,7 +33,9 @@
 // replaces the tombstones it overlaps; freed ranges keep a tombstone so
 // use-after-free is attributable.
 // Shared-memory spans live in a sentinel address range outside the arena
-// and are ignored. The simulator is single-threaded, so no locking.
+// and are ignored. A sanitized launch runs its blocks in order on the
+// launching thread — Device::launch never hands it to the block pool, even
+// when its grid declares blocks_independent — so no locking.
 #pragma once
 
 #include <cstdint>

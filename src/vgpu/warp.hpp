@@ -3,7 +3,13 @@
 // A kernel is a callable `void(Block&)` invoked once per thread block.
 // Inside, `block.each_warp(fn)` runs `fn` once per warp; code between two
 // each_warp phases executes after all warps of the phase have completed,
-// which gives __syncthreads semantics for free under sequential execution.
+// which gives __syncthreads semantics for free: a block's warps always run
+// one after another on one host thread. Blocks run in order on the
+// launching thread, unless the grid declares them independent
+// (LaunchConfig::blocks_independent): then Device::launch may spread them
+// over a host worker pool, each worker metering into its own KernelEnv
+// shard, and merges the shards into exactly the sequential record
+// (docs/PERF.md, "Block-parallel metering").
 //
 // Warp provides the CUDA-like primitives the paper's kernels need —
 // coalesced-model global loads/stores, a texture read path for x,
@@ -56,6 +62,12 @@ struct LaunchConfig {
   long long grid_dim = 1;
   int block_dim = 32;
   std::string name = "kernel";
+  // The kernel's promise that its blocks need no order between them: no
+  // block issues an atomic or a device-side launch (Warp enforces both),
+  // and no block writes an address another block of the grid reads or
+  // writes (racecheck flags a violation under the sanitizer). Such a grid
+  // may run its blocks on the host worker pool (Device::launch).
+  bool blocks_independent = false;
 };
 
 using KernelFn = std::function<void(Block&)>;
@@ -129,8 +141,8 @@ inline void set_reference_metering(bool on) {
   detail::g_reference_metering = on;
 }
 
-/// Backing storage for one direct-mapped sector tag array, owned by the
-/// KernelEnv and shared by every warp of the launch. Tags are
+/// Backing storage for one direct-mapped sector tag array, owned by a
+/// KernelEnv and shared by every warp that runs on it. Tags are
 /// epoch-stamped: a slot is live only while its stamp matches the current
 /// warp's epoch, so giving each warp a fresh empty cache is one counter
 /// bump instead of a 256-entry wipe per warp.
@@ -179,6 +191,27 @@ class SectorSet {
 
   /// Distinct sectors inserted so far.
   std::size_t size() const { return size_; }
+
+  /// Inserts every sector of `o`; returns how many were not in the set
+  /// yet. One word-level OR per occupied slot of `o`.
+  std::size_t merge(const SectorSet& o) {
+    const std::size_t before = size_;
+    for (const Slot& s : o.slots_) {
+      if (s.word == kEmpty) continue;
+      std::uint64_t& bits = slots_[find_or_add(s.word)].bits;
+      size_ += static_cast<std::size_t>(std::popcount(s.bits & ~bits));
+      bits |= s.bits;
+    }
+    return size_ - before;
+  }
+
+  /// Empties the set, keeping its table for the next use.
+  void clear() {
+    if (words_ != 0) std::fill(slots_.begin(), slots_.end(), Slot{kEmpty, 0});
+    size_ = 0;
+    words_ = 0;
+    memo_word_ = kEmpty;
+  }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
@@ -266,7 +299,9 @@ class SharedMemArena {
   std::size_t used_ = 0;
 };
 
-/// Shared mutable state for one kernel execution (parent + children).
+/// Shared mutable state for one kernel execution (parent + children), or
+/// for one block-parallel worker's share of a launch (its shard, merged
+/// into the launch's own env by Device::launch).
 struct KernelEnv {
   const DeviceSpec* spec = nullptr;
   Counters counters;
@@ -287,6 +322,13 @@ struct KernelEnv {
   // fetched from DRAM again. Owned by the ConcurrentGroup, shared by its
   // launches; one SectorSet::insert per per-warp sector-cache miss.
   SectorSet* group_l2 = nullptr;
+  // A block-parallel worker's shard (Device::launch) points group_l2 at
+  // its own set and defers the charge: a miss inserts there and costs 0,
+  // and the merge charges the sectors that are new to the group's set.
+  bool group_deferred = false;
+  // The launch's name when its grid declares blocks_independent: atomics
+  // and device-side launches then throw an InvariantError naming it.
+  const std::string* independent = nullptr;
   // Hoisted per-launch decisions (Device::launch re-captures them): whether
   // sanitizer instrumentation is live, and whether the analytic affine
   // fast path may run (never under the sanitizer or reference metering).
@@ -563,7 +605,11 @@ class Warp {
     if (env_.fast_path) {
       for_lanes(m, [&](int lane) {
         const auto i = static_cast<std::size_t>(idx[lane]);
-        std::copy_n(p + i, n, out[lane].begin());
+        // A fixed trip count with a masked tail unrolls into moves; a
+        // runtime-length copy would be a memmove call per lane.
+        auto& row = out[lane];
+        for (int c = 0; c < kTileCols; ++c)
+          if (c < kt) row[static_cast<std::size_t>(c)] = p[i + c];
         const std::uint64_t s0 = s.addr_of(i) / kTexSegment;
         const std::uint64_t s1 = s.addr_of(i + n - 1) / kTexSegment;
         for (std::uint64_t seg = s0; seg <= s1; ++seg)
@@ -593,6 +639,7 @@ class Warp {
   template <class T, class I>
   void atomic_add(DeviceSpan<T> s, const LaneArray<I>& idx,
                   const LaneArray<T>& v, Mask m) {
+    check_orders_blocks("an atomic");
     std::uint64_t addrs[kWarpSize];
     int n = 0;
     std::uint64_t dups = 0;
@@ -807,6 +854,7 @@ class Warp {
   /// Device-side launch (Algorithm 3's per-row child grids). Only valid on
   /// CC >= 3.5 devices; the Device enforces this at kernel finalisation.
   void launch_child(LaunchConfig cfg, KernelFn fn) {
+    check_orders_blocks("a device-side launch");
     env_.counters.child_launches += 1;
     issue_ += 4;  // parameter marshalling by the parent thread
     alu_instr_ += 4;
@@ -1108,10 +1156,25 @@ class Warp {
   }
 
   /// 1 if the sector must come from DRAM, 0 if another kernel of the
-  /// current concurrent group already pulled it into L2.
+  /// current concurrent group already pulled it into L2 — or if a
+  /// block-parallel shard defers the charge to its merge.
   int group_miss(std::uint64_t seg) {
     if (env_.group_l2 == nullptr) return 1;
-    return env_.group_l2->insert(seg) ? 1 : 0;
+    return env_.group_l2->insert(seg) && !env_.group_deferred ? 1 : 0;
+  }
+
+  /// Atomics and device-side launches order blocks, which a grid that
+  /// declares blocks_independent promised not to need.
+  void check_orders_blocks(const char* op) const {
+    if (env_.independent != nullptr) [[unlikely]]
+      fail_orders_blocks(op);
+  }
+  [[noreturn]] [[gnu::cold]] [[gnu::noinline]] void fail_orders_blocks(
+      const char* op) const {
+    ::acsr::detail::throw_invariant(
+        "!blocks_independent", __FILE__, __LINE__,
+        "kernel '" + *env_.independent +
+            "' declares blocks_independent but issues " + op);
   }
 
   /// `active` and `useful_bytes` feed only the profiler's lane tallies

@@ -1,7 +1,8 @@
 // ACSR engine specifics: dynamic-parallelism routing, binning-only
 // degradation on old devices, Table-V grid counts, the incremental CSR
 // device update (property-tested against the host reference over many
-// epochs), and the multi-GPU partitioner.
+// epochs), the multi-GPU partitioner, and the bin grids on the host block
+// pool.
 #include <gtest/gtest.h>
 
 #include "core/acsr_engine.hpp"
@@ -11,6 +12,9 @@
 
 #include "graph/dynamic.hpp"
 #include "graph/powerlaw.hpp"
+#include "mat/dense_block.hpp"
+
+#include "memo_guard.hpp"
 
 namespace {
 
@@ -48,6 +52,56 @@ TEST(Acsr, DpRoutesLongRowsOnTitan) {
   e.simulate(x, y);
   EXPECT_EQ(e.report().last_run.counters.child_launches,
             static_cast<std::uint64_t>(e.row_grids()));
+}
+
+TEST(Acsr, BlockParallelGridsMatchInOrderRuns) {
+  // The bin grids (SpMV and SpMM) declare their blocks independent; on
+  // the host pool they must store and meter exactly what in-order runs
+  // do, with the dynamic-parallelism parent and its children in order.
+  struct Result {
+    std::vector<double> y;
+    vgpu::KernelRun spmv, spmm;
+    double t_spmv = 0.0, t_spmm = 0.0;
+    mat::DenseBlock<double> yb;
+  };
+  const test::MemoGuard planes(/*memo_on=*/false);  // every launch metered
+  const Csr<double> a = powerlaw();
+  const auto run = [&](int threads) {
+    const vgpu::ScopedBlockParallelism pool(threads, 1);
+    Device dev(DeviceSpec::gtx_titan());
+    AcsrOptions opt;
+    opt.binning.bin_max = 5;
+    AcsrEngine<double> e(dev, a, opt);
+    EXPECT_TRUE(e.dynamic_parallelism_active());
+    Result r;
+    std::vector<double> x(800);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.5 + 0.01 * (i % 17);
+    r.t_spmv = e.simulate(x, r.y);
+    r.spmv = e.report().last_run;
+    mat::DenseBlock<double> xb(a.cols, 13);
+    for (int c = 0; c < 13; ++c)
+      for (mat::index_t i = 0; i < a.cols; ++i)
+        xb.at(i, c) = 0.25 + 0.03125 * ((i * 7 + c) % 29);
+    r.t_spmm = e.simulate_batch(xb, r.yb);
+    r.spmm = e.report().last_run;
+    return r;
+  };
+  const Result in_order = run(1);
+  const std::uint64_t pooled = vgpu::block_parallel_launches();
+  const Result par = run(4);
+  EXPECT_GT(vgpu::block_parallel_launches(), pooled);
+  EXPECT_EQ(par.y, in_order.y);
+  EXPECT_EQ(par.yb.data, in_order.yb.data);
+  EXPECT_EQ(par.t_spmv, in_order.t_spmv);
+  EXPECT_EQ(par.t_spmm, in_order.t_spmm);
+  for (const auto& [p, q] : {std::pair{&par.spmv, &in_order.spmv},
+                             std::pair{&par.spmm, &in_order.spmm}}) {
+    EXPECT_EQ(p->counters.gmem_transactions, q->counters.gmem_transactions);
+    EXPECT_EQ(p->counters.tex_transactions, q->counters.tex_transactions);
+    EXPECT_EQ(p->counters.issue_cycles, q->counters.issue_cycles);
+    EXPECT_EQ(p->counters.child_launches, q->counters.child_launches);
+    EXPECT_EQ(p->duration_s, q->duration_s);
+  }
 }
 
 TEST(Acsr, BinningOnlyOnFermi) {

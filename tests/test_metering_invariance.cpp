@@ -3,7 +3,7 @@
 // Warp's affine-gather fast path, the epoch-stamped sector caches, and the
 // shared-memory arena are pure wall-clock optimisations: they must not
 // change a single metered event. This harness runs every registered engine
-// over seeded matrices spanning the structural space in five executor
+// over seeded matrices spanning the structural space in ten executor
 // modes —
 //
 //   fast        the default: analytic affine gathers, range-checked
@@ -26,11 +26,16 @@
 //               request-tracing plane records spans to the side —
 //               spans are a view of the timeline (docs/SLO.md), so
 //               metering must be unaffected
+//   parallel    the host block pool forced to 2, 3 and 4 workers from one
+//               block per worker (ScopedBlockParallelism): every grid that
+//               declares blocks_independent runs its blocks on the pool
+//               and merges the workers' shards (docs/PERF.md,
+//               "Block-parallel metering")
 //
 // and asserts that the numeric result, every Counters field, and every
-// KernelRun roofline term are BIT-identical across the seven. A second
+// KernelRun roofline term are BIT-identical across the ten. A second
 // leg does the same for the batched SpMM kernels (simulate_batch) in the
-// six modes that change how a kernel executes.
+// nine modes that change how a kernel executes.
 //
 // Each run uses a fresh Device: MemoryArena address slices are spaced
 // 2^44 bytes apart, so corresponding buffers in consecutive arenas have
@@ -44,6 +49,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,7 +193,17 @@ struct ModeResult {
 };
 
 enum class Mode { kFast, kReference, kSanitized, kProfiled, kMemoized,
-                  kMemoFresh, kTraced };
+                  kMemoFresh, kTraced, kParallel2, kParallel3, kParallel4 };
+
+/// Pool workers of a parallel mode, 0 for the others.
+int parallel_workers(Mode m) {
+  switch (m) {
+    case Mode::kParallel2: return 2;
+    case Mode::kParallel3: return 3;
+    case Mode::kParallel4: return 4;
+    default: return 0;
+  }
+}
 
 /// One simulated product on an engine: returns simulated seconds and
 /// fills y (a batch's y is its column-major block payload).
@@ -216,6 +232,9 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
     acsr::slo::Tracer::instance().clear();
     acsr::slo::set_slo_enabled(true);
   }
+  std::optional<acsr::vgpu::ScopedBlockParallelism> pool;
+  if (parallel_workers(mode) > 0)
+    pool.emplace(parallel_workers(mode), /*min_blocks_per_worker=*/1);
 
   ModeResult res;
   EngineConfig cfg;
@@ -285,10 +304,11 @@ ModeResult run_mode(const Csr<double>& a, const char* engine_name,
   return res;
 }
 
-const Mode kAllModes[] = {Mode::kFast,     Mode::kReference,
+const Mode kAllModes[] = {Mode::kFast,      Mode::kReference,
                           Mode::kSanitized, Mode::kProfiled,
-                          Mode::kMemoized, Mode::kMemoFresh,
-                          Mode::kTraced};
+                          Mode::kMemoized,  Mode::kMemoFresh,
+                          Mode::kTraced,    Mode::kParallel2,
+                          Mode::kParallel3, Mode::kParallel4};
 
 const char* mode_name(Mode m) {
   switch (m) {
@@ -299,6 +319,9 @@ const char* mode_name(Mode m) {
     case Mode::kMemoized: return "memoized replay";
     case Mode::kMemoFresh: return "fresh replay";
     case Mode::kTraced: return "traced";
+    case Mode::kParallel2: return "parallel x2";
+    case Mode::kParallel3: return "parallel x3";
+    case Mode::kParallel4: return "parallel x4";
   }
   return "?";
 }
@@ -335,6 +358,7 @@ TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
   const Rng root(0x5eed);
 
   std::size_t compared = 0;
+  const std::uint64_t pooled = acsr::vgpu::block_parallel_launches();
   for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
     const Csr<double>& a = matrices[mi];
     a.validate();
@@ -356,25 +380,30 @@ TEST(MeteringInvariance, FastReferenceAndSanitizedPathsAreBitIdentical) {
   }
   // The contract must have been exercised broadly, not vacuously skipped.
   EXPECT_GE(compared, matrices.size() * 14);
+  // The parallel modes ran grids on the pool, not only in order.
+  EXPECT_GT(acsr::vgpu::block_parallel_launches(), pooled);
   std::cout << "[invariance] " << compared << " engine/matrix cells over "
-            << matrices.size() << " matrices, 7 modes each\n";
+            << matrices.size() << " matrices, 10 modes each\n";
 }
 
 /// The batched SpMM kernels (simulate_batch) of the three engines with
 /// real column-blocked kernels, at widths on both sides of the
 /// kSpmmTile = 8 column tile (1 routes through the scalar SpMV), in the
-/// six modes that change how a kernel executes: fast, reference,
-/// sanitized, profiled, memoized replay and fresh replay. The matrices
-/// include ACSR's dynamic-parallelism rows, so the batched child grids
-/// run too.
+/// nine modes that change how a kernel executes: fast, reference,
+/// sanitized, profiled, memoized replay, fresh replay and the three
+/// parallel ones. The matrices include ACSR's dynamic-parallelism rows,
+/// so the batched child grids run too.
 TEST(MeteringInvariance, BatchedSpmmIsBitIdenticalAcrossModes) {
-  const Mode kModes[] = {Mode::kFast,     Mode::kReference,
+  const Mode kModes[] = {Mode::kFast,      Mode::kReference,
                          Mode::kSanitized, Mode::kProfiled,
-                         Mode::kMemoized, Mode::kMemoFresh};
+                         Mode::kMemoized,  Mode::kMemoFresh,
+                         Mode::kParallel2, Mode::kParallel3,
+                         Mode::kParallel4};
   const auto matrices = make_matrices(/*seed=*/2014);
   const Rng root(0xb47c);
 
   std::size_t compared = 0;
+  const std::uint64_t pooled = acsr::vgpu::block_parallel_launches();
   std::uint64_t acsr_child_launches = 0;
   for (std::size_t mi = 0; mi < matrices.size(); ++mi) {
     const Csr<double>& a = matrices[mi];
@@ -407,8 +436,9 @@ TEST(MeteringInvariance, BatchedSpmmIsBitIdenticalAcrossModes) {
   EXPECT_EQ(compared, matrices.size() * 6 * 3);
   EXPECT_GT(acsr_child_launches, 0u)
       << "no batched dynamic-parallelism child grid ran";
+  EXPECT_GT(acsr::vgpu::block_parallel_launches(), pooled);
   std::cout << "[invariance] " << compared
-            << " batched engine/matrix/width cells, 6 modes each\n";
+            << " batched engine/matrix/width cells, 9 modes each\n";
 }
 
 /// The raw warp-level primitives, pinned directly: affine loads/stores at

@@ -283,6 +283,29 @@ TEST_F(SanitizerTest, CrossBlockRaceIsReported) {
   EXPECT_NE(r.message.find("block 0"), std::string::npos) << r.message;
 }
 
+TEST_F(SanitizerTest, DeclaredIndependentBlocksRacingIsReported) {
+  // blocks_independent promises disjoint writes; racecheck holds a grid to
+  // it. Sanitized launches run their blocks in order even with the host
+  // pool forced on, so the sanitizer stays an oracle of the promise.
+  const acsr::vgpu::ScopedBlockParallelism pool(4, 1);
+  const std::uint64_t pooled = acsr::vgpu::block_parallel_launches();
+  Device dev(DeviceSpec::gtx_titan());
+  auto y = dev.alloc<double>(4, "y_indep");
+  LaunchConfig cfg = one_warp("indep_race", /*grid=*/8);
+  cfg.blocks_independent = true;
+  dev.launch_warps(cfg, [&](Warp& w) {
+    if (w.block_idx() != 2 && w.block_idx() != 5) return;
+    w.store(y.span(), LaneArray<long long>::filled(1),
+            LaneArray<double>::filled(static_cast<double>(w.block_idx())),
+            lane_bit(0));
+  });
+  ASSERT_EQ(Sanitizer::instance().count(SanKind::kWriteRace), 1u);
+  const SanReport& r = Sanitizer::instance().reports().front();
+  EXPECT_EQ(r.kernel, "indep_race");
+  EXPECT_EQ(r.block, 5);
+  EXPECT_EQ(acsr::vgpu::block_parallel_launches(), pooled);
+}
+
 TEST_F(SanitizerTest, AtomicsDoNotRace) {
   Device dev(DeviceSpec::gtx_titan());
   auto y = dev.alloc<double>(4, "y_atomic");

@@ -371,6 +371,41 @@ TEST(Scheduler, CoalescesUpToMaxWidthAndServesCorrectResults) {
   }
 }
 
+TEST(Scheduler, BlockParallelServingMatchesInOrderServing) {
+  // serve's path — the scheduler batching into ResilientEngine(acsr) —
+  // with the host pool forced on: every result and the simulated clock
+  // equal an in-order run's, bit for bit.
+  const MemoGuard planes(/*memo_on=*/false);  // every launch metered
+  const Csr<double> a = powerlaw(3000, 8.0, 17);
+  const auto serve = [&](int threads, double* clock) {
+    const acsr::vgpu::ScopedBlockParallelism pool(threads, 1);
+    Device dev(DeviceSpec::gtx_titan());
+    acsr::core::ResilientEngine<double> engine({&dev}, a, "acsr");
+    acsr::serve::ServeOptions opt;
+    opt.max_batch_width = 16;
+    acsr::serve::BatchScheduler<double> sched(engine, opt);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 40; ++i) {
+      std::vector<double> x(static_cast<std::size_t>(a.cols));
+      for (std::size_t j = 0; j < x.size(); ++j)
+        x[j] = 0.5 + ((i * 31 + static_cast<int>(j)) % 13) * 0.25;
+      ids.push_back(sched.submit(x, i % 3 == 0 ? "t0" : "t1"));
+    }
+    sched.drain();
+    std::vector<std::vector<double>> ys;
+    for (const std::uint64_t id : ids) ys.push_back(sched.take_result(id));
+    *clock = sched.clock_s();
+    return ys;
+  };
+  double clock_in_order = 0.0, clock_par = 0.0;
+  const auto in_order = serve(1, &clock_in_order);
+  const std::uint64_t pooled = acsr::vgpu::block_parallel_launches();
+  const auto par = serve(4, &clock_par);
+  EXPECT_GT(acsr::vgpu::block_parallel_launches(), pooled);
+  EXPECT_EQ(par, in_order);
+  EXPECT_EQ(clock_par, clock_in_order);
+}
+
 TEST(Scheduler, ShedsOnOverloadWithTypedRejection) {
   const Csr<double> a = powerlaw(100, 4.0, 7);
   Device dev(DeviceSpec::gtx_titan());

@@ -1,13 +1,20 @@
 // Kernel execution & cost model: grid geometry, block phases as barriers,
 // dynamic parallelism (incl. pending-launch limit and the CC < 3.5 guard),
+// block-parallel launches (merge, exceptions, the independence promise),
 // the roofline terms, and timeline composition.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "spmv/csr_vector.hpp"
 #include "vgpu/device.hpp"
+
+#include "memo_guard.hpp"
 
 namespace {
 
@@ -329,6 +336,157 @@ TEST(Timeline, LaunchOverheadFloorsKernelTime) {
   cfg.block_dim = 32;
   const KernelRun run = dev.launch_warps(cfg, [](Warp&) {});
   EXPECT_GE(run.duration_s, dev.spec().host_launch_overhead_s);
+}
+
+// --- Block-parallel launches (docs/PERF.md, "Block-parallel metering") ---
+
+void expect_same_run(const KernelRun& a, const KernelRun& b) {
+#define ACSR_EXPECT_SAME_FIELD(type, name, unit, what) \
+  EXPECT_EQ(a.counters.name, b.counters.name) << "counter '" #name "'";
+  ACSR_COUNTERS_FIELDS(ACSR_EXPECT_SAME_FIELD)
+#undef ACSR_EXPECT_SAME_FIELD
+  EXPECT_EQ(a.issue_s, b.issue_s);
+  EXPECT_EQ(a.latency_s, b.latency_s);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.duration_s, b.duration_s);
+}
+
+/// Two overlapping launches of a concurrent group: each warp streams a
+/// window of `a` that the other launch's windows overlap, gathers
+/// irregularly through global memory and texture, does per-block uneven
+/// work, stages through shared memory and stores its own slots of y.
+struct GroupPair {
+  KernelRun first, second;
+  std::size_t unique_sectors = 0;
+  std::vector<double> y;
+};
+
+GroupPair run_group_pair() {
+  Device dev(DeviceSpec::gtx_titan());
+  auto a = dev.alloc<double>(8192, "a");
+  auto y = dev.alloc<double>(2 * 48 * 128, "y");
+  for (std::size_t i = 0; i < a.host().size(); ++i)
+    a.host()[i] = 0.25 * static_cast<double>(i % 97);
+  y.host().assign(y.host().size(), 0.0);
+  const auto as = a.cspan();
+  const auto ys = y.span();
+  ConcurrentGroup group(dev);
+  KernelRun runs[2];
+  for (int k = 0; k < 2; ++k) {
+    LaunchConfig cfg;
+    cfg.name = "overlap" + std::to_string(k);
+    cfg.grid_dim = 48;
+    cfg.block_dim = 128;
+    cfg.blocks_independent = true;
+    runs[k] = group.launch(cfg, [&, k](Block& blk) {
+      auto slab = blk.shared<double>(128);
+      blk.each_warp([&](Warp& w) {
+        const long long gw = w.global_warp();
+        const auto seq = w.load_seq(as, (gw * 40 + k * 3000) % 8000, kFullMask);
+        const auto hashed = w.global_threads().map(
+            [k](long long t) { return (t * 2654435761LL + k) & 8191; });
+        const auto g = w.load(as, hashed, w.active_mask());
+        const auto t = w.load_tex(as, hashed, w.active_mask());
+        for (int l = 0; l < kWarpSize; ++l)
+          slab[static_cast<std::size_t>(w.warp_in_block() * 32 + l)] =
+              seq[l] + g[l] * t[l];
+        w.count_smem(1);
+        w.count_flops(w.active_mask(),
+                      1 + static_cast<int>(blk.block_idx() % 5), true);
+        LaneArray<double> out;
+        for (int l = 0; l < kWarpSize; ++l)
+          out[l] = slab[static_cast<std::size_t>(w.warp_in_block() * 32 + l)];
+        w.store_seq(ys, k * 48 * 128 + gw * 32, out, w.active_mask());
+      });
+      blk.sync();
+    });
+  }
+  return {runs[0], runs[1], group.unique_sectors(), y.host()};
+}
+
+TEST(BlockParallel, ConcurrentGroupOverlapMatchesInOrder) {
+  const acsr::test::MemoGuard planes(/*memo_on=*/false);  // pool eligible
+  GroupPair in_order;
+  {
+    const ScopedBlockParallelism one(1, 1);
+    in_order = run_group_pair();
+  }
+  EXPECT_GT(in_order.second.counters.gmem_transactions, 0u);
+  for (int threads = 2; threads <= 4; ++threads) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    const ScopedBlockParallelism pool(threads, 1);
+    const std::uint64_t pooled = block_parallel_launches();
+    const GroupPair par = run_group_pair();
+    EXPECT_EQ(block_parallel_launches(), pooled + 2);
+    expect_same_run(in_order.first, par.first);
+    expect_same_run(in_order.second, par.second);
+    EXPECT_EQ(in_order.unique_sectors, par.unique_sectors);
+    EXPECT_EQ(in_order.y, par.y);
+  }
+}
+
+TEST(BlockParallel, LowestThrowingBlockIsRethrown) {
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    const ScopedBlockParallelism pool(threads, 1);
+    Device dev(DeviceSpec::gtx_titan());
+    LaunchConfig cfg;
+    cfg.name = "throwing";
+    cfg.grid_dim = 64;
+    cfg.block_dim = 32;
+    cfg.blocks_independent = true;
+    // Block 9 throws late, so on the pool the later throwers have
+    // usually thrown already.
+    for (int round = 0; round < 5; ++round) {
+      try {
+        dev.launch(cfg, [&](Block& blk) {
+          const long long b = blk.block_idx();
+          if (b == 9)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          if (b == 9 || b == 20 || b == 63)
+            throw std::runtime_error("block " + std::to_string(b));
+          blk.each_warp([](Warp& w) { w.count_alu(1000); });
+        });
+        ADD_FAILURE() << "no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "block 9");
+      }
+    }
+  }
+}
+
+TEST(BlockParallel, OrderingOperationsThrowNamingTheKernel) {
+  // In order (1 worker) and on the pool alike: an independent grid may
+  // not issue an atomic or a device-side launch.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    const ScopedBlockParallelism pool(threads, 1);
+    Device dev(DeviceSpec::gtx_titan());
+    auto y = dev.alloc<double>(32, "y");
+    y.host().assign(32, 0.0);
+    const auto ys = y.span();
+    LaunchConfig cfg;
+    cfg.grid_dim = 8;
+    cfg.block_dim = 32;
+    cfg.blocks_independent = true;
+    const auto expect_named_throw = [&](const std::string& name, auto&& fn) {
+      cfg.name = name;
+      try {
+        dev.launch_warps(cfg, fn);
+        ADD_FAILURE() << "no exception";
+      } catch (const acsr::InvariantError& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + name + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    };
+    expect_named_throw("indep_atomic", [&](Warp& w) {
+      w.atomic_add(ys, w.lanes(), LaneArray<double>::filled(1.0), kFullMask);
+    });
+    expect_named_throw("indep_child", [&](Warp& w) {
+      w.launch_child(LaunchConfig{}, [](Block&) {});
+    });
+  }
 }
 
 }  // namespace
