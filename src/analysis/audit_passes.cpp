@@ -2,12 +2,30 @@
 
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "vgpu/counters.hpp"
 
 namespace acsr::analysis {
+
+const char* audit_kind_name(AuditKind k) {
+  switch (k) {
+    case AuditKind::kOrphanThrow: return "orphan-throw";
+    case AuditKind::kHotGetenv: return "hot-getenv";
+    case AuditKind::kLint: return "lint";
+  }
+  return "?";
+}
+
+std::string AuditFinding::str() const {
+  std::ostringstream os;
+  os << "[" << audit_kind_name(kind) << "] " << plane << ": " << subject
+     << " — " << detail;
+  return os.str();
+}
+
 namespace {
 
 bool is_ident(const SourceFile& f, int p, const char* t = nullptr) {
@@ -434,8 +452,6 @@ std::string AuditReport::json() const {
     arr.push_back(std::move(o));
   }
   json::Object summary;
-  summary["engine_cells"] = engine_cells;
-  summary["planes"] = planes;
   summary["defects_expected"] = defects_expected;
   summary["defects_flagged"] = defects_flagged;
   summary["taxonomy_types"] = taxonomy_types;

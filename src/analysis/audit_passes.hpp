@@ -1,5 +1,6 @@
-// The audit tier's source passes (over source_model.hpp token streams)
-// and the aggregate report the CLI and check.sh consume.
+// The audit tier's source passes (over source_model.hpp token streams),
+// their finding type, and the aggregate report the CLI and check.sh
+// consume.
 //
 //   taxonomy   every throw site of the typed fault taxonomy (DeviceFault
 //              descendants + DeviceOom) maps to a recovery edge — a
@@ -19,10 +20,27 @@
 #include <string>
 #include <vector>
 
-#include "analysis/event_graph.hpp"
 #include "analysis/source_model.hpp"
 
 namespace acsr::analysis {
+
+/// Finding kinds of the audit tier (its two source passes plus the lint
+/// rules it absorbs from scripts/lint.sh).
+enum class AuditKind {
+  kOrphanThrow,  ///< typed fault with no recovery edge, not terminal
+  kHotGetenv,    ///< ACSR_* getenv outside a static-cached initializer
+  kLint,         ///< scripts/lint.sh rules 1-3, now token-level
+};
+
+const char* audit_kind_name(AuditKind k);
+
+struct AuditFinding {
+  AuditKind kind{};
+  std::string plane;    ///< "taxonomy", "gates" or "lint"
+  std::string subject;  ///< fault type / env var / file:line
+  std::string detail;   ///< why the proof failed
+  std::string str() const;
+};
 
 // --- pass 2: fault-taxonomy exhaustiveness ----------------------------
 
@@ -77,8 +95,6 @@ std::vector<AuditFinding> run_source_defect(const std::string& name);
 
 struct AuditReport {
   std::vector<AuditFinding> findings;
-  int engine_cells = 0;  ///< engine x device matrix cells audited
-  int planes = 0;        ///< cross-plane models audited
   int defects_expected = 0;
   int defects_flagged = 0;
   int taxonomy_types = 0;

@@ -1,11 +1,9 @@
 // The factory's engine registry: the single source of truth for which
-// SpMV engines exist. make_engine (factory.hpp) dispatches through it,
-// the static verifier's proof matrix (analysis/models.cpp,
-// tools/acsr_verify) enumerates it, and the audit tier
-// (analysis/charge_models.cpp, tools/acsr_audit) derives its charge-model
-// matrix from it — so adding an engine here without a builder, a verifier
-// model, or a charge model fails loudly instead of being silently skipped
-// by the proof matrices.
+// SpMV engines exist. make_engine (factory.hpp) dispatches through it
+// and the static verifier's proof matrix (analysis/models.cpp,
+// tools/acsr_verify) enumerates it — so adding an engine here without a
+// builder or a verifier model fails loudly instead of being silently
+// skipped by the proof matrix.
 //
 // Deliberately dependency-free (names only): analysis code includes this
 // header without pulling the engine headers or creating a link cycle with

@@ -69,9 +69,10 @@ class IncrementalCsr {
 
   /// Structure version: bumped by every apply_update (in-place merges,
   /// relocations and overflow rebuilds alike — any of them can change
-  /// extents and therefore metering). Memoizing callers fold it into their
-  /// cache subkey so a structural change invalidates cached launch
-  /// sequences (vgpu/memo.hpp).
+  /// extents and therefore metering). No caller in src/ memoizes over it:
+  /// the dynamic path (apps/dynamic_pagerank.hpp) launches outside any
+  /// memo session. A raw vgpu::Memoizer owner can fold it into its tail
+  /// key so a structural change misses by key drift (tests/test_memo.cpp).
   std::uint64_t version() const { return version_; }
 
   // Extent spans consumed by the ACSR kernels.

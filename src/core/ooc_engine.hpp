@@ -97,6 +97,8 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   const prof::IoAgg& io_stats() const { return last_io_; }
   /// End-to-end streamed makespan of the last simulate().
   double last_makespan() const { return last_makespan_; }
+  /// Slab kernel seconds the last simulate() ran, summed over slabs.
+  double last_kernel_s() const { return last_kernel_s_; }
   /// The staged x, and the arena offset the call's slab sets are
   /// allocated from.
   std::string scratch_layout(int width) const override {
@@ -107,9 +109,10 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   /// plane was enabled, rebased to absolute trace time (each timeline's
   /// origin) — including entries from attempts a fault aborted, whose
   /// timelines the resilient driver discards but whose spans were already
-  /// recorded. This is the ground truth the charge-parity test compares
-  /// per-stream span charges against (tests/test_slo.cpp, docs/SLO.md).
-  /// Accrues only while tracing.
+  /// recorded. The span charge-parity test compares per-stream span
+  /// charges against it (tests/test_slo.cpp, docs/SLO.md), and the
+  /// timeline conformance test checks it against the engine's own
+  /// accounting (tests/test_ooc.cpp). Accrues only while tracing.
   const std::vector<vgpu::StreamTimeline::LogEntry>& trace_timeline_log()
       const {
     return trace_log_;
@@ -150,6 +153,7 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     y.assign(static_cast<std::size_t>(host_.rows), T{0});
     last_io_ = prof::IoAgg{};
     last_makespan_ = 0.0;
+    last_kernel_s_ = 0.0;
     if (slabs_.empty()) return 0.0;
 
     // A private timeline per simulate; its named streams are the span
@@ -168,14 +172,16 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     sets_at_ = this->dev_.arena().offset();
     vgpu::MemoryArena::Rewind rewind(this->dev_.arena());
     const std::size_t n = slabs_.size();
-    std::vector<double> read_done(n, 0.0), comp_done(n, 0.0);
+    // Slab i's drive read and compute completions, indexed by slab: a
+    // fence on one not yet produced is an InvariantError.
+    vgpu::StreamTimeline::Completions read_done(n), comp_done(n);
     std::vector<SlabDev> sets(n);
     double stall_s = 0.0;
     vgpu::KernelRun agg{};
     std::uint64_t launches = 0;
 
     try {
-    read_done[0] = submit_read(tier, sets, 0);
+    read_done.push_back(submit_read(tier, sets, 0));
     for (std::size_t i = 0; i < n; ++i) {
       // Prefetch the next slab: its device set is allocated and its drive
       // read delivered into it now. The tier's drive streams advance
@@ -184,13 +190,12 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       // set is released first.
       if (i + 1 < n) {
         if (i >= 1) sets[i - 1] = SlabDev{};
-        read_done[i + 1] = submit_read(tier, sets, i + 1);
+        read_done.push_back(submit_read(tier, sets, i + 1));
       }
 
       // Re-using the oldest set's space means its compute must have
       // finished before this slab's upload starts.
-      if (i >= 2)
-        tl.wait(h2d, vgpu::StreamTimeline::Event{comp_done[i - 2]});
+      if (i >= 2) tl.wait(h2d, comp_done[i - 2]);
       SlabDev& bufs = sets[i];
 
       // Bin metadata is preprocessing state, not tier data: prefetch its
@@ -198,17 +203,17 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
       if (bufs.meta_bytes > 0)
         tl.enqueue(h2d, charge_transfer(bufs.meta_bytes),
                    "prefetch:bins:slab" + std::to_string(i));
-      tl.wait(h2d, vgpu::StreamTimeline::Event{read_done[i]});
-      const double up_done =
-          tl.enqueue(h2d, charge_transfer(slabs_[i].bytes),
-                     "h2d:slab" + std::to_string(i));
+      tl.wait(h2d, read_done[i]);
+      const auto up_done = tl.enqueue(h2d, charge_transfer(slabs_[i].bytes),
+                                      "h2d:slab" + std::to_string(i));
 
       const double before = tl.now(compute);
-      if (up_done > before) stall_s += up_done - before;
-      tl.wait(compute, vgpu::StreamTimeline::Event{up_done});
+      if (up_done.at_s() > before) stall_s += up_done.at_s() - before;
+      tl.wait(compute, up_done);
       const double kernel_s = run_slab(i, bufs, x_dev, agg, launches);
-      comp_done[i] = tl.enqueue(compute, kernel_s,
-                                "spmv:slab" + std::to_string(i));
+      last_kernel_s_ += kernel_s;
+      comp_done.push_back(
+          tl.enqueue(compute, kernel_s, "spmv:slab" + std::to_string(i)));
 
       const auto& yh = bufs.y.host();
       std::copy(yh.begin(), yh.end(),
@@ -325,9 +330,10 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   /// Allocate slab i's device set into sets[i] and issue its chunk read
   /// on the tier, delivering straight into the set's buffers; the row
   /// offsets are then rebased in place to the slab's value window.
-  /// Returns the simulated completion time.
-  double submit_read(storage::StorageTier& tier, std::vector<SlabDev>& sets,
-                     std::size_t i) {
+  /// Returns the read's completion.
+  vgpu::StreamTimeline::Event submit_read(storage::StorageTier& tier,
+                                          std::vector<SlabDev>& sets,
+                                          std::size_t i) {
     const Slab& s = slabs_[i];
     SlabDev& d = sets[i] = make_buffers(i);
     const auto nrows = static_cast<std::size_t>(s.row_end - s.row_begin);
@@ -342,9 +348,9 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
     add(storage::make_segment(host_.row_off, base, row_off, nrows + 1));
     add(storage::make_segment(host_.col_idx, nz0, d.col_idx.host(), nz));
     add(storage::make_segment(host_.vals, nz0, d.vals.host(), nz));
-    const double done = tier.read_chunk("slab" + std::to_string(i),
-                                        s.file_offset, std::move(segs),
-                                        s.checksum);
+    const auto done = tier.read_chunk("slab" + std::to_string(i),
+                                      s.file_offset, std::move(segs),
+                                      s.checksum);
     const mat::offset_t rebase = row_off.front();
     for (mat::offset_t& o : row_off) o -= rebase;
     return done;
@@ -478,6 +484,7 @@ class OocCsrEngine final : public spmv::EngineBase<T> {
   std::vector<Slab> slabs_;
   prof::IoAgg last_io_;
   double last_makespan_ = 0.0;
+  double last_kernel_s_ = 0.0;
   std::uint64_t sets_at_ = 0;  ///< arena offset of the slab-set mark
   std::vector<vgpu::StreamTimeline::LogEntry> trace_log_;
 };

@@ -43,6 +43,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -150,6 +151,8 @@ static_assert(field_count<TierConfig>() == 6,
 
 class StorageTier {
  public:
+  using Event = vgpu::StreamTimeline::Event;
+
   struct ReadRequest {
     std::string what;         ///< chunk name, for fault/log attribution
     std::size_t offset = 0;   ///< logical byte offset in the striped file
@@ -177,11 +180,11 @@ class StorageTier {
   /// charged immediately on the drive streams; the request's data is
   /// delivered (and checksum-verified) before return, so the caller can
   /// depend on the bytes while the *time* of availability is the
-  /// returned completion instant. Throws the typed IoError taxonomy when
+  /// returned completion event. Throws the typed IoError taxonomy when
   /// the retry budget is exhausted.
-  double submit(ReadRequest r) {
+  Event submit(ReadRequest r) {
     while (inflight_.size() >= cfg_.max_inflight) complete_front();
-    const double done = service(r);
+    const Event done = service(r);
     inflight_.push_back({done, std::move(r.on_complete)});
     if (inflight_.size() > stats_.queue_peak)
       stats_.queue_peak = inflight_.size();
@@ -189,21 +192,21 @@ class StorageTier {
   }
 
   /// Synchronous convenience: submit and immediately retire.
-  double read_chunk(std::string what, std::size_t offset,
-                    std::vector<Segment> segments, std::uint64_t checksum) {
+  Event read_chunk(std::string what, std::size_t offset,
+                   std::vector<Segment> segments, std::uint64_t checksum) {
     ReadRequest r;
     r.what = std::move(what);
     r.offset = offset;
     r.segments = std::move(segments);
     r.checksum = checksum;
-    const double done = submit(std::move(r));
-    poll(done);
+    const Event done = submit(std::move(r));
+    poll(done.at_s());
     return done;
   }
 
   /// Retire every in-flight request completing at or before `now_s`.
   void poll(double now_s) {
-    while (!inflight_.empty() && inflight_.front().done_s <= now_s)
+    while (!inflight_.empty() && inflight_.front().done.at_s() <= now_s)
       complete_front();
   }
 
@@ -211,7 +214,7 @@ class StorageTier {
   double drain() {
     double t = 0.0;
     while (!inflight_.empty()) {
-      t = inflight_.front().done_s;
+      t = inflight_.front().done.at_s();
       complete_front();
     }
     return t;
@@ -225,14 +228,14 @@ class StorageTier {
 
  private:
   struct Pending {
-    double done_s = 0.0;
+    Event done;
     std::function<void(double)> on_complete;
   };
 
   void complete_front() {
     Pending p = std::move(inflight_.front());
     inflight_.pop_front();
-    if (p.on_complete) p.on_complete(p.done_s);
+    if (p.on_complete) p.on_complete(p.done.at_s());
   }
 
   std::string drive_name(int index) const {
@@ -247,20 +250,19 @@ class StorageTier {
     return h;
   }
 
-  /// Charge retry backoff on the request's first drive; returns the new
-  /// completion floor.
-  double charge_backoff(int drive, int attempt, const std::string& what) {
+  /// Charge retry backoff on the request's first drive.
+  void charge_backoff(int drive, int attempt, const std::string& what) {
     const double b = std::ldexp(cfg_.backoff_s, attempt);
     stats_.retries += 1;
     stats_.penalty_s += b;
-    return tl_.enqueue(streams_[static_cast<std::size_t>(drive)], b,
-                       "backoff:" + what);
+    tl_.enqueue(streams_[static_cast<std::size_t>(drive)], b,
+                "backoff:" + what);
   }
 
   /// The retry loop: per attempt, consult the fault plane, charge drive
   /// service for the stripe-rounded extents, deliver, verify against the
   /// chunk's stored checksum.
-  double service(const ReadRequest& r) {
+  Event service(const ReadRequest& r) {
     std::size_t demand = 0;
     for (const Segment& s : r.segments) demand += s.bytes;
     ACSR_CHECK(demand > 0);
@@ -275,13 +277,14 @@ class StorageTier {
                                                     r.what, demand);
       const bool last_try = attempt >= cfg_.max_retries;
 
-      double done = 0.0;
+      // The read completes when its last extent does.
+      std::optional<Event> done;
       for (const Extent& e : extents) {
         const double s = cfg_.drive.service_seconds(e.bytes) * f.slow;
-        const double e_done =
+        const Event e_done =
             tl_.enqueue(streams_[static_cast<std::size_t>(e.drive)], s,
                         "read:" + r.what);
-        done = std::max(done, e_done);
+        done = done ? std::max(*done, e_done) : e_done;
         stats_.read_s += s;
         stats_.read_bytes += e.bytes;
       }
@@ -332,7 +335,7 @@ class StorageTier {
         charge_backoff(first_drive, attempt, r.what);
         continue;
       }
-      return done;
+      return *done;
     }
   }
 

@@ -1,7 +1,14 @@
 // Host-side stream/event timeline, mirroring the CUDA model the paper's
 // driver uses: work items (kernels, transfers) enqueue on streams and run
-// in issue order per stream; events let one stream wait on another; the
-// multi-GPU driver joins per-device streams through it.
+// in issue order per stream; events let one stream wait on another.
+//
+// Its three accounting rules hold in the code, not in a model of it:
+// every charge is non-negative (enqueue checks), a join waits only on an
+// Event, which only an enqueue or a record makes (no event from a bare
+// double, no default time-0 event), and Completions turns reading a
+// completion before it is produced into an InvariantError. Charge parity
+// (each unit of work enqueued once, on its stream) is checked over the
+// out-of-core engine's real log in tests/test_ooc.cpp.
 //
 // A timeline is also the one source of execution spans (docs/SLO.md): a
 // stream created with a track name reports every enqueue, placed on the
@@ -42,9 +49,40 @@ class StreamTimeline {
  public:
   using StreamId = int;
 
-  /// An event is a point in simulated time captured from a stream.
-  struct Event {
-    double at_s = 0.0;
+  /// A point in simulated time that some stream has reached: the
+  /// completion of an enqueue, or a stream's position at a record().
+  class Event {
+   public:
+    double at_s() const { return at_s_; }
+    /// Orders completions: the later of two is where both have finished.
+    friend bool operator<(const Event& a, const Event& b) {
+      return a.at_s_ < b.at_s_;
+    }
+
+   private:
+    friend class StreamTimeline;
+    explicit Event(double at_s) : at_s_(at_s) {}
+    double at_s_;
+  };
+
+  /// Completion events in the order they were produced, read back by
+  /// index (slab i's upload, slab i's compute). Reading one that has not
+  /// been produced yet is an InvariantError, where a vector of doubles
+  /// would read 0.0 and silently erase the fence.
+  class Completions {
+   public:
+    explicit Completions(std::size_t n) { events_.reserve(n); }
+    void push_back(const Event& e) { events_.push_back(e); }
+    const Event& operator[](std::size_t i) const {
+      ACSR_CHECK_MSG(i < events_.size(), "completion " << i
+                                             << " read before it was "
+                                                "produced ("
+                                             << events_.size() << " so far)");
+      return events_[i];
+    }
+
+   private:
+    std::vector<Event> events_;
   };
 
   /// `track` names the stream's span track ("h2d", "compute", a drive,
@@ -60,10 +98,10 @@ class StreamTimeline {
 
   std::size_t num_streams() const { return cursors_.size(); }
 
-  /// Enqueue `duration_s` of work; returns its completion time. Work on
-  /// one stream serialises; different streams are independent until
-  /// joined by events.
-  double enqueue(StreamId s, double duration_s, std::string tag = {}) {
+  /// Enqueue `duration_s` of work; returns its completion. Work on one
+  /// stream serialises; different streams are independent until joined
+  /// by events.
+  Event enqueue(StreamId s, double duration_s, std::string tag = {}) {
     ACSR_CHECK(duration_s >= 0.0);
     auto& cur = cursor(s);
     const double start = cur;
@@ -74,17 +112,17 @@ class StreamTimeline {
         sink->on_enqueue(track, tag, origin_ + start, origin_ + cur);
     }
     log_.push_back({s, start, cur, std::move(tag)});
-    return cur;
+    return Event(cur);
   }
 
   /// cudaEventRecord: capture the stream's current completion time.
-  Event record(StreamId s) { return Event{cursor(s)}; }
+  Event record(StreamId s) { return Event(cursor(s)); }
 
   /// cudaStreamWaitEvent: the stream cannot issue further work until the
   /// event has completed.
   void wait(StreamId s, const Event& e) {
     auto& cur = cursor(s);
-    cur = std::max(cur, e.at_s);
+    cur = std::max(cur, e.at_s_);
   }
 
   /// Join every stream (device-wide synchronise); returns the makespan.

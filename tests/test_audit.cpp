@@ -1,7 +1,6 @@
-// The audit tier (docs/ANALYSIS.md): event-graph charge/causality
-// domain, token-level source passes, the seeded defect corpora
-// (zero-false-negative pins), and the real-tree proofs the CI gate
-// relies on.
+// The audit tier (docs/ANALYSIS.md): token-level source passes, the
+// seeded defect corpus (zero-false-negative pins), and the real-tree
+// proofs the CI gate relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +8,6 @@
 #include <vector>
 
 #include "analysis/audit_passes.hpp"
-#include "analysis/charge_models.hpp"
-#include "analysis/event_graph.hpp"
 #include "analysis/models.hpp"
 #include "analysis/source_model.hpp"
 #include "common/json.hpp"
@@ -33,87 +30,10 @@ bool has_kind(const std::vector<AuditFinding>& fs, AuditKind k) {
                      [&](const AuditFinding& f) { return f.kind == k; });
 }
 
-// --- ChargeGraph domain ------------------------------------------------
-
-TEST(ChargeGraph, CleanPipelineHasNoFindings) {
-  analysis::ChargeGraph g;
-  const auto h2d = g.stream("h2d");
-  const auto compute = g.stream("compute");
-  g.declare_work("upload", "x upload");
-  g.charge(h2d, "upload");
-  g.record(h2d, "up");
-  g.wait(compute, "up");
-  g.declare_work("spmv", "the kernel");
-  g.charge(compute, "spmv");
-  EXPECT_TRUE(g.audit("t").empty());
-}
-
-TEST(ChargeGraph, FreeWorkAndDoubleChargeAreParityViolations) {
-  analysis::ChargeGraph g;
-  const auto s = g.stream("s");
-  g.declare_work("never", "uncharged work");
-  g.declare_work("twice", "double-charged work");
-  g.charge(s, "twice");
-  g.charge(s, "twice");
-  const auto fs = g.audit("t");
-  EXPECT_TRUE(has_kind(fs, AuditKind::kFreeWork));
-  EXPECT_TRUE(has_kind(fs, AuditKind::kDoubleCharge));
-}
-
-TEST(ChargeGraph, WaitBeforeRecordIsInversionWaitNeverRecordedIsDangling) {
-  analysis::ChargeGraph g;
-  const auto a = g.stream("a");
-  const auto b = g.stream("b");
-  g.wait(b, "done");  // recorded only later: inversion
-  g.declare_work("w", "w");
-  g.charge(a, "w");
-  g.record(a, "done");
-  g.wait(b, "nobody");  // never recorded: dangling
-  const auto fs = g.audit("t");
-  EXPECT_TRUE(has_kind(fs, AuditKind::kCausalityInversion));
-  EXPECT_TRUE(has_kind(fs, AuditKind::kDanglingWait));
-}
-
-TEST(ChargeGraph, UnprovenNegativeChargeIsNonMonotone) {
-  analysis::ChargeGraph g;
-  const auto s = g.stream("s");
-  g.declare_work("w", "w");
-  g.charge(s, "w", /*nonneg=*/false);
-  EXPECT_TRUE(has_kind(g.audit("t"), AuditKind::kNonMonotone));
-}
-
-// --- the engine x device matrix ---------------------------------------
-
-TEST(ChargeMatrix, EveryRegistryEngineOnEveryDeviceIsClean) {
-  int cells = 0;
-  for (const std::string& e : core::factory_engine_names())
-    for (const std::string& d : analysis::audit_device_keys()) {
-      const auto spec = vgpu::DeviceSpec::by_name(d);
-      const auto fs = analysis::audit_engine_charges(e, spec);
-      EXPECT_TRUE(fs.empty()) << e << "@" << d << ": " << fs.front().str();
-      ++cells;
-    }
-  EXPECT_EQ(cells, 16 * 3);
-}
-
-TEST(ChargeMatrix, AliasResolvesAndUnknownEngineThrows) {
-  const auto spec = vgpu::DeviceSpec::by_name("titan");
-  EXPECT_TRUE(analysis::audit_engine_charges("csr-cusparse", spec).empty());
-  EXPECT_THROW(analysis::audit_engine_charges("no-such-engine", spec),
-               acsr::InputError);
-}
-
-TEST(ChargeMatrix, CrossPlaneJoinsAreClean) {
-  for (const std::string& p : analysis::charge_plane_names()) {
-    const auto fs = analysis::audit_charge_plane(p);
-    EXPECT_TRUE(fs.empty()) << p << ": " << fs.front().str();
-  }
-}
-
-// The satellite fix: the verifier matrix is derived from the factory
-// registry, so a factory engine without a verifier model (or vice versa)
-// fails here instead of being silently skipped.
-TEST(ChargeMatrix, VerifierAndAuditMatricesDeriveFromFactoryRegistry) {
+// The verifier matrix is derived from the factory registry, so a factory
+// engine without a verifier model (or vice versa) fails here instead of
+// being silently skipped.
+TEST(Registry, VerifierMatrixDerivesFromFactoryRegistry) {
   EXPECT_EQ(analysis::all_engine_names(), core::factory_engine_names());
   for (const std::string& e : core::factory_engine_names()) {
     EXPECT_TRUE(analysis::knows_engine(e)) << e;
@@ -123,14 +43,7 @@ TEST(ChargeMatrix, VerifierAndAuditMatricesDeriveFromFactoryRegistry) {
   EXPECT_EQ(core::canonical_engine_name("bogus"), nullptr);
 }
 
-// --- defect corpora: zero false negatives ------------------------------
-
-TEST(DefectCorpus, EveryChargeDefectIsFlaggedWithItsExpectedKind) {
-  for (const auto& d : analysis::all_charge_defects()) {
-    const auto fs = analysis::run_charge_defect(d.name);
-    EXPECT_TRUE(has_kind(fs, d.expected)) << d.name;
-  }
-}
+// --- defect corpus: zero false negatives -------------------------------
 
 TEST(DefectCorpus, EverySourceDefectIsFlaggedWithItsExpectedKind) {
   for (const auto& d : analysis::all_source_defects()) {
@@ -290,12 +203,12 @@ TEST(RealTree, LintRulesHoldTokenLevel) {
 
 TEST(AuditReport, ExitCodeAndJsonRoundTrip) {
   analysis::AuditReport rep;
-  rep.engine_cells = 48;
-  rep.defects_expected = 8;
-  rep.defects_flagged = 8;
+  rep.taxonomy_types = 9;
+  rep.defects_expected = 3;
+  rep.defects_flagged = 3;
   EXPECT_EQ(rep.exit_code(), 0);
 
-  rep.findings.push_back({AuditKind::kFreeWork, "charge:t", "w", "detail"});
+  rep.findings.push_back({AuditKind::kOrphanThrow, "taxonomy", "w", "detail"});
   EXPECT_EQ(rep.exit_code(), 1);
 
   std::string err;
@@ -303,15 +216,16 @@ TEST(AuditReport, ExitCodeAndJsonRoundTrip) {
   ASSERT_TRUE(json::parse(rep.json(), &doc, &err)) << err;
   const json::Value* summary = doc.find("summary");
   ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(summary->find("engine_cells")->as_number(), 48);
+  EXPECT_EQ(summary->find("taxonomy_types")->as_number(), 9);
   EXPECT_FALSE(summary->find("clean")->as_bool());
   const json::Value* findings = doc.find("findings");
   ASSERT_NE(findings, nullptr);
   ASSERT_EQ(findings->as_array().size(), 1u);
-  EXPECT_EQ(findings->as_array()[0].find("kind")->as_string(), "free-work");
+  EXPECT_EQ(findings->as_array()[0].find("kind")->as_string(),
+            "orphan-throw");
 
   rep.findings.clear();
-  rep.defects_flagged = 7;  // a missed defect is a failure even with no findings
+  rep.defects_flagged = 2;  // a missed defect is a failure even with no findings
   EXPECT_EQ(rep.exit_code(), 1);
 }
 

@@ -541,7 +541,9 @@ TEST(MemoEngine, MergeCsrCarryMeteringIgnoresXValues) {
     engine->simulate(ones, y);
     const double t = engine->simulate(zeros, y);
     EXPECT_EQ(y, zeros);
-    if (memo_on) EXPECT_EQ(MemoCache::instance().stats().hits, 1u);
+    if (memo_on) {
+      EXPECT_EQ(MemoCache::instance().stats().hits, 1u);
+    }
     return std::make_pair(engine->report().last_run.counters.atomic_ops, t);
   };
   const auto metered = second_call(false);

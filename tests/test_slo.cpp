@@ -196,7 +196,7 @@ TEST_F(Slo, PopBestBreaksTiesFifoByAdmissionId) {
   for (int i = 0; i < 5; ++i) {
     Request<double> r;
     r.x = {static_cast<double>(i)};
-    r.tenant = "t" + std::to_string(i);
+    r.tenant = std::string(1, 't') + std::to_string(i);
     q.push(std::move(r), 0.0);
   }
   std::uint64_t prev = 0;

@@ -132,7 +132,7 @@ TEST_F(Storage, ReadDeliversExactBytesAndAccounts) {
   const std::vector<double> src = pattern(1000);
   std::vector<double> dst;
   const double done =
-      tier.read_chunk("chunk0", 0, whole(src, dst), stored(src));
+      tier.read_chunk("chunk0", 0, whole(src, dst), stored(src)).at_s();
   EXPECT_GT(done, 0.0);
   EXPECT_EQ(dst, src);  // the data plane is exact
   const acsr::prof::IoAgg& s = tier.stats();
@@ -155,7 +155,8 @@ TEST_F(Storage, StripedReadRunsDrivesInParallel) {
   StorageTier tier(tl, cfg);
   const std::vector<double> src = pattern(32 * 4096 / sizeof(double));
   std::vector<double> dst;
-  const double done = tier.read_chunk("wide", 0, whole(src, dst), stored(src));
+  const double done =
+      tier.read_chunk("wide", 0, whole(src, dst), stored(src)).at_s();
   const double work = tier.stats().read_s;
   EXPECT_LT(done, work);          // parallel: span < work
   EXPECT_GT(done, work / 4.001);  // but no better than 4-way
@@ -253,7 +254,8 @@ TEST_F(Storage, TimeoutChargesHangThenRecovers) {
   StorageTier tier(tl, TierConfig{});
   const std::vector<double> src = pattern(100);
   std::vector<double> dst;
-  const double done = tier.read_chunk("slab0", 0, whole(src, dst), stored(src));
+  const double done =
+      tier.read_chunk("slab0", 0, whole(src, dst), stored(src)).at_s();
   EXPECT_EQ(dst, src);
   EXPECT_GE(tier.stats().penalty_s, 0.020);  // the hang is simulated time
   EXPECT_GE(done, 0.020);
@@ -394,7 +396,8 @@ TEST_F(Storage, DegradedDriveScalesServiceTime) {
   FaultInjector::instance().configure("io_degrade@read#1:x=4");
   StreamTimeline slow_tl;
   StorageTier slow(slow_tl, TierConfig{});
-  const double done = slow.read_chunk("slab0", 0, whole(src, dst), stored(src));
+  const double done =
+      slow.read_chunk("slab0", 0, whole(src, dst), stored(src)).at_s();
   EXPECT_EQ(dst, src);  // degraded, not wrong
   EXPECT_DOUBLE_EQ(slow.stats().read_s, clean_s * 4.0);
   EXPECT_GT(done, 0.0);

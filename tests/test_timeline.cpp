@@ -1,6 +1,9 @@
 // Stream/event timeline semantics: per-stream ordering, cross-stream
-// independence, event waits, synchronisation, and the utilisation log.
+// independence, event waits, synchronisation, the utilisation log, and
+// the typed completions that make a join on unproduced work impossible.
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "vgpu/timeline.hpp"
 
@@ -11,8 +14,8 @@ using acsr::vgpu::StreamTimeline;
 TEST(StreamTimeline, WorkSerialisesPerStream) {
   StreamTimeline t;
   const auto s = t.create_stream();
-  EXPECT_DOUBLE_EQ(t.enqueue(s, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(t.enqueue(s, 2.5), 3.5);
+  EXPECT_DOUBLE_EQ(t.enqueue(s, 1.0).at_s(), 1.0);
+  EXPECT_DOUBLE_EQ(t.enqueue(s, 2.5).at_s(), 3.5);
   EXPECT_DOUBLE_EQ(t.now(s), 3.5);
 }
 
@@ -34,7 +37,7 @@ TEST(StreamTimeline, EventWaitOrdersAcrossStreams) {
   const auto ready = t.record(producer);
   t.enqueue(consumer, 1.0, "unrelated");
   t.wait(consumer, ready);  // cannot start the kernel before the copy
-  EXPECT_DOUBLE_EQ(t.enqueue(consumer, 2.0, "kernel"), 6.0);
+  EXPECT_DOUBLE_EQ(t.enqueue(consumer, 2.0, "kernel").at_s(), 6.0);
 }
 
 TEST(StreamTimeline, WaitOnPastEventIsFree) {
@@ -57,7 +60,7 @@ TEST(StreamTimeline, SynchronizeJoinsEverything) {
   t.enqueue(c, 3.0);
   EXPECT_DOUBLE_EQ(t.synchronize(), 7.0);
   // After the join every stream starts from the makespan.
-  EXPECT_DOUBLE_EQ(t.enqueue(a, 1.0), 8.0);
+  EXPECT_DOUBLE_EQ(t.enqueue(a, 1.0).at_s(), 8.0);
 }
 
 TEST(StreamTimeline, OverlapBeatsSerial) {
@@ -67,13 +70,11 @@ TEST(StreamTimeline, OverlapBeatsSerial) {
     StreamTimeline t;
     const auto copy = t.create_stream();
     const auto exec = overlapped ? t.create_stream() : copy;
-    StreamTimeline::Event prev{};
     for (int chunk = 0; chunk < 4; ++chunk) {
       t.enqueue(copy, 1.0, "h2d");
       const auto done = t.record(copy);
       t.wait(exec, done);
       t.enqueue(exec, 1.0, "kernel");
-      prev = t.record(exec);
     }
     return t.synchronize();
   };
@@ -98,6 +99,21 @@ TEST(StreamTimeline, RejectsBadInput) {
   EXPECT_THROW(t.enqueue(s, -1.0), acsr::InvariantError);
   EXPECT_THROW(t.now(99), acsr::InvariantError);
   EXPECT_THROW(t.enqueue(42, 1.0), acsr::InvariantError);
+}
+
+// Only the timeline makes events: a join cannot wait on a bare double,
+// nor on a default event that would read as time 0.
+static_assert(!std::is_constructible_v<StreamTimeline::Event, double>);
+static_assert(!std::is_default_constructible_v<StreamTimeline::Event>);
+
+TEST(StreamTimeline, CompletionReadBeforeItIsProducedThrows) {
+  StreamTimeline t;
+  const auto s = t.create_stream();
+  StreamTimeline::Completions done(2);
+  EXPECT_THROW(done[0], acsr::InvariantError);
+  done.push_back(t.enqueue(s, 1.5));
+  EXPECT_DOUBLE_EQ(done[0].at_s(), 1.5);
+  EXPECT_THROW(done[1], acsr::InvariantError);
 }
 
 }  // namespace

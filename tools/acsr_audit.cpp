@@ -1,16 +1,12 @@
 // acsr_audit: the cross-plane static auditor (docs/ANALYSIS.md).
 //
-//   acsr_audit --all               full matrix: charge parity + causality
-//                                  for every registry engine x device,
-//                                  cross-plane joins, fault-taxonomy
-//                                  exhaustiveness, gate discipline, lint,
-//                                  and both seeded defect corpora
-//   acsr_audit --charges           charge/causality matrix only
-//     [--engine=NAME --device=KEY]
+//   acsr_audit --all               fault-taxonomy exhaustiveness, gate
+//                                  discipline, lint, and the seeded
+//                                  source-defect corpus
 //   acsr_audit --taxonomy          fault-taxonomy pass only
 //   acsr_audit --gates             gate-discipline pass only
 //   acsr_audit --lint              absorbed scripts/lint.sh rules 1-3
-//   acsr_audit --defects           seeded defect corpora only
+//   acsr_audit --defects           seeded defect corpus only
 //   acsr_audit --report=json       machine-readable report on stdout
 //   acsr_audit --root=PATH         repo root (default: build-time source
 //                                  dir, falling back to ".")
@@ -25,9 +21,6 @@
 #include <vector>
 
 #include "analysis/audit_passes.hpp"
-#include "analysis/charge_models.hpp"
-#include "core/engine_registry.hpp"
-#include "vgpu/device_spec.hpp"
 
 #ifndef ACSR_SOURCE_DIR
 #define ACSR_SOURCE_DIR "."
@@ -40,70 +33,20 @@ using acsr::analysis::AuditReport;
 
 struct Options {
   bool all = false;
-  bool charges = false;
   bool taxonomy = false;
   bool gates = false;
   bool lint = false;
   bool defects = false;
   bool json = false;
   bool verbose = false;
-  std::string engine;
-  std::string device;
   std::string root = ACSR_SOURCE_DIR;
 };
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--all] [--charges [--engine=NAME] [--device=KEY]]"
-               " [--taxonomy] [--gates] [--lint] [--defects]"
+            << " [--all] [--taxonomy] [--gates] [--lint] [--defects]"
                " [--report=json] [--root=PATH] [--verbose]\n";
   return 2;
-}
-
-/// Charge-parity + causality matrix over the factory registry.
-void sweep_charges(const Options& opt, AuditReport& rep) {
-  std::vector<std::string> engines;
-  if (!opt.engine.empty())
-    engines.push_back(opt.engine);
-  else
-    engines = acsr::core::factory_engine_names();
-  std::vector<std::string> devices;
-  if (!opt.device.empty())
-    devices.push_back(opt.device);
-  else
-    devices = acsr::analysis::audit_device_keys();
-
-  if (!opt.json) {
-    std::cout << std::left << std::setw(14) << "engine";
-    for (const std::string& d : devices) std::cout << std::setw(10) << d;
-    std::cout << "\n";
-  }
-  for (const std::string& e : engines) {
-    if (!opt.json) std::cout << std::setw(14) << e;
-    for (const std::string& d : devices) {
-      const auto spec = acsr::vgpu::DeviceSpec::by_name(d);
-      const auto fs = acsr::analysis::audit_engine_charges(e, spec);
-      ++rep.engine_cells;
-      if (!opt.json)
-        std::cout << std::setw(10)
-                  << (fs.empty() ? "ok" : "FAIL:" + std::to_string(fs.size()));
-      rep.findings.insert(rep.findings.end(), fs.begin(), fs.end());
-    }
-    if (!opt.json) std::cout << "\n";
-  }
-
-  if (opt.engine.empty() && opt.device.empty()) {
-    if (!opt.json) std::cout << "\ncross-plane joins:\n";
-    for (const std::string& p : acsr::analysis::charge_plane_names()) {
-      const auto fs = acsr::analysis::audit_charge_plane(p);
-      ++rep.planes;
-      if (!opt.json)
-        std::cout << "  " << std::left << std::setw(20) << p
-                  << (fs.empty() ? "ok" : "FAIL:" + std::to_string(fs.size()))
-                  << "\n";
-      rep.findings.insert(rep.findings.end(), fs.begin(), fs.end());
-    }
-  }
 }
 
 void sweep_taxonomy(const Options& opt, AuditReport& rep) {
@@ -153,7 +96,7 @@ void sweep_lint(const Options& opt, AuditReport& rep) {
   rep.findings.insert(rep.findings.end(), fs.begin(), fs.end());
 }
 
-/// Both seeded corpora: every planted defect must surface with the
+/// The seeded corpus: every planted defect must surface with the
 /// expected finding kind (zero false negatives).
 void sweep_defects(const Options& opt, AuditReport& rep) {
   if (!opt.json) std::cout << "\ndefect corpus (each must be flagged):\n";
@@ -170,8 +113,6 @@ void sweep_defects(const Options& opt, AuditReport& rep) {
     if (opt.verbose)
       for (const AuditFinding& f : fs) std::cout << "      " << f.str() << "\n";
   };
-  for (const auto& d : acsr::analysis::all_charge_defects())
-    check(d.name, d.expected, acsr::analysis::run_charge_defect(d.name));
   for (const auto& d : acsr::analysis::all_source_defects())
     check(d.name, d.expected, acsr::analysis::run_source_defect(d.name));
 }
@@ -184,8 +125,6 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--all") {
       opt.all = true;
-    } else if (a == "--charges") {
-      opt.charges = true;
     } else if (a == "--taxonomy") {
       opt.taxonomy = true;
     } else if (a == "--gates") {
@@ -203,30 +142,17 @@ int main(int argc, char** argv) {
       if (a == "--report" && i + 1 < argc &&
           std::string(argv[i + 1]) == "json")
         ++i;
-    } else if (a.rfind("--engine=", 0) == 0) {
-      opt.engine = a.substr(std::strlen("--engine="));
-      opt.charges = true;
-    } else if (a.rfind("--device=", 0) == 0) {
-      opt.device = a.substr(std::strlen("--device="));
-      opt.charges = true;
     } else if (a.rfind("--root=", 0) == 0) {
       opt.root = a.substr(std::strlen("--root="));
     } else {
       return usage(argv[0]);
     }
   }
-  if (!opt.all && !opt.charges && !opt.taxonomy && !opt.gates && !opt.lint &&
-      !opt.defects)
+  if (!opt.all && !opt.taxonomy && !opt.gates && !opt.lint && !opt.defects)
     return usage(argv[0]);
-  if (!opt.engine.empty() &&
-      acsr::core::canonical_engine_name(opt.engine) == nullptr) {
-    std::cerr << "unknown engine '" << opt.engine << "'\n";
-    return 2;
-  }
 
   try {
     AuditReport rep;
-    if (opt.all || opt.charges) sweep_charges(opt, rep);
     if (opt.all || opt.taxonomy) sweep_taxonomy(opt, rep);
     if (opt.all || opt.gates) sweep_gates(opt, rep);
     if (opt.all || opt.lint) sweep_lint(opt, rep);
