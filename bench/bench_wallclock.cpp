@@ -20,12 +20,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/cg.hpp"
@@ -576,6 +579,44 @@ void BM_AppCg(benchmark::State& state, bool memo) {
   state.counters["iters"] = cfg.max_iters;
 }
 
+/// Memo replay of one SpMV (docs/PERF.md, "Replay on every core"): the
+/// launch records come from the cache and y from the engine's value
+/// kernels, which run in nnz-balanced chunks on the block pool — or in
+/// order under `serial` (ScopedBlockParallelism(1, ...)). acsr over WIK
+/// replays its bins and DP tail; ooc-csr over LIV (a quarter-footprint
+/// budget, several slabs) its slab bins. Captured, then warmed for half a
+/// second before timing: idle pool threads take a while to ramp up.
+void BM_Replay(benchmark::State& state, const char* engine_name,
+               const char* matrix, bool serial) {
+  MemoBenchGuard guard(true);
+  std::optional<acsr::vgpu::ScopedBlockParallelism> in_order;
+  if (serial) in_order.emplace(1, 4);
+  const Csr<double>& a = corpus_matrix(matrix);
+  Device dev(titan_spec());
+  EngineConfig cfg = engine_config();
+  const std::size_t footprint =
+      (static_cast<std::size_t>(a.rows) + 1) * sizeof(acsr::mat::offset_t) +
+      a.nnz() * (sizeof(acsr::mat::index_t) + sizeof(double));
+  cfg.ooc.budget_bytes = std::max<std::size_t>(footprint / 4, 16 * 1024);
+  auto engine = make_engine<double>(engine_name, dev, a, cfg);
+  std::vector<double> x(static_cast<std::size_t>(a.cols), 1.0);
+  std::vector<double> y;
+  engine->simulate(x, y);  // the capture
+  const auto warm_until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (std::chrono::steady_clock::now() < warm_until)
+    engine->simulate(x, y);
+  const auto& memo_stats = acsr::vgpu::memo::MemoCache::instance().stats();
+  const std::uint64_t hits0 = memo_stats.hits;
+  for (auto _ : state) benchmark::DoNotOptimize(engine->simulate(x, y));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(a.nnz()));
+  state.counters["memo_hits_per_op"] =
+      static_cast<double>(memo_stats.hits - hits0) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          1, state.iterations()));
+}
+
 // The headline executor benchmark the ≥2x acceptance gate tracks:
 // CSR-scalar over the scaled wikipedia graph (power-law, the paper's
 // central workload). The --metrics_out replay profiles the same set.
@@ -692,6 +733,19 @@ void register_benches() {
   benchmark::RegisterBenchmark("app_solver/pagerank/WIK/memo/fresh",
                                BM_AppPagerankFresh)
       ->Unit(benchmark::kMillisecond);
+  for (const auto& [engine, matrix] :
+       {std::pair{"acsr", "WIK"}, std::pair{"ooc-csr", "LIV"}}) {
+    for (const bool serial : {false, true}) {
+      benchmark::RegisterBenchmark(
+          (std::string("replay/") + engine + "/" + matrix +
+           (serial ? "/serial" : ""))
+              .c_str(),
+          [engine, matrix, serial](benchmark::State& st) {
+            BM_Replay(st, engine, matrix, serial);
+          })
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
 }
 
 /// Post-measurement profiled replay: one SpMV per benched engine/matrix
@@ -752,6 +806,15 @@ int main(int argc, char** argv) {
   if (quick) args.insert(args.begin() + 1, min_time);
   int n = static_cast<int>(args.size());
   register_benches();
+  // The block pool's width (docs/PERF.md): the wall series depend on it.
+  const unsigned cores = std::thread::hardware_concurrency();
+  benchmark::AddCustomContext("host_cores", std::to_string(cores));
+  benchmark::AddCustomContext(
+      "pool_width",
+      std::to_string(std::clamp(
+          cores, 1u,
+          static_cast<unsigned>(
+              acsr::vgpu::ScopedBlockParallelism::kMaxBlockWorkers))));
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -77,7 +77,11 @@ doc.setdefault("unit", "ms (real time per simulated SpMV / launch)")
 doc.setdefault("spec", "GTX Titan preset, default corpus scale")
 if "baseline" not in doc or os.environ.get("REBASELINE") == "1":
     doc["baseline"] = {"commit": commit, "mode": mode, "benchmarks": current}
-doc["current"] = {"commit": current_commit, "mode": mode,
+# The host the run measured: the block pool's width follows its cores.
+ctx = raw.get("context", {})
+host = {"cores": int(ctx.get("host_cores", ctx.get("num_cpus", 0))),
+        "pool_width": int(ctx.get("pool_width", 0))}
+doc["current"] = {"commit": current_commit, "mode": mode, "host": host,
                   "benchmarks": current}
 
 # A quick-mode current diffed against a full-mode baseline (or vice versa)

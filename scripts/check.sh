@@ -110,12 +110,15 @@ if [ "${ACSR_CI:-0}" = "1" ]; then
   ctest --test-dir "$build-asan" -L tier1 --output-on-failure
 fi
 
-# ThreadSanitizer leg (docs/PERF.md, "Block-parallel metering"): grids that
-# declare blocks_independent run their blocks on the host worker pool. In a
-# separate -fsanitize=thread tree, build the suites that force the pool on
-# (ScopedBlockParallelism at 2-4 workers from one block per worker: the
-# invariance matrix's parallel modes, the bin grids, the served batches, the
-# executor's merge/exception tests) and fail on any data-race report.
+# ThreadSanitizer leg (docs/PERF.md, "Block-parallel metering" and "Replay
+# on every core"): grids that declare blocks_independent run their blocks,
+# and the row-granular value kernels their chunks, on the host worker pool.
+# In a separate -fsanitize=thread tree, build the suites that force the pool
+# on (ScopedBlockParallelism at 2-4 workers from one block or one nnz per
+# worker: the invariance matrix's parallel modes, the bin grids, the served
+# batches, the executor's merge/exception tests, every engine's value
+# kernels and two threads applying at once) and fail on any data-race
+# report.
 echo "== ThreadSanitizer (block-parallel launches, ${build}-tsan)"
 tsan_flags=(-DCMAKE_CXX_FLAGS=-fsanitize=thread
             -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread)
@@ -124,7 +127,8 @@ if [ -f "$build-tsan/CMakeCache.txt" ]; then
 else
   cmake -B "$build-tsan" -G Ninja "${tsan_flags[@]}" >/dev/null
 fi
-tsan_tests=(test_metering_invariance test_spmm test_acsr test_vgpu_kernel)
+tsan_tests=(test_metering_invariance test_spmm test_acsr test_vgpu_kernel
+            test_value_parallel)
 cmake --build "$build-tsan" --target "${tsan_tests[@]}"
 for t in "${tsan_tests[@]}"; do
   echo "   $t"

@@ -236,11 +236,9 @@ class AcsrLauncher {
         });
       };
       const auto value = [&] {
-        for (int c = 0; c < k; ++c)
-          spmv::csr_vector_rows<T>(v, row_start, row_end, col_idx, vals,
-                                   row_map, n_slots,
-                                   spmv::x_reader(xp, k, c),
-                                   spmv::y_column(yb, ldy, n_rows, c));
+        spmv::csr_vector_rows_batch<T>(v, row_start, row_end, col_idx, vals,
+                                       row_map, n_slots, xp, k, yb, ldy,
+                                       n_rows);
       };
       runs.push_back(conc ? group.launch(cfg, vgpu::KernelRef(body), value)
                           : dev_.launch(cfg, vgpu::KernelRef(body), nullptr,
@@ -261,10 +259,8 @@ class AcsrLauncher {
       const int thread_load = opt_.thread_load;
       const bool use_tex = opt_.use_texture;
       const auto value = [&] {
-        for (int c = 0; c < k; ++c)
-          dp_rows_values(dp_rows, row_start, row_end, col_idx, vals,
-                         spmv::x_reader(xp, k, c),
-                         spmv::y_column(yb, ldy, n_rows, c), thread_load);
+        dp_rows_values_batch(dp_rows, row_start, row_end, col_idx, vals, xp,
+                             k, yb, ldy, n_rows, thread_load);
       };
       auto do_launch = [&](const vgpu::LaunchConfig& c, auto&& b) {
         runs.push_back(conc ? group.launch_warps(c, b, value)
@@ -377,7 +373,8 @@ class AcsrLauncher {
     return y;
   }
 
-  /// Value kernel of the DP parent grid: every tail row's dp_row_value.
+  /// Value kernel of the DP parent grid: every tail row's dp_row_value,
+  /// one row per chunk on the block pool (dp_row_chunks).
   template <class XAt>
   static void dp_rows_values(vgpu::DeviceSpan<const mat::index_t> dp_rows,
                              vgpu::DeviceSpan<const mat::offset_t> row_start,
@@ -385,11 +382,54 @@ class AcsrLauncher {
                              vgpu::DeviceSpan<const mat::index_t> col_idx,
                              vgpu::DeviceSpan<const T> vals, const XAt& x_at,
                              vgpu::DeviceSpan<T> ys, int thread_load) {
-    for (std::size_t t = 0; t < dp_rows.size(); ++t) {
-      const auto row = static_cast<std::size_t>(dp_rows[t]);
+    dp_row_chunks(dp_rows, row_start, row_end, 1, [&](std::size_t row) {
       ys[row] = dp_row_value(col_idx, vals, row_start[row], row_end[row],
                              thread_load, x_at);
+    });
+  }
+
+  /// dp_rows_values for each of the k columns of the batched DP parent (x
+  /// column c of the packed block, y column c of yb), the column loop
+  /// inside the row's chunk.
+  static void dp_rows_values_batch(
+      vgpu::DeviceSpan<const mat::index_t> dp_rows,
+      vgpu::DeviceSpan<const mat::offset_t> row_start,
+      vgpu::DeviceSpan<const mat::offset_t> row_end,
+      vgpu::DeviceSpan<const mat::index_t> col_idx,
+      vgpu::DeviceSpan<const T> vals, vgpu::DeviceSpan<const T> xp, int k,
+      vgpu::DeviceSpan<T> yb, long long ldy, long long n_rows,
+      int thread_load) {
+    dp_row_chunks(dp_rows, row_start, row_end, k, [&](std::size_t row) {
+      const mat::offset_t start = row_start[row];
+      const mat::offset_t end = row_end[row];
+      for (int c = 0; c < k; ++c)
+        spmv::y_column(yb, ldy, n_rows, c)[row] = dp_row_value(
+            col_idx, vals, start, end, thread_load, spmv::x_reader(xp, k, c));
+    });
+  }
+
+  /// Runs row_body(dp_rows[t]) for every tail row t, one row per chunk
+  /// (vgpu::run_chunks): the list is sorted by descending nnz, so workers
+  /// claiming the next row take the heaviest ones first. The floor sees
+  /// the rows' nnz times `cols`; a row whose extents are out of range
+  /// counts 0 and is left to its chunk to report.
+  template <class RowBody>
+  static void dp_row_chunks(vgpu::DeviceSpan<const mat::index_t> dp_rows,
+                            vgpu::DeviceSpan<const mat::offset_t> row_start,
+                            vgpu::DeviceSpan<const mat::offset_t> row_end,
+                            long long cols, const RowBody& row_body) {
+    long long work = 0;
+    for (std::size_t t = 0; t < dp_rows.size(); ++t) {
+      const mat::index_t r = dp_rows[t];
+      const auto row = static_cast<std::size_t>(r);
+      if (r >= 0 && row < row_start.size() && row < row_end.size())
+        work += std::max<long long>(0, row_end[row] - row_start[row]);
     }
+    vgpu::run_chunks(vgpu::value_kernel_workers(work * cols),
+                     static_cast<long long>(dp_rows.size()), [&](long long t) {
+                       row_body(static_cast<std::size_t>(
+                           dp_rows[static_cast<std::size_t>(t)]));
+                     });
   }
 
   /// Algorithm 3 body for one parent lane: size and launch the

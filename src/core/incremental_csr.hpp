@@ -276,23 +276,33 @@ class IncrementalCsr {
     work.transactions += static_cast<std::uint64_t>(2 * len + 2 * write);
     work.alu += static_cast<std::uint64_t>(len) + (d1 - d0);
 
-    // Pass 2: merge the sorted insert list (backwards shift-merge).
-    mat::offset_t new_len = write;
-    for (std::size_t k = i1; k > i0; --k) {
+    // Pass 2: merge the sorted insert list, one backward pass over the
+    // survivors. The result is what inserting each entry in turn, from the
+    // last to the first, after every entry of its column already in the
+    // row would leave: an insert lands after the survivors of its column,
+    // and a run of equal inserts lands in reverse order.
+    const auto n_ins = static_cast<mat::offset_t>(i1 - i0);
+    const mat::offset_t new_len = write + n_ins;
+    mat::offset_t src = write;  // survivors not yet placed: [0, src)
+    mat::offset_t dst = new_len;
+    for (std::size_t k = i1; k > i0;) {
       const mat::index_t c = batch.ins_cols[k - 1];
-      const T v = batch.ins_vals[k - 1];
-      mat::offset_t pos = new_len;
-      while (pos > 0 &&
-             cols[static_cast<std::size_t>(base + pos - 1)] > c) {
-        cols[static_cast<std::size_t>(base + pos)] =
-            cols[static_cast<std::size_t>(base + pos - 1)];
-        vals[static_cast<std::size_t>(base + pos)] =
-            vals[static_cast<std::size_t>(base + pos - 1)];
-        --pos;
+      while (src > 0 && cols[static_cast<std::size_t>(base + src - 1)] > c) {
+        --src;
+        --dst;
+        cols[static_cast<std::size_t>(base + dst)] =
+            cols[static_cast<std::size_t>(base + src)];
+        vals[static_cast<std::size_t>(base + dst)] =
+            vals[static_cast<std::size_t>(base + src)];
       }
-      cols[static_cast<std::size_t>(base + pos)] = c;
-      vals[static_cast<std::size_t>(base + pos)] = v;
-      ++new_len;
+      std::size_t run = k - 1;
+      while (run > i0 && batch.ins_cols[run - 1] == c) --run;
+      for (std::size_t j = run; j < k; ++j) {
+        --dst;
+        cols[static_cast<std::size_t>(base + dst)] = c;
+        vals[static_cast<std::size_t>(base + dst)] = batch.ins_vals[j];
+      }
+      k = run;
     }
     work.transactions += static_cast<std::uint64_t>(
         4 * (i1 - i0) + 2 * (new_len - write));

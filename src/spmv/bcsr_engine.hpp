@@ -159,7 +159,8 @@ class BcsrEngine final : public EngineBase<T> {
   /// sub-row l % bs of block b + l / bs and sums it over j into a +0
   /// accumulator (columns past the matrix edge skipped); the lanes fold
   /// into the block row's outputs in lane order, and the block row's
-  /// first bs rows store them.
+  /// first bs rows store them. Block rows run in chunks balanced by their
+  /// block counts on the block pool.
   static void block_row_values(vgpu::DeviceSpan<const mat::offset_t> ro,
                                vgpu::DeviceSpan<const mat::index_t> bc,
                                vgpu::DeviceSpan<const T> bv, mat::index_t nbr,
@@ -167,33 +168,48 @@ class BcsrEngine final : public EngineBase<T> {
                                vgpu::DeviceSpan<const T> x,
                                vgpu::DeviceSpan<T> y) {
     const auto area = static_cast<long long>(bs * bs);
-    for (mat::index_t br = 0; br < nbr; ++br) {
-      const mat::offset_t lo = ro[static_cast<std::size_t>(br)];
-      const mat::offset_t hi = ro[static_cast<std::size_t>(br) + 1];
-      std::array<T, 8> out{};
-      const int per_step = vgpu::kWarpSize / bs;
-      for (mat::offset_t b = lo; b < hi; b += per_step) {
-        for (int l = 0; l < per_step * bs; ++l) {
-          const long long mine = b + l / bs;
-          if (mine >= hi) break;
-          const int sub = l % bs;
-          const mat::index_t bcol = bc[static_cast<std::size_t>(mine)];
-          T sum{};
-          for (int j = 0; j < bs; ++j) {
-            const long long xi = static_cast<long long>(bcol) * bs + j;
-            if (xi >= static_cast<long long>(x.size())) continue;
-            sum += bv[static_cast<std::size_t>(mine * area + sub * bs + j)] *
-                   x[static_cast<std::size_t>(xi)];
+    const auto block_rows = [&](long long br0, long long br1) {
+      for (long long br = br0; br < br1; ++br) {
+        const mat::offset_t lo = ro[static_cast<std::size_t>(br)];
+        const mat::offset_t hi = ro[static_cast<std::size_t>(br) + 1];
+        std::array<T, 8> out{};
+        const int per_step = vgpu::kWarpSize / bs;
+        for (mat::offset_t b = lo; b < hi; b += per_step) {
+          for (int l = 0; l < per_step * bs; ++l) {
+            const long long mine = b + l / bs;
+            if (mine >= hi) break;
+            const int sub = l % bs;
+            const mat::index_t bcol = bc[static_cast<std::size_t>(mine)];
+            T sum{};
+            for (int j = 0; j < bs; ++j) {
+              const long long xi = static_cast<long long>(bcol) * bs + j;
+              if (xi >= static_cast<long long>(x.size())) continue;
+              sum +=
+                  bv[static_cast<std::size_t>(mine * area + sub * bs + j)] *
+                  x[static_cast<std::size_t>(xi)];
+            }
+            out[static_cast<std::size_t>(sub)] += sum;
           }
-          out[static_cast<std::size_t>(sub)] += sum;
+        }
+        for (int i = 0; i < bs; ++i) {
+          const long long row = br * bs + i;
+          if (row >= n_rows) break;
+          y[static_cast<std::size_t>(row)] = out[static_cast<std::size_t>(i)];
         }
       }
-      for (int i = 0; i < bs; ++i) {
-        const long long row = static_cast<long long>(br) * bs + i;
-        if (row >= n_rows) break;
-        y[static_cast<std::size_t>(row)] = out[static_cast<std::size_t>(i)];
-      }
+    };
+    // ro[0..nbr] is monotone in a built matrix; otherwise serve it in order
+    // and let the row walk report it.
+    if (nbr < 1 || ro.size() <= static_cast<std::size_t>(nbr)) {
+      block_rows(0, nbr);
+      return;
     }
+    for_balanced_chunks(
+        nbr, 1,
+        [&](long long br) {
+          return (ro[static_cast<std::size_t>(br)] - ro[0]) * area + br;
+        },
+        block_rows);
   }
 
   void build(const mat::Csr<T>& a, vgpu::HostModel& hm) {

@@ -263,9 +263,8 @@ class CsrScalarEngine final : public EngineBase<T> {
         },
         nullptr,
         [&] {
-          for (int c = 0; c < k; ++c)
-            csr_vector_rows<T>(1, rs, re, ci, va, no_map, n,
-                               x_reader(xp, k, c), y_column(yb, ldy, n, c));
+          csr_vector_rows_batch<T>(1, rs, re, ci, va, no_map, n, xp, k, yb,
+                                   ldy, n);
         });
     this->report_.last_run = run;
     y_block.resize(host_.rows, k);

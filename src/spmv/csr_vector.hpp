@@ -166,10 +166,30 @@ T vector_row_value(int vec, vgpu::DeviceSpan<const mat::index_t> col_idx,
                        vec, x_at);
 }
 
-/// Value kernel of a csr_vector_warp grid over slots 0 .. n_slots-1 (row
-/// = row_map[slot], or the slot itself when row_map is empty): stores
-/// each row's vector_row_value into y, as the grid's group heads do.
-/// Every extent and row-map read is bounds-checked.
+/// Stores vector_row_value for slots [s0, s1) of a csr_vector_warp grid
+/// (row = row_map[slot], or the slot itself when row_map is empty) into
+/// y, in slot order: one chunk of csr_vector_rows. Takes its spans by
+/// value so the row loop keeps them in registers.
+template <class T, class XAt>
+void csr_vector_slots(int vec, vgpu::DeviceSpan<const mat::offset_t> row_start,
+                      vgpu::DeviceSpan<const mat::offset_t> row_end,
+                      vgpu::DeviceSpan<const mat::index_t> col_idx,
+                      vgpu::DeviceSpan<const T> vals,
+                      vgpu::DeviceSpan<const mat::index_t> row_map,
+                      long long s0, long long s1, XAt x_at,
+                      vgpu::DeviceSpan<T> y) {
+  for (long long s = s0; s < s1; ++s) {
+    const auto row = static_cast<std::size_t>(
+        row_map.empty() ? s : row_map[static_cast<std::size_t>(s)]);
+    y[row] = vector_row_value<T>(vec, col_idx, vals, row_start[row],
+                                 row_end[row], x_at);
+  }
+}
+
+/// Value kernel of a csr_vector_warp grid over slots 0 .. n_slots-1: each
+/// row's vector_row_value, as the grid's group heads store it, in
+/// nnz-balanced chunks of slots on the block pool (for_row_chunks). Every
+/// extent and row-map read is bounds-checked.
 template <class T, class XAt>
 void csr_vector_rows(int vec, vgpu::DeviceSpan<const mat::offset_t> row_start,
                      vgpu::DeviceSpan<const mat::offset_t> row_end,
@@ -178,12 +198,41 @@ void csr_vector_rows(int vec, vgpu::DeviceSpan<const mat::offset_t> row_start,
                      vgpu::DeviceSpan<const mat::index_t> row_map,
                      long long n_slots, const XAt& x_at,
                      vgpu::DeviceSpan<T> y) {
-  for (long long s = 0; s < n_slots; ++s) {
-    const auto row = static_cast<std::size_t>(
-        row_map.empty() ? s : row_map[static_cast<std::size_t>(s)]);
-    y[row] = vector_row_value<T>(vec, col_idx, vals, row_start[row],
-                                 row_end[row], x_at);
-  }
+  for_row_chunks(row_start, row_end, row_map, n_slots, 1,
+                 [&](long long s0, long long s1) {
+                   csr_vector_slots<T>(vec, row_start, row_end, col_idx, vals,
+                                       row_map, s0, s1, x_at, y);
+                 });
+}
+
+/// csr_vector_rows for each of the k columns of a batched launch — x
+/// column c read from the packed block (x_reader(xp, k, c)), y column c
+/// of yb (y_column) — with the column loop inside the row loop, so each
+/// chunk walks its rows' extents once for all k columns. Every column is
+/// csr_vector_rows' value bit for bit.
+template <class T>
+void csr_vector_rows_batch(int vec,
+                           vgpu::DeviceSpan<const mat::offset_t> row_start,
+                           vgpu::DeviceSpan<const mat::offset_t> row_end,
+                           vgpu::DeviceSpan<const mat::index_t> col_idx,
+                           vgpu::DeviceSpan<const T> vals,
+                           vgpu::DeviceSpan<const mat::index_t> row_map,
+                           long long n_slots, vgpu::DeviceSpan<const T> xp,
+                           int k, vgpu::DeviceSpan<T> yb, long long ldy,
+                           long long n_rows) {
+  for_row_chunks(
+      row_start, row_end, row_map, n_slots, k,
+      [&](long long s0, long long s1) {
+        for (long long s = s0; s < s1; ++s) {
+          const auto row = static_cast<std::size_t>(
+              row_map.empty() ? s : row_map[static_cast<std::size_t>(s)]);
+          const mat::offset_t start = row_start[row];
+          const mat::offset_t end = row_end[row];
+          for (int c = 0; c < k; ++c)
+            y_column(yb, ldy, n_rows, c)[row] = vector_row_value<T>(
+                vec, col_idx, vals, start, end, x_reader(xp, k, c));
+        }
+      });
 }
 
 /// Warp body: processes 32/V consecutive rows starting at warp_first_row.
@@ -441,9 +490,8 @@ class CsrVectorEngine final : public EngineBase<T> {
         },
         nullptr,
         [&] {
-          for (int c = 0; c < k; ++c)
-            csr_vector_rows<T>(v, rs, re, ci, va, no_map, n,
-                               x_reader(xp, k, c), y_column(yb, ldy, n, c));
+          csr_vector_rows_batch<T>(v, rs, re, ci, va, no_map, n, xp, k, yb,
+                                   ldy, n);
         });
     this->report_.last_run = run;
     y_block.resize(host_.rows, k);

@@ -50,22 +50,28 @@ void ell_warp(vgpu::Warp& w, vgpu::DeviceSpan<const mat::index_t> col_idx,
 
 /// Value kernel of an ell_warp grid: row r sums its slots j*n_rows + r,
 /// j < width, skipping padding, into a +0 accumulator in j order and
-/// stores the sum, as lane r's march does. Every read is bounds-checked.
+/// stores the sum, as lane r's march does, in equal chunks of rows on the
+/// block pool (every row has `width` slots). Every read is bounds-checked.
 template <class T>
 void ell_rows(vgpu::DeviceSpan<const mat::index_t> col_idx,
               vgpu::DeviceSpan<const T> vals, vgpu::DeviceSpan<const T> x,
               vgpu::DeviceSpan<T> y, mat::index_t n_rows, mat::index_t width) {
-  for (mat::index_t r = 0; r < n_rows; ++r) {
-    T sum{};
-    for (mat::index_t j = 0; j < width; ++j) {
-      const auto slot =
-          static_cast<std::size_t>(static_cast<long long>(j) * n_rows + r);
-      const mat::index_t c = col_idx[slot];
-      if (c != mat::Ell<T>::kPad)
-        sum += vals[slot] * x[static_cast<std::size_t>(c)];
-    }
-    y[static_cast<std::size_t>(r)] = sum;
-  }
+  const long long row_work = std::max<long long>(0, width) + 1;
+  for_balanced_chunks(
+      n_rows, 1, [&](long long r) { return r * row_work; },
+      [&](long long r0, long long r1) {
+        for (long long r = r0; r < r1; ++r) {
+          T sum{};
+          for (mat::index_t j = 0; j < width; ++j) {
+            const auto slot = static_cast<std::size_t>(
+                static_cast<long long>(j) * n_rows + r);
+            const mat::index_t c = col_idx[slot];
+            if (c != mat::Ell<T>::kPad)
+              sum += vals[slot] * x[static_cast<std::size_t>(c)];
+          }
+          y[static_cast<std::size_t>(r)] = sum;
+        }
+      });
 }
 
 template <class T>

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
 #include <memory>
@@ -348,6 +349,116 @@ auto x_reader(vgpu::DeviceSpan<const T> xp, int k, int c) {
   };
 }
 
+// --- row-parallel value kernels (docs/PERF.md, "Replay on every core") ----
+// A row-granular value kernel writes each output element from one item (a
+// row, a slot, a block of rows) in a fixed order. Split into consecutive
+// chunks that run on the block pool (vgpu::run_chunks), each element is
+// still written by one chunk in that order, so the result is the in-order
+// one bit for bit.
+
+/// Runs body(begin, end) over items [0, n) cut into consecutive chunks of
+/// about equal work: cum(i), 0 <= i <= n, is the work of items [0, i) (with
+/// cum(0) == 0), read at O(chunks · log n) points. With w workers there are
+/// 8w chunks (at most n), cut where cum crosses multiples of cum(n) / 8w;
+/// a non-monotone cum (malformed extents) only unbalances them. In order
+/// — body(0, n) — when cum(n) · cols is under the pool's floor (`cols`: a
+/// batched kernel's column count).
+template <class Cum, class Body>
+void for_balanced_chunks(long long n, long long cols, const Cum& cum,
+                         const Body& body) {
+  const long long total = n < 2 ? 0 : cum(n);
+  const int workers = vgpu::value_kernel_workers(total * cols);
+  if (workers < 2) {
+    body(0, n);
+    return;
+  }
+  const long long n_chunks = std::min<long long>(n, 8LL * workers);
+  std::array<long long, 8 * vgpu::ScopedBlockParallelism::kMaxBlockWorkers + 1>
+      cut{};
+  for (long long c = 1; c < n_chunks; ++c) {
+    const long long target = total * c / n_chunks;
+    long long lo = cut[static_cast<std::size_t>(c - 1)];
+    long long hi = n;
+    while (lo < hi) {
+      const long long mid = lo + (hi - lo) / 2;
+      if (cum(mid) < target)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    cut[static_cast<std::size_t>(c)] = lo;
+  }
+  cut[static_cast<std::size_t>(n_chunks)] = n;
+  vgpu::run_chunks(workers, n_chunks, [&](long long c) {
+    const auto i = static_cast<std::size_t>(c);
+    body(cut[i], cut[i + 1]);
+  });
+}
+
+/// for_balanced_chunks over per-item work weight(i) >= 0, summed in one
+/// pass into a per-thread buffer. The pass is taken only when the pool may
+/// engage: n times the mean weight of 16 evenly spaced items must reach
+/// the floor for two workers.
+template <class Weight, class Body>
+void for_weighted_chunks(long long n, long long cols, const Weight& weight,
+                         const Body& body) {
+  constexpr long long kSamples = 16;
+  long long sampled = 0;
+  for (long long j = 0; j < kSamples && n >= 2; ++j)
+    sampled += weight(j * (n - 1) / (kSamples - 1));
+  if (vgpu::value_kernel_workers(n * sampled / kSamples * cols) < 2) {
+    body(0, n);
+    return;
+  }
+  thread_local std::vector<long long> cum;
+  cum.resize(static_cast<std::size_t>(n) + 1);
+  cum[0] = 0;
+  for (long long i = 0; i < n; ++i)
+    cum[static_cast<std::size_t>(i) + 1] =
+        cum[static_cast<std::size_t>(i)] + weight(i);
+  for_balanced_chunks(
+      n, cols, [](long long i) { return cum[static_cast<std::size_t>(i)]; },
+      body);
+}
+
+/// The chunking of the CSR row kernels over slots [0, n_slots) (row =
+/// row_map[slot], or the slot itself when row_map is empty): a slot's work
+/// is its row's nnz plus one. Contiguous rows read it off row_start;
+/// mapped rows (ACSR bins, ooc slab bins) sum it in one pass, where a slot
+/// whose map entry or extents are out of range weighs 1 and is left to
+/// its chunk to report.
+template <class Body>
+void for_row_chunks(vgpu::DeviceSpan<const mat::offset_t> row_start,
+                    vgpu::DeviceSpan<const mat::offset_t> row_end,
+                    vgpu::DeviceSpan<const mat::index_t> row_map,
+                    long long n_slots, long long cols, const Body& body) {
+  const auto n = static_cast<std::size_t>(std::max<long long>(0, n_slots));
+  if (row_map.empty() && n > 0 && n <= row_start.size() &&
+      n <= row_end.size()) {
+    for_balanced_chunks(
+        n_slots, cols,
+        [&](long long i) {
+          const auto u = static_cast<std::size_t>(i);
+          return (u < n ? row_start[u] : row_end[n - 1]) - row_start[0] + i;
+        },
+        body);
+    return;
+  }
+  for_weighted_chunks(
+      n_slots, cols,
+      [&](long long s) -> long long {
+        const auto u = static_cast<std::size_t>(s);
+        std::size_t row = u;
+        if (!row_map.empty()) {
+          if (u >= row_map.size() || row_map[u] < 0) return 1;
+          row = static_cast<std::size_t>(row_map[u]);
+        }
+        if (row >= row_start.size() || row >= row_end.size()) return 1;
+        return std::max<long long>(0, row_end[row] - row_start[row]) + 1;
+      },
+      body);
+}
+
 /// Column c of a column-major y block with leading dimension ldy.
 template <class T>
 vgpu::DeviceSpan<T> y_column(vgpu::DeviceSpan<T> yb, long long ldy,
@@ -452,7 +563,9 @@ void sliced_warp(vgpu::Warp& w, vgpu::DeviceSpan<const mat::offset_t> block_off,
 /// j*32 + s % 32, j < width[b], skipping padding (col < 0), into a +0
 /// accumulator in j order, and stores the sum at y[out_rows[s]], as lane
 /// s % 32 of warp b does. A slot whose out row is negative (SIC's
-/// segment-end padding) stores nothing. Every read is bounds-checked.
+/// segment-end padding) stores nothing. Blocks run in chunks balanced by
+/// their widths on the block pool: every engine's out rows are distinct
+/// (a permutation, or SIC's rows once each). Every read is bounds-checked.
 template <class T>
 void sliced_rows(vgpu::DeviceSpan<const mat::offset_t> block_off,
                  vgpu::DeviceSpan<const mat::index_t> block_width,
@@ -461,24 +574,34 @@ void sliced_rows(vgpu::DeviceSpan<const mat::offset_t> block_off,
                  vgpu::DeviceSpan<const T> slab_val,
                  vgpu::DeviceSpan<const T> x, vgpu::DeviceSpan<T> y) {
   constexpr auto kRows = static_cast<std::size_t>(vgpu::kWarpSize);
-  for (std::size_t b = 0; b < block_width.size(); ++b) {
-    const mat::offset_t base = block_off[b];
-    const mat::index_t width = block_width[b];
-    for (std::size_t l = 0; l < kRows; ++l) {
-      const std::size_t s = b * kRows + l;
-      if (s >= out_rows.size()) break;
-      const mat::index_t out = out_rows[s];
-      if (out < 0) continue;
-      T sum{};
-      for (mat::index_t j = 0; j < width; ++j) {
-        const auto slot = static_cast<std::size_t>(
-            base + static_cast<mat::offset_t>(j) * vgpu::kWarpSize) + l;
-        const mat::index_t c = slab_col[slot];
-        if (c >= 0) sum += slab_val[slot] * x[static_cast<std::size_t>(c)];
-      }
-      y[static_cast<std::size_t>(out)] = sum;
-    }
-  }
+  for_weighted_chunks(
+      static_cast<long long>(block_width.size()), 1,
+      [&](long long b) {
+        return static_cast<long long>(kRows) *
+               (std::max<long long>(0, block_width[static_cast<std::size_t>(b)]) + 1);
+      },
+      [&](long long b0, long long b1) {
+        for (auto b = static_cast<std::size_t>(b0);
+             b < static_cast<std::size_t>(b1); ++b) {
+          const mat::offset_t base = block_off[b];
+          const mat::index_t width = block_width[b];
+          for (std::size_t l = 0; l < kRows; ++l) {
+            const std::size_t s = b * kRows + l;
+            if (s >= out_rows.size()) break;
+            const mat::index_t out = out_rows[s];
+            if (out < 0) continue;
+            T sum{};
+            for (mat::index_t j = 0; j < width; ++j) {
+              const auto slot = static_cast<std::size_t>(
+                  base + static_cast<mat::offset_t>(j) * vgpu::kWarpSize) + l;
+              const mat::index_t c = slab_col[slot];
+              if (c >= 0)
+                sum += slab_val[slot] * x[static_cast<std::size_t>(c)];
+            }
+            y[static_cast<std::size_t>(out)] = sum;
+          }
+        }
+      });
 }
 
 }  // namespace acsr::spmv

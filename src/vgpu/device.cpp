@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <exception>
 #include <limits>
@@ -29,6 +30,7 @@ BlockParallelism default_block_parallelism() {
 
 BlockParallelism g_block_parallelism = default_block_parallelism();
 std::atomic<std::uint64_t> g_parallel_launches{0};
+std::atomic<std::uint64_t> g_pooled_value_kernels{0};
 
 /// One worker's private metering state, kept across launches: its Counters,
 /// per-SM issue cycles, sector-tag arrays and shared-memory arena (all in
@@ -62,12 +64,17 @@ struct Shard {
   }
 };
 
-/// The persistent host pool that runs block-independent grids. run(n, job)
-/// calls job(w) for every worker w < n — w = 0 on the calling thread, the
-/// rest on pool threads, started on first use and joined when the process
-/// exits — and returns once all have returned. One launch holds the pool
-/// (and its shards) at a time: one that finds it held — by another host
-/// thread's launch — runs its blocks in order instead.
+/// The persistent host pool that runs block-independent grids and
+/// row-parallel value kernels (run_chunks). run(n, job) calls job(0) on
+/// the calling thread and offers job(w), 0 < w < n, to pool threads,
+/// started on first use and joined when the process exits. A pool thread
+/// that wakes after the caller's job(0) has returned does not run it and
+/// is not waited for: a sleeping thread's wake-up stays off the critical
+/// path, so every job must be able to finish the run's work alone (a claim
+/// loop does). run returns once every worker that ran job has returned,
+/// with the set of them. One launch or value kernel holds the pool (and
+/// its shards) at a time: one that finds it held — by another host thread
+/// — runs in order instead.
 class BlockPool {
  public:
   using Job = void (*)(void* ctx, int worker);
@@ -95,8 +102,9 @@ class BlockPool {
   }
   void release() { busy_.store(false, std::memory_order_release); }
 
-  /// Needs the pool held (try_acquire).
-  void run(int n, Job job, void* ctx) {
+  /// Needs the pool held (try_acquire). Returns the workers that ran
+  /// job, bit w for worker w (bit 0 always set).
+  std::uint32_t run(int n, Job job, void* ctx) {
     while (static_cast<int>(shards_.size()) < n)
       shards_.push_back(std::make_unique<Shard>());
     {
@@ -108,15 +116,16 @@ class BlockPool {
       job_ = job;
       ctx_ = ctx;
       active_ = n;
-      pending_ = n - 1;
+      open_ = true;
+      joined_ = 1;
       ++generation_;
     }
     start_cv_.notify_all();
     job(ctx, 0);
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      done_cv_.wait(lk, [this] { return pending_ == 0; });
-    }
+    std::unique_lock<std::mutex> lk(mu_);
+    open_ = false;
+    done_cv_.wait(lk, [this] { return running_ == 0; });
+    return joined_;
   }
 
  private:
@@ -129,13 +138,15 @@ class BlockPool {
       start_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
-      if (id >= active_) continue;
+      if (id >= active_ || !open_) continue;
+      ++running_;
+      joined_ |= 1u << id;
       const Job job = job_;
       void* const ctx = ctx_;
       lk.unlock();
       job(ctx, id);
       lk.lock();
-      if (--pending_ == 0) done_cv_.notify_one();
+      if (--running_ == 0) done_cv_.notify_one();
     }
   }
 
@@ -149,8 +160,63 @@ class BlockPool {
   Job job_ = nullptr;
   void* ctx_ = nullptr;
   int active_ = 0;
-  int pending_ = 0;
+  int running_ = 0;          // workers inside this generation's job
+  std::uint32_t joined_ = 0;  // workers that ran it, bit per worker
+  bool open_ = false;        // pool threads may still join
   bool stop_ = false;
+};
+
+/// The pool's claim loop, shared by grids and value kernels: each worker
+/// takes `grain` consecutive items at a time from an atomic cursor and
+/// runs them in order. An item that throws is recorded in the worker's
+/// shard with its index, and no worker takes a run that starts past the
+/// lowest index recorded so far.
+struct Claims {
+  long long n;
+  long long grain;
+  std::atomic<long long> cursor{0};
+  std::atomic<long long> failed{std::numeric_limits<long long>::max()};
+
+  template <class Item>
+  void run(Shard& s, const Item& item) {
+    for (;;) {
+      const long long i0 = cursor.fetch_add(grain, std::memory_order_relaxed);
+      // Items past one that threw need not run: its exception wins.
+      if (i0 >= n || i0 > failed.load(std::memory_order_relaxed)) return;
+      for (long long i = i0; i < std::min(n, i0 + grain); ++i) {
+        try {
+          item(i);
+        } catch (...) {
+          s.error = std::current_exception();
+          s.failed_block = i;
+          long long cur = failed.load(std::memory_order_relaxed);
+          while (i < cur && !failed.compare_exchange_weak(cur, i)) {
+          }
+          return;
+        }
+      }
+    }
+  }
+};
+
+/// After a pooled run: rethrows the exception of the lowest-numbered item
+/// that threw among the `joined` workers' shards — the one an in-order run
+/// would have thrown, since every lower item did run.
+void rethrow_first_error(BlockPool& pool, std::uint32_t joined) {
+  const Shard* first_error = nullptr;
+  for (std::uint32_t m = joined; m != 0; m &= m - 1) {
+    const Shard& s = pool.shard(std::countr_zero(m));
+    if (s.error && (first_error == nullptr ||
+                    s.failed_block < first_error->failed_block))
+      first_error = &s;
+  }
+  if (first_error != nullptr) std::rethrow_exception(first_error->error);
+}
+
+/// Holds the pool for a scope (BlockPool::try_acquire succeeded).
+struct PoolHold {
+  BlockPool& pool;
+  ~PoolHold() { pool.release(); }
 };
 
 /// Runs the grid of a blocks_independent launch on `workers` pool workers
@@ -164,58 +230,31 @@ bool run_blocks_parallel(int workers, const LaunchConfig& cfg,
                          const KernelRef& fn, KernelEnv& env) {
   BlockPool& pool = BlockPool::instance();
   if (!pool.try_acquire()) return false;
-  struct Release {
-    BlockPool& pool;
-    ~Release() { pool.release(); }
-  } held{pool};
+  const PoolHold held{pool};
   struct Ctx {
     BlockPool* pool;
     const LaunchConfig* cfg;
     const KernelRef* fn;
     const KernelEnv* env;
-    long long chunk;
-    std::atomic<long long> cursor{0};
-    std::atomic<long long> failed{std::numeric_limits<long long>::max()};
+    Claims claims;
   } ctx{&pool, &cfg, &fn, &env,
-        std::max<long long>(1, cfg.grid_dim / (8LL * workers))};
+        {cfg.grid_dim,
+         std::max<long long>(1, cfg.grid_dim / (8LL * workers))}};
   const auto job = [](void* p, int w) {
     Ctx& c = *static_cast<Ctx*>(p);
     Shard& s = c.pool->shard(w);
     s.reset(*c.env);
     const long long grid = c.cfg->grid_dim;
     const auto sm_count = static_cast<long long>(c.env->sm_issue_cycles.size());
-    for (;;) {
-      const long long b0 =
-          c.cursor.fetch_add(c.chunk, std::memory_order_relaxed);
-      // Blocks past one that threw need not run: its exception wins.
-      if (b0 >= grid || b0 > c.failed.load(std::memory_order_relaxed)) return;
-      for (long long b = b0; b < std::min(grid, b0 + c.chunk); ++b) {
-        try {
-          Block blk(s.env, b, c.cfg->block_dim, grid,
-                    static_cast<int>(b % sm_count));
-          (*c.fn)(blk);
-        } catch (...) {
-          s.error = std::current_exception();
-          s.failed_block = b;
-          long long cur = c.failed.load(std::memory_order_relaxed);
-          while (b < cur && !c.failed.compare_exchange_weak(cur, b)) {
-          }
-          return;
-        }
-      }
-    }
+    c.claims.run(s, [&](long long b) {
+      Block blk(s.env, b, c.cfg->block_dim, grid,
+                static_cast<int>(b % sm_count));
+      (*c.fn)(blk);
+    });
   };
-  pool.run(workers, job, &ctx);
+  const std::uint32_t joined = pool.run(workers, job, &ctx);
   g_parallel_launches.fetch_add(1, std::memory_order_relaxed);
-
-  const Shard* first_error = nullptr;
-  for (int w = 0; w < workers; ++w) {
-    const Shard& s = pool.shard(w);
-    if (s.error && (first_error == nullptr ||
-                    s.failed_block < first_error->failed_block))
-      first_error = &s;
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error->error);
+  rethrow_first_error(pool, joined);
 
   // Worker order. Counters are integer sums; per-SM issue cycles are
   // integers below 2^53 held in doubles, so their sums are exact in any
@@ -223,8 +262,9 @@ bool run_blocks_parallel(int workers, const LaunchConfig& cfg,
   // do not depend on which warps ran before it (each starts with an empty
   // sector cache), and the launch's DRAM sectors are the distinct ones new
   // to the group's set: the sectors each shard adds on merge.
-  for (int w = 0; w < workers; ++w) {
-    const KernelEnv& se = pool.shard(w).env;
+  for (std::uint32_t m = joined; m != 0; m &= m - 1) {
+    const Shard& shard = pool.shard(std::countr_zero(m));
+    const KernelEnv& se = shard.env;
     env.counters += se.counters;
     for (std::size_t i = 0; i < env.sm_issue_cycles.size(); ++i)
       env.sm_issue_cycles[i] += se.sm_issue_cycles[i];
@@ -234,7 +274,7 @@ bool run_blocks_parallel(int workers, const LaunchConfig& cfg,
         std::max(env.tex_footprint_bytes, se.tex_footprint_bytes);
     if (env.group_l2 != nullptr) {
       const auto fresh =
-          static_cast<std::uint64_t>(env.group_l2->merge(pool.shard(w).l2));
+          static_cast<std::uint64_t>(env.group_l2->merge(shard.l2));
       env.counters.gmem_transactions += fresh;
       env.counters.gmem_bytes += fresh * 32;  // 32 B sectors
     }
@@ -312,16 +352,54 @@ std::uint64_t block_parallel_launches() {
   return g_parallel_launches.load(std::memory_order_relaxed);
 }
 
+std::uint64_t pooled_value_kernels() {
+  return g_pooled_value_kernels.load(std::memory_order_relaxed);
+}
+
 ScopedBlockParallelism::ScopedBlockParallelism(int threads,
-                                               long long min_blocks_per_worker)
+                                               long long min_blocks_per_worker,
+                                               long long min_nnz_per_worker)
     : saved_(g_block_parallelism) {
   ACSR_CHECK(threads >= 1 && threads <= kMaxBlockWorkers);
   ACSR_CHECK(min_blocks_per_worker >= 1);
-  g_block_parallelism = {threads, min_blocks_per_worker};
+  ACSR_CHECK(min_nnz_per_worker >= 1);
+  g_block_parallelism = {threads, min_blocks_per_worker, min_nnz_per_worker};
 }
 
 ScopedBlockParallelism::~ScopedBlockParallelism() {
   g_block_parallelism = saved_;
+}
+
+int value_kernel_workers(long long work) {
+  const BlockParallelism par = g_block_parallelism;
+  if (par.threads < 2 || sanitizer_enabled()) return 1;
+  return static_cast<int>(std::min<long long>(
+      par.threads, std::max<long long>(1, work / par.min_nnz_per_worker)));
+}
+
+void run_chunks(int workers, long long n_chunks, ChunkRef chunk) {
+  BlockPool& pool = BlockPool::instance();
+  if (workers < 2 || n_chunks < 2 || !pool.try_acquire()) {
+    for (long long c = 0; c < n_chunks; ++c) chunk(c);
+    return;
+  }
+  const PoolHold held{pool};
+  struct Ctx {
+    BlockPool* pool;
+    const ChunkRef* chunk;
+    Claims claims;
+  } ctx{&pool, &chunk, {n_chunks, 1}};
+  const auto job = [](void* p, int w) {
+    Ctx& c = *static_cast<Ctx*>(p);
+    Shard& s = c.pool->shard(w);
+    s.error = nullptr;
+    s.failed_block = -1;
+    c.claims.run(s, *c.chunk);
+  };
+  workers = static_cast<int>(std::min<long long>(workers, n_chunks));
+  const std::uint32_t joined = pool.run(workers, job, &ctx);
+  g_pooled_value_kernels.fetch_add(1, std::memory_order_relaxed);
+  rethrow_first_error(pool, joined);
 }
 
 KernelRun Device::launch(const LaunchConfig& cfg, KernelRef fn,

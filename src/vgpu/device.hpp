@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "vgpu/device_spec.hpp"
@@ -16,24 +17,37 @@ namespace memo {
 struct Session;
 }  // namespace memo
 
-/// How Device::launch runs a grid that declares blocks_independent: on
-/// `threads` host workers (the launching thread is one of them) once the
-/// grid has at least `min_blocks_per_worker` blocks per worker. Defaults:
-/// min(hardware_concurrency, 8) workers, 4 blocks each. A sanitized,
-/// profiled or reference-metered launch always runs its blocks in order.
+/// How the block pool is used: by Device::launch for a grid that declares
+/// blocks_independent, and by run_chunks for a row-parallel host value
+/// kernel (a memo replay's y, an engine's apply). Up to `threads` host
+/// workers (the calling thread is one of them). A grid uses the pool from
+/// `min_blocks_per_worker` blocks per worker; a value kernel gets one
+/// worker per `min_nnz_per_worker` units of work (nnz, times the columns
+/// of a batched kernel), at most `threads`. Defaults:
+/// min(hardware_concurrency, 8) workers, 4 blocks or 16384 nnz each. A
+/// sanitized, profiled or reference-metered grid and a sanitized value
+/// kernel always run in order (docs/PERF.md, "Block-parallel metering"
+/// and "Replay on every core").
 struct BlockParallelism {
+  static constexpr long long kMinNnzPerWorker = 16384;
   int threads = 1;
   long long min_blocks_per_worker = 4;
+  long long min_nnz_per_worker = kMinNnzPerWorker;
 };
 /// Launches whose blocks ran on the host pool, process-wide.
 std::uint64_t block_parallel_launches();
+/// Value kernels whose chunks ran on the host pool, process-wide.
+std::uint64_t pooled_value_kernels();
 
 /// Test-only: overrides the BlockParallelism defaults for the scope's
-/// lifetime (1..kMaxBlockWorkers threads; 1 runs every grid in order).
+/// lifetime (1..kMaxBlockWorkers threads; 1 runs every grid and value
+/// kernel in order).
 class ScopedBlockParallelism {
  public:
   static constexpr int kMaxBlockWorkers = 8;
-  ScopedBlockParallelism(int threads, long long min_blocks_per_worker);
+  ScopedBlockParallelism(
+      int threads, long long min_blocks_per_worker,
+      long long min_nnz_per_worker = BlockParallelism::kMinNnzPerWorker);
   ~ScopedBlockParallelism();
   ScopedBlockParallelism(const ScopedBlockParallelism&) = delete;
   ScopedBlockParallelism& operator=(const ScopedBlockParallelism&) = delete;
@@ -41,6 +55,40 @@ class ScopedBlockParallelism {
  private:
   BlockParallelism saved_;
 };
+
+/// Non-owning reference to one chunk of a row-parallel value kernel:
+/// chunk(c) runs chunk c. run_chunks is synchronous, so a stack lambda
+/// binds with no std::function, as KernelRef does for grids.
+class ChunkRef {
+ public:
+  template <class F>
+  ChunkRef(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* o, long long c) {
+          (*static_cast<std::remove_reference_t<F>*>(o))(c);
+        }) {}
+
+  void operator()(long long c) const { call_(obj_, c); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, long long);
+};
+
+/// Pool workers a row-parallel value kernel doing `work` units may use:
+/// min(threads, work / min_nnz_per_worker), and 1 — run in order — when
+/// that is below 2 or the sanitizer is on.
+int value_kernel_workers(long long work);
+
+/// The chunk runner: calls chunk(c) for every c < n_chunks and returns
+/// once all have returned. With `workers` >= 2 they run on the block pool,
+/// each worker claiming the next unclaimed chunk; in order (c = 0, 1, ...)
+/// on the calling thread when `workers` or `n_chunks` is below 2 or the
+/// pool is held by another host thread. Chunks must write disjoint
+/// outputs, each in the order the in-order run writes it: then the result
+/// is the in-order one, bit for bit. A throwing chunk's exception is
+/// rethrown — the lowest-numbered one's, the one an in-order run throws.
+void run_chunks(int workers, long long n_chunks, ChunkRef chunk);
 
 /// A host<->device transfer event.
 struct TransferRun {
